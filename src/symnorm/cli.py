@@ -11,6 +11,7 @@ import argparse
 import logging
 import sys
 from collections import defaultdict
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -19,14 +20,13 @@ from . import evaluation, util
 from .config import RunConfig
 from .dataset import (
     build_manifest,
-    default_registry,
     manifest_codebook,
     read_manifest,
     record_image_id,
 )
 from .errors import GeometryError, InputError, SymnormError
 from .mesh_io import parse_obj_file
-from .orientation import ViewPose, fibonacci_codebook
+from .orientation import VIEW_DISTRIBUTIONS, ViewPose, fibonacci_codebook
 from .render import (
     discretize_normal_map,
     labels_to_normals,
@@ -42,19 +42,15 @@ logger = logging.getLogger(__name__)
 
 
 def _load_config(args) -> RunConfig:
+    """The --config file (or the defaults) overridden by every flag named like a key."""
     cfg = RunConfig.from_file(args.config) if args.config else RunConfig()
-    overrides = {}
-    for name in ("seed", "width", "height", "fov_y_deg", "codebook_k", "theta_deg",
-                 "view_setting", "per_model_views", "max_models_per_category"):
-        if hasattr(args, name):
-            overrides[name] = getattr(args, name)
-    return cfg.merged(**overrides)
+    keys = {f.name for f in fields(RunConfig)}
+    return cfg.merged(**{k: v for k, v in vars(args).items() if k in keys})
 
 
-def cmd_detect(args) -> int:
-    cfg = _load_config(args)
+def cmd_detect(args, cfg: RunConfig) -> int:
     mesh = parse_obj_file(args.obj)
-    planes = detect_symmetries(mesh, cfg.detector())
+    planes = detect_symmetries(mesh, cfg)
     write_planes(args.out, planes, comments=[
         f"accept_residual {cfg.accept_residual}",
         f"seed {cfg.seed}",
@@ -64,13 +60,11 @@ def cmd_detect(args) -> int:
     return 0
 
 
-def cmd_render(args) -> int:
-    cfg = _load_config(args)
+def cmd_render(args, cfg: RunConfig) -> int:
     mesh = parse_obj_file(args.obj)
     pose = ViewPose(args.az, args.el, args.cyclo)
-    nm = rasterize(mesh, pose, cfg.camera())
-    lm = discretize_normal_map(nm, cfg.normal_codebook() if args.codebook_k is None
-                               else fibonacci_codebook(args.codebook_k, "hemisphere"))
+    nm = rasterize(mesh, pose, cfg)
+    lm = discretize_normal_map(nm, cfg.normal_codebook())
     normal_path, depth_path = save_normal_map(args.out, nm)
     label_path = f"{args.out}_labels.pgm"
     save_label_map(label_path, lm)
@@ -78,20 +72,8 @@ def cmd_render(args) -> int:
     return 0
 
 
-def cmd_build(args) -> int:
-    cfg = _load_config(args)
-    records, manifest_path = build_manifest(
-        args.corpus_root, args.out_dir,
-        registry=default_registry(),
-        per_model_views=cfg.per_model_views,
-        view_setting=cfg.view_setting,
-        codebook=cfg.symmetry_codebook(),
-        detector_config=cfg.detector(),
-        seed=cfg.seed,
-        normal_codebook=cfg.normal_codebook(),
-        camera=cfg.camera(),
-        max_models_per_category=cfg.max_models_per_category,
-    )
+def cmd_build(args, cfg: RunConfig) -> int:
+    records, manifest_path = build_manifest(args.corpus_root, args.out_dir, cfg)
     print(f"{len(records)} records -> {manifest_path}")
     return 0
 
@@ -128,8 +110,7 @@ def write_predictions(path, image_ids, per_image_predictions) -> None:
     util.atomic_write_text(path, "\n".join(lines) + "\n")
 
 
-def cmd_eval_sym(args) -> int:
-    cfg = _load_config(args)
+def cmd_eval_sym(args, cfg: RunConfig) -> int:
     meta, records = read_manifest(args.gt_manifest)
     codebook = manifest_codebook(meta)
     predictions = read_predictions(args.predictions)
@@ -182,7 +163,7 @@ def _load_prediction_map(pred_dir: Path, image_id: str, codebook):
     raise InputError(f"no prediction found for {image_id} under {pred_dir}")
 
 
-def cmd_eval_normals(args) -> int:
+def cmd_eval_normals(args, cfg: RunConfig) -> int:
     meta, records = read_manifest(args.gt_manifest)
     codebook = manifest_codebook(meta, "normal_codebook")
     manifest_dir = Path(args.gt_manifest).parent
@@ -225,12 +206,11 @@ def cmd_eval_normals(args) -> int:
     return 2 if skipped else 0
 
 
-def cmd_baseline(args) -> int:
-    cfg = _load_config(args)
+def cmd_baseline(args, cfg: RunConfig) -> int:
     meta, records = read_manifest(args.gt_manifest)
-    codebook = (manifest_codebook(meta) if args.codebook_k is None
-                else fibonacci_codebook(args.codebook_k,
-                                        meta["codebook"].split("support=")[1].split("\t")[0]))
+    codebook = manifest_codebook(meta)
+    if args.codebook_k is not None:
+        codebook = fibonacci_codebook(args.codebook_k, codebook.support)
     image_ids = [record_image_id(r) for r in records]
     predictions = evaluation.random_baseline(codebook, len(image_ids), cfg.seed)
     write_predictions(args.out, image_ids, predictions)
@@ -247,7 +227,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--config", help="key=value config file; flags override it")
-        p.add_argument("--seed", type=int, default=None, help="root seed (default 0)")
+        p.add_argument("--seed", type=int, default=None, help=f"root seed (default {RunConfig.seed})")
 
     p = sub.add_parser("detect", help="extract symmetry planes from an OBJ mesh")
     p.add_argument("obj")
@@ -264,8 +244,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--width", type=int, default=None)
     p.add_argument("--height", type=int, default=None)
     p.add_argument("--fov", type=float, default=None, dest="fov_y_deg")
-    p.add_argument("--codebook-k", type=int, default=None, dest="codebook_k",
-                   help="hemisphere codebook size for the label map (default 60)")
+    p.add_argument("--codebook-k", type=int, default=None, dest="normal_codebook_k",
+                   help="hemisphere codebook size for the label map "
+                        f"(default {RunConfig.normal_codebook_k})")
     common(p)
     p.set_defaults(func=cmd_render)
 
@@ -273,7 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("corpus_root")
     p.add_argument("out_dir")
     p.add_argument("--views", type=int, default=None, dest="per_model_views")
-    p.add_argument("--view-setting", choices=("V_N", "V_D"), default=None, dest="view_setting")
+    p.add_argument("--view-setting", choices=tuple(VIEW_DISTRIBUTIONS), default=None, dest="view_setting")
     p.add_argument("--max-models", type=int, default=None, dest="max_models_per_category")
     common(p)
     p.set_defaults(func=cmd_build)
@@ -307,7 +288,7 @@ def main(argv=None) -> int:
     logging.basicConfig(level=logging.WARNING, format="%(levelname)s: %(message)s")
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return args.func(args, _load_config(args))
     except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

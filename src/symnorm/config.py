@@ -1,47 +1,56 @@
-"""Flat key=value run configuration merging every pipeline knob."""
+"""Flat key=value run configuration merging every pipeline knob.
+
+A RunConfig is itself the DetectorConfig and the CameraIntrinsics of a run,
+so the config file and the CLI flags share one key space.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields, replace
 
 from .errors import InputError
-from .orientation import HEMISPHERE, OrientationCodebook, fibonacci_codebook
+from .orientation import (
+    HEMISPHERE,
+    HORIZONTAL_CIRCLE,
+    SIGN_INVARIANT_SUPPORTS,
+    OrientationCodebook,
+    fibonacci_codebook,
+    view_distribution,
+)
 from .render import CameraIntrinsics
 from .symmetry import DetectorConfig
 
 
 @dataclass(frozen=True)
-class RunConfig:
-    # symmetry detector
-    sample_count: int = 4000
-    pair_count: int = 20000
-    cluster_angle_deg: float = 10.0
-    cluster_offset_frac: float = 0.05
-    max_hypotheses: int = 32
-    icp_max_iters: int = 30
-    icp_converge_deg: float = 0.1
-    icp_reject_frac: float = 0.05
-    accept_residual: float = 0.02
-    dedupe_angle_deg: float = 10.0
-    # camera
-    width: int = 224
-    height: int = 224
-    fov_y_deg: float = 30.0
-    auto_frame_margin: float = 1.1
+class RunConfig(DetectorConfig, CameraIntrinsics):
     # codebooks and views
     codebook_k: int = 10
-    codebook_support: str = "horizontal_circle"
+    codebook_support: str = HORIZONTAL_CIRCLE
     normal_codebook_k: int = 60
     view_setting: str = "V_N"
     per_model_views: int = 200
     max_models_per_category: int = 200
     # evaluation
     theta_deg: float = 10.0
-    seed: int = 0
+
+    def __post_init__(self):
+        DetectorConfig.__post_init__(self)
+        CameraIntrinsics.__post_init__(self)
+        if self.seed < 0:
+            raise ValueError("seed must be nonnegative")
+        if self.codebook_k < 1 or self.normal_codebook_k < 1:
+            raise ValueError("codebook sizes must be at least 1")
+        if self.codebook_support not in SIGN_INVARIANT_SUPPORTS:
+            raise ValueError(f"codebook_support must be one of {', '.join(SIGN_INVARIANT_SUPPORTS)}")
+        view_distribution(self.view_setting)
+        if self.per_model_views < 0 or self.max_models_per_category < 0:
+            raise ValueError("view and model counts must be nonnegative")
+        if not self.theta_deg >= 0.0:
+            raise ValueError("theta_deg must be nonnegative")
 
     @classmethod
     def from_file(cls, path) -> "RunConfig":
-        """Parse `key = value` lines; unknown keys are rejected."""
+        """Parse `key = value` lines; unknown keys and bad values are rejected."""
         types = {f.name: f.type for f in fields(cls)}
         casts = {"int": int, "float": float, "str": str}
         values = {}
@@ -61,32 +70,18 @@ class RunConfig:
                     values[key] = casts[types[key]](value)
                 except ValueError:
                     raise InputError(f"{path}: line {lineno}: bad value for {key}") from None
-        return cls(**values)
+        try:
+            return cls(**values)
+        except ValueError as exc:
+            raise InputError(f"{path}: {exc}") from None
 
     def merged(self, **overrides) -> "RunConfig":
         """Apply non-None overrides (CLI flags beat config-file values)."""
         updates = {k: v for k, v in overrides.items() if v is not None}
-        return replace(self, **updates) if updates else self
-
-    def detector(self) -> DetectorConfig:
-        return DetectorConfig(
-            sample_count=self.sample_count,
-            pair_count=self.pair_count,
-            cluster_angle_deg=self.cluster_angle_deg,
-            cluster_offset_frac=self.cluster_offset_frac,
-            max_hypotheses=self.max_hypotheses,
-            icp_max_iters=self.icp_max_iters,
-            icp_converge_deg=self.icp_converge_deg,
-            icp_reject_frac=self.icp_reject_frac,
-            accept_residual=self.accept_residual,
-            dedupe_angle_deg=self.dedupe_angle_deg,
-            seed=self.seed,
-        )
-
-    def camera(self) -> CameraIntrinsics:
-        return CameraIntrinsics(width=self.width, height=self.height,
-                                fov_y_deg=self.fov_y_deg,
-                                auto_frame_margin=self.auto_frame_margin)
+        try:
+            return replace(self, **updates) if updates else self
+        except ValueError as exc:
+            raise InputError(str(exc)) from None
 
     def symmetry_codebook(self) -> OrientationCodebook:
         return fibonacci_codebook(self.codebook_k, self.codebook_support)

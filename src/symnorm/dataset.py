@@ -19,11 +19,10 @@ from pathlib import Path
 import numpy as np
 
 from . import util
+from .config import RunConfig
 from .errors import InputError, SymnormError
 from .mesh_io import parse_obj_file
 from .orientation import (
-    HEMISPHERE,
-    HORIZONTAL_CIRCLE,
     OrientationCodebook,
     ViewPose,
     fibonacci_codebook,
@@ -32,8 +31,8 @@ from .orientation import (
     sample_view,
     view_distribution,
 )
-from .render import CameraIntrinsics, discretize_normal_map, rasterize, save_label_map, save_normal_map
-from .symmetry import DetectorConfig, detect_symmetries, write_planes
+from .render import discretize_normal_map, rasterize, save_label_map, save_normal_map
+from .symmetry import detect_symmetries, write_planes
 
 logger = logging.getLogger(__name__)
 
@@ -205,81 +204,89 @@ def _split_models(model_ids, seed, category, cap):
     return {mid: ("train" if rank < n_train else "test") for rank, mid in enumerate(kept)}
 
 
-def build_manifest(corpus_root, out_dir, registry: CategoryRegistry | None = None,
-                   per_model_views: int = 200, view_setting: str = "V_N",
-                   codebook: OrientationCodebook | None = None,
-                   detector_config: DetectorConfig | None = None, seed: int = 0,
-                   normal_codebook: OrientationCodebook | None = None,
-                   camera: CameraIntrinsics | None = None,
-                   max_models_per_category: int = 200):
+def build_manifest(corpus_root, out_dir, config: RunConfig = RunConfig(),
+                   registry: CategoryRegistry | None = None):
     """Generate ground truth for a corpus and write manifest plus sidecars.
 
     Per model: detect symmetry planes once, then per view sample a pose,
     render the normal/depth/label maps, rotate the symmetry orientations
-    into the view and discretize them into the multilabel target.
-    Returns (records, manifest_path).
+    into the view and discretize them into the multilabel target.  A model
+    that fails to parse or to detect is skipped with a warning and leaves no
+    files.  Returns (records, manifest_path).
     """
     corpus_root = Path(corpus_root)
     out_dir = Path(out_dir)
     registry = registry if registry is not None else default_registry()
-    codebook = codebook if codebook is not None else fibonacci_codebook(10, HORIZONTAL_CIRCLE)
-    normal_codebook = (normal_codebook if normal_codebook is not None
-                       else fibonacci_codebook(60, HEMISPHERE))
-    camera = camera if camera is not None else CameraIntrinsics()
-    detector_config = detector_config if detector_config is not None else DetectorConfig(seed=seed)
-    dist = view_distribution(view_setting)
+    codebook = config.symmetry_codebook()
+    normal_codebook = config.normal_codebook()
     out_dir.mkdir(parents=True, exist_ok=True)
     records = []
+    missing = []
+    unusable = []
     for category in registry.categories:
         cat_dir = corpus_root / category
         if not cat_dir.is_dir():
-            logger.warning("category %s has no directory under %s", category, corpus_root)
+            missing.append(category)
             continue
         model_ids = [p.stem for p in cat_dir.glob("*.obj")]
-        if not model_ids:
-            logger.warning("category %s holds no usable models", category)
-            continue
-        split_of = _split_models(model_ids, seed, category, max_models_per_category)
+        split_of = _split_models(model_ids, config.seed, category, config.max_models_per_category)
         usable = 0
         for model_id in sorted(split_of):
             obj_path = cat_dir / f"{model_id}.obj"
             try:
-                mesh = parse_obj_file(obj_path)
+                records.extend(_model_records(obj_path, category, split_of[model_id], out_dir,
+                                              config, codebook, normal_codebook))
             except SymnormError as exc:
                 logger.warning("skipping %s: %s", obj_path, exc)
                 continue
             usable += 1
-            planes = detect_symmetries(mesh, detector_config)
-            plane_normals = np.array([p.normal for p in planes]).reshape(-1, 3)
-            model_dir = out_dir / category / model_id
-            model_dir.mkdir(parents=True, exist_ok=True)
-            write_planes(model_dir / "planes.txt", planes,
-                         comments=[f"accept_residual {detector_config.accept_residual}",
-                                   "columns: nx ny nz offset residual"])
-            for view in range(per_model_views):
-                view_seed = util.derive_seed(seed, "view", category, model_id, view)
-                pose = sample_view(dist, view_seed)
-                nm = rasterize(mesh, pose, camera)
-                lm = discretize_normal_map(nm, normal_codebook)
-                rotated = rotate_orientations(plane_normals, pose.rotation)
-                label = make_symmetry_label(rotated, codebook)
-                rel = f"{category}/{model_id}/v{view:03d}"
-                save_normal_map(out_dir / rel, nm)
-                save_label_map(out_dir / f"{rel}_labels.pgm", lm)
-                records.append(SampleRecord(
-                    model_id=model_id,
-                    category=category,
-                    obj_path=os.path.relpath(obj_path, out_dir),
-                    pose=pose,
-                    normal_map_path=f"{rel}_normal.pfm",
-                    label_map_path=f"{rel}_labels.pgm",
-                    symmetry_label=label,
-                    view_setting=view_setting,
-                    split=split_of[model_id],
-                ))
         if usable == 0:
-            logger.warning("category %s holds no usable models", category)
+            unusable.append(category)
+    total = len(registry.categories)
+    if missing:
+        logger.warning("category has no directory under %s (%d of %d): %s",
+                       corpus_root, len(missing), total, ", ".join(missing))
+    if unusable:
+        logger.warning("category holds no usable models (%d of %d): %s",
+                       len(unusable), total, ", ".join(unusable))
     records.sort(key=lambda r: (r.category, r.model_id, r.label_map_path))
     manifest_path = out_dir / "manifest.tsv"
-    write_manifest(manifest_path, records, codebook, normal_codebook, view_setting)
+    write_manifest(manifest_path, records, codebook, normal_codebook, config.view_setting)
     return records, manifest_path
+
+
+def _model_records(obj_path, category, split, out_dir, config, codebook, normal_codebook):
+    """Detect one model's planes, then render and label each of its views."""
+    model_id = obj_path.stem
+    mesh = parse_obj_file(obj_path)
+    planes = detect_symmetries(mesh, config)
+    plane_normals = np.array([p.normal for p in planes]).reshape(-1, 3)
+    model_dir = out_dir / category / model_id
+    model_dir.mkdir(parents=True, exist_ok=True)
+    write_planes(model_dir / "planes.txt", planes,
+                 comments=[f"accept_residual {config.accept_residual}",
+                           "columns: nx ny nz offset residual"])
+    dist = view_distribution(config.view_setting)
+    records = []
+    for view in range(config.per_model_views):
+        view_seed = util.derive_seed(config.seed, "view", category, model_id, view)
+        pose = sample_view(dist, view_seed)
+        nm = rasterize(mesh, pose, config)
+        lm = discretize_normal_map(nm, normal_codebook)
+        rotated = rotate_orientations(plane_normals, pose.rotation)
+        label = make_symmetry_label(rotated, codebook)
+        rel = f"{category}/{model_id}/v{view:03d}"
+        save_normal_map(out_dir / rel, nm)
+        save_label_map(out_dir / f"{rel}_labels.pgm", lm)
+        records.append(SampleRecord(
+            model_id=model_id,
+            category=category,
+            obj_path=os.path.relpath(obj_path, out_dir),
+            pose=pose,
+            normal_map_path=f"{rel}_normal.pfm",
+            label_map_path=f"{rel}_labels.pgm",
+            symmetry_label=label,
+            view_setting=config.view_setting,
+            split=split,
+        ))
+    return records

@@ -10,7 +10,7 @@ import numpy as np
 
 from . import util
 from .errors import NoForegroundError, UndefinedAPError
-from .orientation import OrientationCodebook
+from .orientation import OrientationCodebook, sym_angle_deg
 from .render import NormalMap
 
 GP_THRESHOLDS_DEG = (11.25, 22.5, 30.0)
@@ -24,7 +24,7 @@ def angular_distance_sym(a, b) -> float:
     for v in (va, vb):
         if abs(float(np.linalg.norm(v)) - 1.0) > 1e-6:
             raise ValueError("directions must be unit length")
-    return float(np.degrees(np.arccos(np.clip(abs(float(va @ vb)), 0.0, 1.0))))
+    return float(sym_angle_deg(va, vb))
 
 
 @dataclass(frozen=True)
@@ -57,7 +57,7 @@ class PRCurve:
         object.__setattr__(self, "points", util.readonly(pts))
 
 
-def ap_symmetry(gt_sets, pred_sets, theta_deg: float = 10.0) -> PRCurve:
+def ap_symmetry(gt_sets, pred_sets, theta_deg: float) -> PRCurve:
     """Detection-style average precision over pooled per-image predictions.
 
     Predictions are sorted by descending confidence (ties stable by image
@@ -84,8 +84,7 @@ def ap_symmetry(gt_sets, pred_sets, theta_deg: float = 10.0) -> PRCurve:
         free = np.flatnonzero(~matched[img])
         hit = -1
         if free.size:
-            dots = np.abs(gt[img][free] @ pred.orientation)
-            angles = np.degrees(np.arccos(np.clip(dots, 0.0, 1.0)))
+            angles = sym_angle_deg(gt[img][free], pred.orientation)
             best = int(np.argmin(angles))
             if angles[best] <= theta_deg:
                 hit = int(free[best])

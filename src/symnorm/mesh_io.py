@@ -11,6 +11,7 @@ were already declared.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -127,9 +128,12 @@ def parse_obj(data) -> TriangleMesh:
             if len(parts) < 4:
                 raise MeshParseError("vertex needs three coordinates", line=lineno)
             try:
-                verts.append([float(p) for p in parts[1:4]])
+                xyz = [float(p) for p in parts[1:4]]
             except ValueError:
                 raise MeshParseError(f"bad numeric token in {line!r}", line=lineno) from None
+            if not all(map(math.isfinite, xyz)):
+                raise MeshParseError(f"non-finite coordinate in {line!r}", line=lineno)
+            verts.append(xyz)
         elif keyword == "f":
             tokens = parts[1:]
             if len(tokens) < 3:

@@ -13,6 +13,8 @@ FULL_SPHERE = "full_sphere"
 HEMISPHERE = "hemisphere"
 HORIZONTAL_CIRCLE = "horizontal_circle"
 SUPPORTS = (FULL_SPHERE, HEMISPHERE, HORIZONTAL_CIRCLE)
+# supports whose bins name a direction and its negation alike
+SIGN_INVARIANT_SUPPORTS = (HORIZONTAL_CIRCLE, FULL_SPHERE)
 
 GOLDEN_CONJUGATE = (np.sqrt(5.0) - 1.0) / 2.0
 
@@ -33,6 +35,14 @@ def canonical_sign(vectors):
     key[key == 0.0] = 1.0
     out *= key[:, None]
     return out[0] if single else out
+
+
+def sym_angle_deg(a, b):
+    """Angle between unoriented directions, arccos(|a @ b|), in [0, 90] degrees.
+
+    `a` may be one direction or an (n, 3) array of them; `b` is one direction.
+    """
+    return np.degrees(np.arccos(np.clip(np.abs(a @ b), 0.0, 1.0)))
 
 
 @dataclass(frozen=True)
@@ -106,21 +116,18 @@ def _require_unit(vectors, tol=1e-6):
 def bin_orientation(codebook: OrientationCodebook, v, sign_invariant: bool = False) -> int:
     """Index of the codebook direction with maximal (optionally absolute) dot."""
     vec = np.asarray(v, dtype=np.float64).reshape(3)
-    _require_unit(vec)
-    scores = codebook.directions @ vec
-    if sign_invariant:
-        scores = np.abs(scores)
-    # np.argmax returns the first maximum: ties break to the lowest index
-    return int(np.argmax(scores))
+    return int(bin_orientations(codebook, vec, sign_invariant)[0])
 
 
 def bin_orientations(codebook: OrientationCodebook, vectors, sign_invariant: bool = False) -> np.ndarray:
-    """Vectorized bin_orientation over an (n, 3) array."""
+    """Index of the codebook direction with maximal (optionally absolute) dot,
+    per row of an (n, 3) array."""
     arr = np.asarray(vectors, dtype=np.float64).reshape(-1, 3)
     _require_unit(arr)
     scores = arr @ codebook.directions.T
     if sign_invariant:
         scores = np.abs(scores)
+    # np.argmax returns the first maximum: ties break to the lowest index
     return np.argmax(scores, axis=1).astype(np.int32)
 
 
@@ -158,12 +165,6 @@ class ViewPose:
         object.__setattr__(self, "rotation", util.readonly(rot))
 
 
-_CANONICAL_RANGES = {
-    "V_N": ((-180.0, 180.0), (0.0, 10.0), (0.0, 0.0)),
-    "V_D": ((-180.0, 180.0), (0.0, 50.0), (-30.0, 30.0)),
-}
-
-
 @dataclass(frozen=True)
 class ViewDistribution:
     """Uniform box over (azimuth, elevation, cyclo); azimuth half-open above."""
@@ -173,24 +174,17 @@ class ViewDistribution:
     elevation_range: tuple
     cyclo_range: tuple
 
-    def __post_init__(self):
-        expected = _CANONICAL_RANGES.get(self.name)
-        if expected is None:
-            raise ValueError(f"unknown view distribution {self.name!r}")
-        if (self.azimuth_range, self.elevation_range, self.cyclo_range) != expected:
-            raise ValueError(f"{self.name} ranges must be {expected}")
 
-
-V_N = ViewDistribution("V_N", *_CANONICAL_RANGES["V_N"])
-V_D = ViewDistribution("V_D", *_CANONICAL_RANGES["V_D"])
+V_N = ViewDistribution("V_N", (-180.0, 180.0), (0.0, 10.0), (0.0, 0.0))
+V_D = ViewDistribution("V_D", (-180.0, 180.0), (0.0, 50.0), (-30.0, 30.0))
+VIEW_DISTRIBUTIONS = {d.name: d for d in (V_N, V_D)}
 
 
 def view_distribution(name: str) -> ViewDistribution:
-    if name == "V_N":
-        return V_N
-    if name == "V_D":
-        return V_D
-    raise ValueError(f"unknown view distribution {name!r}")
+    try:
+        return VIEW_DISTRIBUTIONS[name]
+    except KeyError:
+        raise ValueError(f"unknown view distribution {name!r}") from None
 
 
 def sample_view(dist: ViewDistribution, seed: int) -> ViewPose:
@@ -216,9 +210,9 @@ def rotate_orientations(normals, rotation) -> np.ndarray:
 
 def make_symmetry_label(normals, codebook: OrientationCodebook) -> np.ndarray:
     """Multilabel vector: bit k set iff some normal bins (sign-invariant) to k."""
-    if codebook.support == HEMISPHERE:
+    if codebook.support not in SIGN_INVARIANT_SUPPORTS:
         raise ValueError("symmetry labels need a sign-invariant codebook "
-                         "(horizontal_circle or full_sphere)")
+                         f"({' or '.join(SIGN_INVARIANT_SUPPORTS)})")
     label = np.zeros(codebook.K, dtype=bool)
     arr = np.asarray(normals, dtype=np.float64).reshape(-1, 3)
     if len(arr):

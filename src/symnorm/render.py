@@ -34,7 +34,7 @@ class CameraIntrinsics:
             raise ValueError("image dimensions must be at least 1x1")
         if not 0.0 < self.fov_y_deg < 180.0:
             raise ValueError("vertical field of view must lie in (0, 180)")
-        if self.auto_frame_margin < 1.0:
+        if not self.auto_frame_margin >= 1.0:
             raise ValueError("auto-frame margin must be >= 1")
 
 

@@ -23,7 +23,7 @@ from .errors import (
     RefinementDivergedError,
 )
 from .mesh_io import SurfaceSamples, TriangleMesh, sample_surface
-from .orientation import canonical_sign
+from .orientation import canonical_sign, sym_angle_deg
 
 UNSCORED = float("inf")
 
@@ -92,11 +92,6 @@ def reflect_points(points, plane: SymmetryPlane) -> np.ndarray:
 
 def reflect_point(point, plane: SymmetryPlane) -> np.ndarray:
     return reflect_points(np.asarray(point, dtype=np.float64).reshape(3), plane)
-
-
-def _sym_angle_deg(a, b) -> float:
-    """Angle between unoriented directions, in [0, 90] degrees."""
-    return float(np.degrees(np.arccos(np.clip(abs(float(np.dot(a, b))), 0.0, 1.0))))
 
 
 # A pair can only witness a reflection if that reflection maps its first
@@ -277,7 +272,7 @@ def refine_plane_icp(samples: SurfaceSamples, plane: SymmetryPlane, config: Dete
         _, vecs = np.linalg.eigh(ds.T @ ds)
         normal = canonical_sign(vecs[:, -1])
         offset = float(normal @ (0.5 * (p + q)).mean(axis=0))
-        step_deg = _sym_angle_deg(normal, current.normal)
+        step_deg = sym_angle_deg(normal, current.normal)
         current = SymmetryPlane(normal, offset)
         if step_deg < config.icp_converge_deg:
             break
@@ -295,7 +290,7 @@ def dedupe_planes(planes, angle_deg: float) -> list[SymmetryPlane]:
     kept: list[SymmetryPlane] = []
     for i in order:
         candidate = planes[i]
-        if all(_sym_angle_deg(candidate.normal, k.normal) > angle_deg for k in kept):
+        if all(sym_angle_deg(candidate.normal, k.normal) > angle_deg for k in kept):
             kept.append(candidate)
     return kept
 

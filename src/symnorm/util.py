@@ -1,5 +1,6 @@
 """Small shared helpers: deterministic RNG streams and atomic file writes."""
 
+import contextlib
 import os
 import zlib
 
@@ -23,12 +24,21 @@ def derive_seed(seed, *tags):
 
 
 def atomic_write_bytes(path, data):
-    """Write via a temp file in the same directory, then rename."""
+    """Write via a temp file in the same directory, then rename.
+
+    If the write or the rename fails, the temp file is removed and the
+    error re-raised.
+    """
     path = os.fspath(path)
     tmp = f"{path}.tmp-{os.getpid()}"
-    with open(tmp, "wb") as fh:
-        fh.write(data)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
 
 
 def atomic_write_text(path, text):

@@ -1,4 +1,5 @@
 import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -231,6 +232,37 @@ def test_config_unknown_key_rejected(tmp_path, cuboid_obj):
     assert rc == 2
 
 
+@pytest.mark.parametrize("command, config, flags", [
+    ("detect", "sample_count = 100\nwat = 7\n", []),
+    ("detect", "sample_count = 0\n", []),
+    ("render", "width = 0\n", []),
+    ("render", "", ["--width", "0"]),
+    ("build", "view_setting = V_X\n", []),
+    ("build", "codebook_support = hemisphere\n", []),
+    ("eval-normals", "wat = 7\n", []),
+], ids=["unknown-key", "zero-samples", "zero-width", "zero-width-flag", "unknown-view-setting",
+        "hemisphere-support", "eval-normals-unknown-key"])
+def test_config_rejected_before_any_output(tmp_path, cuboid_obj, capsys, request, command, config, flags):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(config)
+    out = tmp_path / "rejected"
+    if command == "eval-normals":
+        # a build whose own label maps score as predictions, exit 0 without --config
+        _, _, built = request.getfixturevalue("toy_build")
+        argv = [command, str(built / "manifest.tsv"), str(built), "--out-dir", str(out)]
+    elif command == "build":
+        corpus = tmp_path / "corpus"
+        (corpus / "airplane").mkdir(parents=True)
+        (corpus / "airplane" / "m.obj").write_bytes(cuboid_obj.read_bytes())
+        argv = [command, str(corpus), str(out)]
+    else:
+        argv = [command, str(cuboid_obj), "--out", str(out)]
+    rc = main(argv + flags + ["--config", str(cfg)])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
 def test_flags_override_config(tmp_path):
     from symnorm.config import RunConfig
     cfg = tmp_path / "c.cfg"
@@ -239,3 +271,20 @@ def test_flags_override_config(tmp_path):
     assert base.seed == 3 and base.width == 100
     merged = base.merged(seed=9, width=None)
     assert merged.seed == 9 and merged.width == 100
+
+
+def test_readme_defaults_table_matches_run_config():
+    from dataclasses import fields
+
+    from symnorm.config import RunConfig
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    table = readme.split("## Configuration keys and defaults", 1)[1].split("\n\n")[1]
+    casts = {"int": int, "float": float, "str": str}
+    types = {f.name: casts[f.type] for f in fields(RunConfig)}
+    documented = {}
+    for row in table.splitlines()[2:]:
+        cells = [c.strip() for c in row.strip("|").split("|")]
+        for keys, default in zip(cells[0::3], cells[1::3]):
+            for key in filter(None, (k.strip(" `") for k in keys.split(","))):
+                documented[key] = types[key](default)
+    assert documented == {f.name: f.default for f in fields(RunConfig)}

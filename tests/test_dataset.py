@@ -1,9 +1,11 @@
 import logging
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import shapes
+from symnorm.config import RunConfig
 from symnorm.dataset import (
     CategoryRegistry,
     build_manifest,
@@ -16,8 +18,7 @@ from symnorm.dataset import (
 )
 from symnorm.mesh_io import serialize_obj
 from symnorm.orientation import HEMISPHERE, HORIZONTAL_CIRCLE, fibonacci_codebook
-from symnorm.render import CameraIntrinsics, load_label_map, load_normal_map
-from symnorm.symmetry import DetectorConfig
+from symnorm.render import load_label_map, load_normal_map
 
 # golden copies of the induction splits and shape groups, kept verbatim in
 # the test so any drift in the module constants is caught
@@ -51,12 +52,12 @@ GOLDEN_GROUPS = {
              "telephone", "vessel"},
 }
 
-TOY_DETECTOR = DetectorConfig(sample_count=2500, pair_count=8000, max_hypotheses=16,
-                              cluster_offset_frac=0.015)
+TOY = RunConfig(sample_count=2500, pair_count=8000, max_hypotheses=16,
+                cluster_offset_frac=0.015, width=64, height=64)
 
 
-def toy_camera():
-    return CameraIntrinsics(width=64, height=64)
+def toy(**values):
+    return replace(TOY, **values)
 
 
 def make_corpus(root, categories=("airplane",), models=4):
@@ -102,8 +103,7 @@ def test_build_manifest_split_and_integrity(tmp_path, caplog):
     make_corpus(corpus)
     with caplog.at_level(logging.WARNING):
         records, manifest_path = build_manifest(
-            corpus, tmp_path / "out", per_model_views=2,
-            detector_config=TOY_DETECTOR, camera=toy_camera(), seed=0)
+            corpus, tmp_path / "out", toy(per_model_views=2, seed=0))
     assert len(records) == 8  # 4 models x 2 views
     splits = {r.model_id: r.split for r in records}
     assert sorted(splits.values()).count("train") == 3
@@ -131,10 +131,8 @@ def test_build_manifest_deterministic(tmp_path):
     corpus = tmp_path / "corpus"
     make_corpus(corpus, models=2)
     out_a, out_b = tmp_path / "out_a", tmp_path / "out_b"
-    _, man_a = build_manifest(corpus, out_a, per_model_views=2,
-                              detector_config=TOY_DETECTOR, camera=toy_camera(), seed=0)
-    _, man_b = build_manifest(corpus, out_b, per_model_views=2,
-                              detector_config=TOY_DETECTOR, camera=toy_camera(), seed=0)
+    _, man_a = build_manifest(corpus, out_a, toy(per_model_views=2, seed=0))
+    _, man_b = build_manifest(corpus, out_b, toy(per_model_views=2, seed=0))
     assert man_a.read_bytes() == man_b.read_bytes()
     meta, records = read_manifest(man_a)
     for rel in (records[0].normal_map_path, records[0].label_map_path):
@@ -144,10 +142,8 @@ def test_build_manifest_deterministic(tmp_path):
 def test_split_stable_under_view_count_change(tmp_path):
     corpus = tmp_path / "corpus"
     make_corpus(corpus)
-    rec1, _ = build_manifest(corpus, tmp_path / "o1", per_model_views=1,
-                             detector_config=TOY_DETECTOR, camera=toy_camera(), seed=7)
-    rec3, _ = build_manifest(corpus, tmp_path / "o3", per_model_views=3,
-                             detector_config=TOY_DETECTOR, camera=toy_camera(), seed=7)
+    rec1, _ = build_manifest(corpus, tmp_path / "o1", toy(per_model_views=1, seed=7))
+    rec3, _ = build_manifest(corpus, tmp_path / "o3", toy(per_model_views=3, seed=7))
     split1 = {r.model_id: r.split for r in rec1}
     split3 = {r.model_id: r.split for r in rec3}
     assert split1 == split3
@@ -158,19 +154,21 @@ def test_unreadable_obj_skipped_with_reason(tmp_path, caplog):
     corpus = tmp_path / "corpus"
     make_corpus(corpus, models=2)
     (corpus / "airplane" / "broken.obj").write_text("v 0 0 zero\nf 1 2 3\n")
+    # parses, but every face is collinear: detection fails on zero area
+    (corpus / "airplane" / "collinear.obj").write_text("v 0 0 0\nv 1 0 0\nv 2 0 0\nf 1 2 3\n")
     with caplog.at_level(logging.WARNING):
-        records, _ = build_manifest(corpus, tmp_path / "out", per_model_views=1,
-                                    detector_config=TOY_DETECTOR, camera=toy_camera(), seed=0)
+        records, _ = build_manifest(corpus, tmp_path / "out", toy(per_model_views=1, seed=0))
     assert {r.model_id for r in records} == {"model0", "model1"}
     assert any("broken.obj" in m for m in caplog.messages)
+    assert any("collinear.obj" in m for m in caplog.messages)
+    assert not (tmp_path / "out" / "airplane" / "collinear").exists()
 
 
 def test_model_cap(tmp_path):
     corpus = tmp_path / "corpus"
     make_corpus(corpus, models=5)
-    records, _ = build_manifest(corpus, tmp_path / "out", per_model_views=1,
-                                detector_config=TOY_DETECTOR, camera=toy_camera(),
-                                seed=0, max_models_per_category=3)
+    records, _ = build_manifest(corpus, tmp_path / "out",
+                                toy(per_model_views=1, seed=0, max_models_per_category=3))
     assert len({r.model_id for r in records}) == 3
     splits = {r.model_id: r.split for r in records}
     assert sorted(splits.values()).count("train") == 2  # floor(0.75 * 3)
@@ -180,8 +178,7 @@ def test_manifest_roundtrip_preserves_pose_and_labels(tmp_path):
     corpus = tmp_path / "corpus"
     make_corpus(corpus, models=1)
     records, manifest_path = build_manifest(
-        corpus, tmp_path / "out", per_model_views=3,
-        detector_config=TOY_DETECTOR, camera=toy_camera(), seed=0)
+        corpus, tmp_path / "out", toy(per_model_views=3, seed=0))
     _, again = read_manifest(manifest_path)
     for a, b in zip(records, again):
         assert a.pose.azimuth_deg == b.pose.azimuth_deg

@@ -62,6 +62,13 @@ def test_malformed_numeric_token_reports_line():
     assert "line 2" in str(err.value)
 
 
+@pytest.mark.parametrize("token", ["inf", "-inf", "nan"])
+def test_non_finite_coordinate_reports_line(token):
+    with pytest.raises(MeshParseError) as info:
+        parse_obj(f"v 0 0 0\nv 1 {token} 0\nv 0 1 0\nf 1 2 3\n")
+    assert info.value.line == 2
+
+
 def test_face_index_out_of_range():
     with pytest.raises(MeshParseError):
         parse_obj("v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 4\n")
