@@ -2,10 +2,8 @@
 detection-style evaluation for triangle meshes."""
 
 from .evaluation import (
-    InstanceErrors,
     NormalMetrics,
     PRCurve,
-    SymmetryPrediction,
     aggregate_by_category,
     angular_distance_sym,
     ap_symmetry,

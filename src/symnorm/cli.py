@@ -79,8 +79,9 @@ def cmd_build(args, cfg: RunConfig) -> int:
 
 
 def read_predictions(path):
-    """Tab-separated `image_id nx ny nz confidence`, one prediction per line."""
-    preds = defaultdict(list)
+    """Tab-separated `image_id nx ny nz confidence` lines as a dict from image id
+    to its (n, 4) array of those rows, in file order, orientations normalized."""
+    rows_of, values, linenos = defaultdict(list), [], []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
@@ -89,24 +90,26 @@ def read_predictions(path):
             parts = line.split("\t")
             if len(parts) != 5:
                 raise InputError(f"{path}: line {lineno}: expected 5 tab-separated fields")
-            image_id = parts[0]
             try:
-                nx, ny, nz, conf = (float(v) for v in parts[1:])
+                values.extend(map(float, parts[1:]))
             except ValueError:
                 raise InputError(f"{path}: line {lineno}: bad numeric field") from None
-            try:
-                preds[image_id].append(evaluation.SymmetryPrediction(np.array([nx, ny, nz]), conf))
-            except ValueError as exc:
-                raise InputError(f"{path}: line {lineno}: {exc}") from None
-    return preds
+            rows_of[parts[0]].append(len(linenos))
+            linenos.append(lineno)
+    table = np.array(values, dtype=np.float64).reshape(-1, 4)
+    bad = evaluation.bad_prediction_row(table)
+    if bad is not None:
+        raise InputError(f"{path}: line {linenos[bad[0]]}: {bad[1]}")
+    table[:, :3] = evaluation.unit_rows(table[:, :3])
+    return {image_id: table[index] for image_id, index in rows_of.items()}
 
 
 def write_predictions(path, image_ids, per_image_predictions) -> None:
+    """One line per row of each image's (n, 4) prediction array."""
     lines = []
-    for image_id, preds in zip(image_ids, per_image_predictions):
-        for p in preds:
-            nx, ny, nz = p.orientation
-            lines.append(f"{image_id}\t{float(nx)!r}\t{float(ny)!r}\t{float(nz)!r}\t{p.confidence!r}")
+    for image_id, table in zip(image_ids, per_image_predictions):
+        for nx, ny, nz, confidence in table.tolist():
+            lines.append(f"{image_id}\t{nx!r}\t{ny!r}\t{nz!r}\t{confidence!r}")
     util.atomic_write_text(path, "\n".join(lines) + "\n")
 
 
@@ -122,7 +125,7 @@ def cmd_eval_sym(args, cfg: RunConfig) -> int:
     for r in records:
         gts, preds = by_category[r.category]
         gts.append(codebook.directions[np.flatnonzero(r.symmetry_label)])
-        preds.append(predictions.get(record_image_id(r), []))
+        preds.append(predictions.get(record_image_id(r), np.empty((0, 4))))
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     rows = []
@@ -168,7 +171,7 @@ def cmd_eval_normals(args, cfg: RunConfig) -> int:
     codebook = manifest_codebook(meta, "normal_codebook")
     manifest_dir = Path(args.gt_manifest).parent
     pred_dir = Path(args.pred_dir)
-    instances = []
+    errors_by_category = defaultdict(list)
     skipped = []
     for r in records:
         image_id = record_image_id(r)
@@ -179,10 +182,10 @@ def cmd_eval_normals(args, cfg: RunConfig) -> int:
         except (SymnormError, ValueError) as exc:
             skipped.append((image_id, str(exc)))
             continue
-        instances.append(evaluation.InstanceErrors(r.category, errors))
-    if not instances:
+        errors_by_category[r.category].append(errors)
+    if not errors_by_category:
         raise InputError("no evaluable images")
-    per_category, macro = evaluation.aggregate_by_category(instances)
+    per_category, macro = evaluation.aggregate_by_category(errors_by_category)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     header = "category\tmean_err_deg\tmedian_err_deg\tgp_11_25\tgp_22_5\tgp_30\tauc_30"
@@ -289,10 +292,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args, _load_config(args))
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except InputError as exc:
+    except (InputError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except GeometryError as exc:

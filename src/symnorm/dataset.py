@@ -158,6 +158,7 @@ def read_manifest(path):
     meta = {}
     records = []
     saw_fields = False
+    label_k = None
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.rstrip("\n")
@@ -181,6 +182,15 @@ def read_manifest(path):
                 az, el, cy = (float(v) for v in pose_s.split(","))
             except ValueError:
                 raise InputError(f"{path}: line {lineno}: bad pose {pose_s!r}") from None
+            if label_k is None:
+                try:
+                    label_k = manifest_codebook(meta).K
+                except (KeyError, ValueError):
+                    raise InputError(f"{path}: line {lineno}: no valid #codebook: header "
+                                     "before the first record") from None
+            if len(bits) != label_k or bits.strip("01"):
+                raise InputError(f"{path}: line {lineno}: symmetry_label {bits!r} is not "
+                                 f"{label_k} characters of 0 and 1")
             label = np.array([c == "1" for c in bits], dtype=bool)
             records.append(SampleRecord(model_id, category, obj_path, ViewPose(az, el, cy),
                                         nm_path, lm_path, label, view_setting, split))

@@ -3,7 +3,6 @@ orientations, surface-normal error metrics and per-category aggregation."""
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,27 +21,33 @@ def angular_distance_sym(a, b) -> float:
     va = np.asarray(a, dtype=np.float64).reshape(3)
     vb = np.asarray(b, dtype=np.float64).reshape(3)
     for v in (va, vb):
-        if abs(float(np.linalg.norm(v)) - 1.0) > 1e-6:
+        if not abs(float(np.linalg.norm(v)) - 1.0) <= 1e-6:
             raise ValueError("directions must be unit length")
     return float(sym_angle_deg(va, vb))
 
 
-@dataclass(frozen=True)
-class SymmetryPrediction:
-    """Predicted plane orientation with a confidence in [0, 1]."""
+def unit_rows(directions) -> np.ndarray:
+    """Each row divided by its own norm, one row at a time: the whole-array
+    norm differs in the last bit, which would move written prediction bytes."""
+    return np.array([v / np.linalg.norm(v) for v in directions]).reshape(-1, 3)
 
-    orientation: np.ndarray
-    confidence: float
 
-    def __post_init__(self):
-        v = np.asarray(self.orientation, dtype=np.float64).reshape(3).copy()
-        length = float(np.linalg.norm(v))
-        if abs(length - 1.0) > 1e-6:
-            raise ValueError("prediction orientation must be unit length")
-        if not 0.0 <= self.confidence <= 1.0:
-            raise ValueError("confidence must lie in [0, 1]")
-        object.__setattr__(self, "orientation", util.readonly(v / length))
-        object.__setattr__(self, "confidence", float(self.confidence))
+def bad_prediction_row(table):
+    """(row, reason) for the first row of an (n, 4) prediction table that is
+    not a unit orientation (within 1e-6) then a confidence in [0, 1], or None.
+
+    Raises ValueError for any other shape.  Both checks fail NaN, so every
+    non-finite value fails one of them."""
+    if table.ndim != 2 or table.shape[1] != 4:
+        raise ValueError(f"predictions must form an (n, 4) array, not {table.shape}")
+    unit = np.abs(np.linalg.norm(table[:, :3], axis=1) - 1.0) <= 1e-6
+    bad = np.flatnonzero(~(unit & (table[:, 3] >= 0.0) & (table[:, 3] <= 1.0)))
+    if not bad.size:
+        return None
+    row = int(bad[0])
+    if not unit[row]:
+        return row, "orientation must be finite and unit length"
+    return row, "confidence must lie in [0, 1]"
 
 
 @dataclass(frozen=True)
@@ -60,8 +65,9 @@ class PRCurve:
 def ap_symmetry(gt_sets, pred_sets, theta_deg: float) -> PRCurve:
     """Detection-style average precision over pooled per-image predictions.
 
-    Predictions are sorted by descending confidence (ties stable by image
-    then input order) and matched greedily within their image to the
+    `pred_sets` holds one (n, 4) array of rows `nx ny nz confidence` per
+    image.  Predictions are sorted by descending confidence (ties stable by
+    image then input order) and matched greedily within their image to the
     unmatched ground-truth orientation of minimum sign-invariant angle,
     counting a true positive when that angle is at most theta_deg.  AP is
     the all-points integral of the monotone precision envelope.
@@ -72,55 +78,46 @@ def ap_symmetry(gt_sets, pred_sets, theta_deg: float) -> PRCurve:
     total_gt = sum(len(g) for g in gt)
     if total_gt == 0:
         raise UndefinedAPError("no ground-truth orientations: AP is undefined")
-    entries = []
-    for img, preds in enumerate(pred_sets):
-        for order, pred in enumerate(preds):
-            entries.append((-pred.confidence, img, order, pred))
-    entries.sort(key=lambda e: (e[0], e[1], e[2]))
-    matched = [np.zeros(len(g), dtype=bool) for g in gt]
-    tp = fp = 0
-    points = []
-    for _, img, _, pred in entries:
-        free = np.flatnonzero(~matched[img])
-        hit = -1
-        if free.size:
-            angles = sym_angle_deg(gt[img][free], pred.orientation)
-            best = int(np.argmin(angles))
-            if angles[best] <= theta_deg:
-                hit = int(free[best])
-        if hit >= 0:
-            matched[img][hit] = True
-            tp += 1
-        else:
-            fp += 1
-        points.append((tp / total_gt, tp / (tp + fp)))
-    pts = np.asarray(points, dtype=np.float64).reshape(-1, 2)
-    return PRCurve(pts, _envelope_ap(pts))
+    tables = [np.asarray(p, dtype=np.float64) for p in pred_sets]
+    for img, table in enumerate(tables):
+        bad = bad_prediction_row(table)
+        if bad is not None:
+            raise ValueError(f"image {img}: prediction {bad[0]}: {bad[1]}")
+    # greedy matching within an image depends only on its own confidence
+    # order, so hits are found image by image; concatenation lists them by
+    # image then input order, which the stable sort keeps among ties
+    hits = np.concatenate([_greedy_hits(g, t, theta_deg) for g, t in zip(gt, tables)])
+    confidence = np.concatenate([t[:, 3] for t in tables])
+    tp = np.cumsum(hits[np.argsort(-confidence, kind="stable")])
+    recall, precision = tp / total_gt, tp / np.arange(1, len(tp) + 1)
+    envelope = np.maximum.accumulate(precision[::-1])[::-1]
+    # recall never decreases; cumsum adds the rectangles in order, as a loop would
+    ap = float(np.cumsum(np.diff(recall, prepend=0.0) * envelope)[-1]) if len(tp) else 0.0
+    return PRCurve(np.column_stack([recall, precision]), ap)
 
 
-def _envelope_ap(points: np.ndarray) -> float:
-    if len(points) == 0:
-        return 0.0
-    recall = points[:, 0]
-    envelope = np.maximum.accumulate(points[::-1, 1])[::-1]
-    ap = 0.0
-    prev = 0.0
-    for r, p in zip(recall, envelope):
-        if r > prev:
-            ap += (r - prev) * p
-            prev = r
-    return float(ap)
+def _greedy_hits(gt: np.ndarray, table: np.ndarray, theta_deg: float) -> np.ndarray:
+    """True-positive flag of each prediction of one image, in input order."""
+    hits = np.zeros(len(table), dtype=bool)
+    matched = np.zeros(len(gt), dtype=bool)
+    for i in np.argsort(-table[:, 3], kind="stable"):
+        free = np.flatnonzero(~matched)
+        if not free.size:
+            break
+        angles = sym_angle_deg(gt[free], table[i, :3])
+        best = int(np.argmin(angles))
+        if angles[best] <= theta_deg:
+            matched[free[best]] = True
+            hits[i] = True
+    return hits
 
 
 def random_baseline(codebook: OrientationCodebook, images: int, seed: int):
-    """Every codebook direction per image, confidences i.i.d. uniform [0, 1]."""
+    """Per image, one (K, 4) array of rows `nx ny nz confidence`: every codebook
+    direction with a confidence i.i.d. uniform in [0, 1]."""
     rng = np.random.default_rng(seed)
-    out = []
-    for _ in range(images):
-        confidences = rng.random(codebook.K)
-        out.append([SymmetryPrediction(d, float(c))
-                    for d, c in zip(codebook.directions, confidences)])
-    return out
+    directions = unit_rows(codebook.directions)
+    return [np.column_stack([directions, rng.random(codebook.K)]) for _ in range(images)]
 
 
 def pixel_errors_deg(gt: NormalMap, pred: NormalMap) -> np.ndarray:
@@ -175,28 +172,14 @@ def normal_metrics(gt: NormalMap, pred: NormalMap) -> NormalMetrics:
     return metrics_from_errors(pixel_errors_deg(gt, pred))
 
 
-@dataclass(frozen=True)
-class InstanceErrors:
-    """Per-image foreground pixel errors tagged with the image's category."""
-
-    category: str
-    errors_deg: np.ndarray
-
-
-def aggregate_by_category(records, known_categories=None):
-    """Pixel-pooled metrics per category plus the unweighted macro average."""
-    records = list(records)
-    if known_categories is not None:
-        unknown = sorted({r.category for r in records} - set(known_categories))
-        if unknown:
-            raise ValueError(f"unknown categories: {', '.join(unknown)}")
-    if not records:
-        raise ValueError("no records to aggregate")
-    pooled = defaultdict(list)
-    for r in records:
-        pooled[r.category].append(np.asarray(r.errors_deg, dtype=np.float64).reshape(-1))
-    per_category = {c: metrics_from_errors(np.concatenate(chunks))
-                    for c, chunks in sorted(pooled.items())}
+def aggregate_by_category(errors_by_category):
+    """Pixel-pooled metrics per category plus the unweighted macro average, from
+    a dict mapping each category to its per-image foreground pixel errors."""
+    if not errors_by_category:
+        raise ValueError("no errors to aggregate")
+    per_category = {c: metrics_from_errors(np.concatenate(
+                        [np.asarray(e, dtype=np.float64).reshape(-1) for e in chunks]))
+                    for c, chunks in sorted(errors_by_category.items())}
     metrics = list(per_category.values())
     curve = np.mean([m.curve for m in metrics], axis=0)
     macro = NormalMetrics(

@@ -11,8 +11,8 @@ from . import util
 from .errors import InputError
 
 
-def write_pfm(path, image, scale: float = -1.0) -> None:
-    """Write a (h, w) grayscale or (h, w, 3) color float map."""
+def write_pfm(path, image) -> None:
+    """Write a (h, w) grayscale or (h, w, 3) color float map, little-endian."""
     arr = np.asarray(image, dtype="<f4")
     if arr.ndim == 2:
         magic = b"Pf"
@@ -20,10 +20,8 @@ def write_pfm(path, image, scale: float = -1.0) -> None:
         magic = b"PF"
     else:
         raise ValueError("PFM images must be (h, w) or (h, w, 3)")
-    if scale >= 0:
-        raise ValueError("only little-endian output (negative scale) is supported")
     h, w = arr.shape[:2]
-    header = magic + b"\n%d %d\n%.1f\n" % (w, h, scale)
+    header = magic + b"\n%d %d\n-1.0\n" % (w, h)
     util.atomic_write_bytes(path, header + np.flipud(arr).tobytes())
 
 

@@ -27,7 +27,8 @@ def atomic_write_bytes(path, data):
     """Write via a temp file in the same directory, then rename.
 
     If the write or the rename fails, the temp file is removed and the
-    error re-raised.
+    error re-raised; an OSError is raised again naming `path`, not the temp
+    file.
     """
     path = os.fspath(path)
     tmp = f"{path}.tmp-{os.getpid()}"
@@ -35,9 +36,11 @@ def atomic_write_bytes(path, data):
         with open(tmp, "wb") as fh:
             fh.write(data)
         os.replace(tmp, path)
-    except BaseException:
+    except BaseException as exc:
         with contextlib.suppress(OSError):
             os.remove(tmp)
+        if isinstance(exc, OSError) and exc.errno is not None:
+            raise OSError(exc.errno, exc.strerror, path) from None
         raise
 
 

@@ -12,7 +12,7 @@ import shapes
 from ap_oracle import oracle_ap
 from symnorm.cli import main
 from symnorm.dataset import default_registry, induction_view, read_manifest, record_image_id
-from symnorm.evaluation import SymmetryPrediction, ap_symmetry, normal_metrics
+from symnorm.evaluation import ap_symmetry, normal_metrics
 from symnorm.mesh_io import SurfaceSamples, TriangleMesh, serialize_obj
 from symnorm.orientation import (
     HEMISPHERE,
@@ -66,11 +66,10 @@ def test_criterion_1_synthetic_symmetry_suite():
         worst = max(worst, float(cost[rows, cols].max()))
         assert cost[rows, cols].max() <= 2.0, f"{name}: worst angle {cost[rows, cols].max():.2f}"
         gt_sets.append(truth)
-        pred_sets.append([
-            SymmetryPrediction(p.normal,
-                               1.0 - min(1.0, p.residual / shapes.SUITE_CONFIG.accept_residual))
-            for p in planes
-        ])
+        pred_sets.append(np.column_stack([
+            [p.normal for p in planes],
+            [1.0 - min(1.0, p.residual / shapes.SUITE_CONFIG.accept_residual) for p in planes],
+        ]))
     ap = ap_symmetry(gt_sets, pred_sets, theta_deg=10.0).ap
     assert ap == 1.0
     assert elapsed < 10.0, f"suite took {elapsed:.1f}s"
@@ -120,7 +119,7 @@ def test_criterion_3_ap_oracle_equivalence():
             dirs = rng.normal(size=(n, 3))
             dirs = dirs / np.linalg.norm(dirs, axis=1, keepdims=True) if n else dirs.reshape(0, 3)
             confs = rng.random(n)
-            pred_sets.append([SymmetryPrediction(d, float(c)) for d, c in zip(dirs, confs)])
+            pred_sets.append(np.column_stack([dirs, confs]))
             oracle_preds.append(list(zip(dirs, confs.tolist())))
         got = ap_symmetry(gt_sets, pred_sets, theta_deg=10.0).ap
         want = oracle_ap(gt_sets, oracle_preds, theta_deg=10.0)

@@ -7,7 +7,6 @@ import pytest
 import shapes
 from symnorm.cli import main, read_predictions, write_predictions
 from symnorm.dataset import read_manifest, record_image_id
-from symnorm.evaluation import SymmetryPrediction
 from symnorm.imgfmt import read_pfm
 from symnorm.mesh_io import serialize_obj
 from symnorm.symmetry import read_planes
@@ -125,7 +124,7 @@ def test_eval_sym_perfect_predictions(tmp_path, toy_build):
     for r in records:
         image_ids.append(record_image_id(r))
         dirs = codebook.directions[np.flatnonzero(r.symmetry_label)]
-        per_image.append([SymmetryPrediction(d, 0.9) for d in dirs])
+        per_image.append(np.column_stack([dirs, np.full(len(dirs), 0.9)]))
     pred_file = tmp_path / "perfect.tsv"
     write_predictions(pred_file, image_ids, per_image)
     rep = tmp_path / "rep"
@@ -213,7 +212,7 @@ def test_baseline_counts_and_determinism(tmp_path, toy_build):
     assert 0.0 < float(row.split("\t")[1]) < 0.9  # uninformed but nonzero
 
 
-def test_predictions_file_validation(tmp_path):
+def test_predictions_file_validation(tmp_path, toy_build):
     bad = tmp_path / "bad.tsv"
     bad.write_text("img\t1\t0\t0\n")  # four fields instead of five
     with pytest.raises(Exception):
@@ -222,6 +221,17 @@ def test_predictions_file_validation(tmp_path):
     from symnorm.errors import InputError
     with pytest.raises(InputError):
         read_predictions(bad)
+    # NaN fails every comparison, so it must fail the checks, not pass them
+    _, _, out = toy_build
+    _, records = read_manifest(out / "manifest.tsv")
+    image_id = record_image_id(records[0])
+    for row in ("nan\t0\t0\t0.5", "0\t0\t1\tnan"):
+        bad.write_text(f"{image_id}\t0\t0\t1\t0.5\n{image_id}\t{row}\n")
+        with pytest.raises(InputError, match="line 2"):
+            read_predictions(bad)
+        assert main(["eval-sym", str(out / "manifest.tsv"), str(bad),
+                     "--out-dir", str(tmp_path / "rep")]) == 2
+        assert not (tmp_path / "rep").exists()
 
 
 def test_config_unknown_key_rejected(tmp_path, cuboid_obj):
@@ -261,6 +271,49 @@ def test_config_rejected_before_any_output(tmp_path, cuboid_obj, capsys, request
     assert rc == 2
     assert capsys.readouterr().err.startswith("error: ")
     assert not out.exists()
+
+
+QUICK_DETECT_KEYS = "sample_count = 1000\npair_count = 4000\nmax_hypotheses = 8\n"
+
+
+@pytest.mark.parametrize("case", ["config-dir", "config-0xff", "predictions-0xff",
+                                  "manifest-dir", "detect-out-dir"])
+def test_unreadable_input_exits_2(tmp_path, cuboid_obj, capsys, case):
+    cfg = tmp_path / "quick.cfg"
+    cfg.write_text(QUICK_DETECT_KEYS)
+    detect = ["detect", str(cuboid_obj), "--out", str(tmp_path / "o.txt")]
+    if case == "config-dir":
+        argv = detect + ["--config", str(tmp_path)]
+    elif case == "config-0xff":
+        cfg.write_bytes(b"seed = 1\n\xff\n")
+        argv = detect + ["--config", str(cfg)]
+    elif case == "predictions-0xff":
+        from symnorm.dataset import write_manifest
+        from symnorm.orientation import HEMISPHERE, HORIZONTAL_CIRCLE, fibonacci_codebook
+        manifest = tmp_path / "m.tsv"
+        write_manifest(manifest, [], fibonacci_codebook(10, HORIZONTAL_CIRCLE),
+                       fibonacci_codebook(60, HEMISPHERE), "V_N")
+        preds = tmp_path / "preds.tsv"
+        preds.write_bytes(b"img\t0\t0\t1\t0.5\xff\n")
+        argv = ["eval-sym", str(manifest), str(preds), "--out-dir", str(tmp_path / "rep")]
+    elif case == "manifest-dir":
+        argv = ["eval-sym", str(tmp_path), str(tmp_path / "preds.tsv"),
+                "--out-dir", str(tmp_path / "rep")]
+    else:
+        argv = ["detect", str(cuboid_obj), "--out", str(tmp_path), "--config", str(cfg)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_write_failure_names_target_path(tmp_path, cuboid_obj, capsys):
+    cfg = tmp_path / "quick.cfg"
+    cfg.write_text(QUICK_DETECT_KEYS)
+    target = tmp_path / "nodir" / "x.txt"
+    assert main(["detect", str(cuboid_obj), "--out", str(target), "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert str(target) in err
+    assert ".tmp-" not in err
+    assert not (tmp_path / "nodir").exists()
 
 
 def test_flags_override_config(tmp_path):

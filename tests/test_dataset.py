@@ -196,6 +196,20 @@ def test_manifest_rejects_malformed(tmp_path):
         read_manifest(path)
 
 
+@pytest.mark.parametrize("bits", ["10x0", "1010101"])
+def test_manifest_rejects_malformed_symmetry_label(tmp_path, bits):
+    path = tmp_path / "manifest.tsv"
+    write_manifest(path, [], fibonacci_codebook(4, HORIZONTAL_CIRCLE),
+                   fibonacci_codebook(60, HEMISPHERE), "V_N")
+    row = ["m0", "airplane", "m0.obj", "0.0,0.0,0.0", "airplane/m0/v000_normal.pfm",
+           "airplane/m0/v000_labels.pgm", bits, "V_N", "train"]
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.write("\t".join(row) + "\n")
+    from symnorm.errors import InputError
+    with pytest.raises(InputError, match="line 5"):
+        read_manifest(path)
+
+
 def test_write_manifest_header_shape(tmp_path):
     path = tmp_path / "manifest.tsv"
     write_manifest(path, [], fibonacci_codebook(10, HORIZONTAL_CIRCLE),

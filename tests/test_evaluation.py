@@ -7,8 +7,6 @@ import shapes
 from ap_oracle import oracle_ap
 from symnorm.errors import NoForegroundError, UndefinedAPError
 from symnorm.evaluation import (
-    InstanceErrors,
-    SymmetryPrediction,
     aggregate_by_category,
     angular_distance_sym,
     ap_symmetry,
@@ -42,7 +40,7 @@ def random_instance(rng, max_images=3, max_gt=3, max_pred=6):
         n = int(rng.integers(0, max_pred + 1))
         dirs = random_unit(rng, n)
         confs = rng.random(n)
-        pred_sets.append([SymmetryPrediction(d, float(c)) for d, c in zip(dirs, confs)])
+        pred_sets.append(np.column_stack([dirs, confs]))
         oracle_preds.append(list(zip(dirs, confs.tolist())))
     return gt_sets, pred_sets, oracle_preds
 
@@ -62,6 +60,8 @@ def test_angular_distance_examples():
     assert angular_distance_sym([1.0, 0.0, 0.0], [0.0, 1.0, 0.0]) == 90.0
     with pytest.raises(ValueError):
         angular_distance_sym([0.0, 0.0, 2.0], z)
+    with pytest.raises(ValueError):
+        angular_distance_sym([np.nan, 0.0, 0.0], z)
 
 
 @given(st.integers(min_value=0, max_value=2 ** 31 - 1))
@@ -76,41 +76,47 @@ def test_angular_distance_symmetry_property(seed):
 
 
 def test_prediction_validation():
+    gt_sets = [np.array([[0.0, 0.0, 1.0]])]
     with pytest.raises(ValueError):
-        SymmetryPrediction(np.array([0.0, 0.0, 0.5]), 0.5)
+        ap_symmetry(gt_sets, [np.array([[0.0, 0.0, 0.5, 0.5]])], theta_deg=10.0)
     with pytest.raises(ValueError):
-        SymmetryPrediction(np.array([0.0, 0.0, 1.0]), 1.5)
+        ap_symmetry(gt_sets, [np.array([[0.0, 0.0, 1.0, 1.5]])], theta_deg=10.0)
+    with pytest.raises(ValueError):
+        ap_symmetry(gt_sets, [np.array([[np.nan, 0.0, 0.0, 0.5]])], theta_deg=10.0)
+    with pytest.raises(ValueError):
+        ap_symmetry(gt_sets, [np.array([[0.0, 0.0, 1.0, np.nan]])], theta_deg=10.0)
+    with pytest.raises(ValueError):
+        ap_symmetry(gt_sets, [np.array([0.0, 0.0, 1.0, 0.5])], theta_deg=10.0)
 
 
 def test_ap_perfect_detector():
     rng = np.random.default_rng(0)
     gt_sets = [random_unit(rng, 2), random_unit(rng, 1)]
-    preds = [[SymmetryPrediction(g, 0.9 - 0.1 * i) for i, g in enumerate(gs)]
-             for gs in gt_sets]
+    preds = [np.column_stack([gs, 0.9 - 0.1 * np.arange(len(gs))]) for gs in gt_sets]
     curve = ap_symmetry(gt_sets, preds, theta_deg=10.0)
     assert curve.ap == 1.0
 
 
 def test_ap_hand_traced_half():
     gt_sets = [np.array([[0.0, 0.0, 1.0]])]
-    wrong = SymmetryPrediction(np.array([1.0, 0.0, 0.0]), 0.9)
-    right = SymmetryPrediction(np.array([0.0, 0.0, 1.0]), 0.5)
-    curve = ap_symmetry(gt_sets, [[wrong, right]], theta_deg=10.0)
+    wrong = [1.0, 0.0, 0.0, 0.9]
+    right = [0.0, 0.0, 1.0, 0.5]
+    curve = ap_symmetry(gt_sets, [np.array([wrong, right])], theta_deg=10.0)
     assert curve.points.tolist() == [[0.0, 0.0], [1.0, 0.5]]
     assert curve.ap == 0.5
 
 
 def test_ap_all_wrong_is_zero():
     gt_sets = [np.array([[0.0, 0.0, 1.0]])]
-    preds = [[SymmetryPrediction(np.array([1.0, 0.0, 0.0]), 0.5),
-              SymmetryPrediction(np.array([0.0, 1.0, 0.0]), 0.5)]]
+    preds = [np.array([[1.0, 0.0, 0.0, 0.5],
+                       [0.0, 1.0, 0.0, 0.5]])]
     assert ap_symmetry(gt_sets, preds, theta_deg=10.0).ap == 0.0
 
 
 def test_ap_prevents_double_counting():
     gt_sets = [np.array([[0.0, 0.0, 1.0]])]
     near = unit([0.01, 0.0, 1.0])
-    preds = [[SymmetryPrediction(near, 0.9), SymmetryPrediction(near, 0.8)]]
+    preds = [np.column_stack([[near, near], [0.9, 0.8]])]
     curve = ap_symmetry(gt_sets, preds, theta_deg=10.0)
     # second prediction of the same plane is a false positive
     assert curve.points.tolist() == [[1.0, 1.0], [1.0, 0.5]]
@@ -119,7 +125,7 @@ def test_ap_prevents_double_counting():
 
 def test_ap_zero_gt_undefined():
     with pytest.raises(UndefinedAPError):
-        ap_symmetry([np.empty((0, 3))], [[]], theta_deg=10.0)
+        ap_symmetry([np.empty((0, 3))], [np.empty((0, 4))], theta_deg=10.0)
 
 
 def test_ap_matches_oracle_on_random_instances():
@@ -143,8 +149,8 @@ def test_added_confident_hit_never_loses_recall():
         gt_sets, pred_sets, oracle_preds = random_instance(rng, max_images=2)
         before = ap_symmetry(gt_sets, pred_sets, theta_deg=10.0)
         img = next(i for i, g in enumerate(gt_sets) if len(g))
-        boosted = [list(p) for p in pred_sets]
-        boosted[img] = boosted[img] + [SymmetryPrediction(gt_sets[img][0], 1.0)]
+        boosted = list(pred_sets)
+        boosted[img] = np.vstack([boosted[img], np.append(gt_sets[img][0], 1.0)])
         boosted_oracle = [list(p) for p in oracle_preds]
         boosted_oracle[img] = boosted_oracle[img] + [(gt_sets[img][0], 1.0)]
         after = ap_symmetry(gt_sets, boosted, theta_deg=10.0)
@@ -163,11 +169,11 @@ def test_ap_duplicate_penalty_counterexample():
     # false positive and AP drops to 5/6
     g = np.array([[0.0, 0.0, 1.0]])
     gt_sets = [g, g]
-    p_img0 = SymmetryPrediction(g[0], 0.9)
-    p_img1 = SymmetryPrediction(g[0], 0.8)
-    assert ap_symmetry(gt_sets, [[p_img0], [p_img1]], 10.0).ap == 1.0
-    dup = SymmetryPrediction(g[0], 1.0)
-    curve = ap_symmetry(gt_sets, [[dup, p_img0], [p_img1]], 10.0)
+    p_img0 = np.append(g[0], 0.9)
+    p_img1 = np.append(g[0], 0.8)
+    assert ap_symmetry(gt_sets, [np.array([p_img0]), np.array([p_img1])], 10.0).ap == 1.0
+    dup = np.append(g[0], 1.0)
+    curve = ap_symmetry(gt_sets, [np.array([dup, p_img0]), np.array([p_img1])], 10.0)
     assert curve.ap == pytest.approx(5.0 / 6.0, abs=1e-12)
 
 
@@ -177,10 +183,8 @@ def test_random_baseline_shape_and_determinism():
     b = random_baseline(codebook, 3, seed=5)
     c = random_baseline(codebook, 3, seed=6)
     assert [len(p) for p in a] == [10, 10, 10]
-    assert all(pa.confidence == pb.confidence for ia, ib in zip(a, b)
-               for pa, pb in zip(ia, ib))
-    assert any(pa.confidence != pc.confidence for ia, ic in zip(a, c)
-               for pa, pc in zip(ia, ic))
+    assert all(np.array_equal(pa[:, 3], pb[:, 3]) for pa, pb in zip(a, b))
+    assert any(not np.array_equal(pa[:, 3], pc[:, 3]) for pa, pc in zip(a, c))
 
 
 def test_random_baseline_expected_ap_analytic():
@@ -264,15 +268,15 @@ def test_view_axis_rotation_against_per_pixel_oracle():
 
 def test_aggregate_single_category_equals_macro():
     errors = np.array([1.0, 2.0, 3.0])
-    per_cat, macro = aggregate_by_category([InstanceErrors("mug", errors)])
+    per_cat, macro = aggregate_by_category({"mug": [errors]})
     assert per_cat["mug"].mean_err_deg == macro.mean_err_deg
     assert per_cat["mug"].auc_30 == macro.auc_30
 
 
 def test_aggregate_macro_is_unweighted():
-    rec_a = InstanceErrors("a", np.array([5.0, 5.0, 20.0, 20.0, 20.0]))       # gp11 = 0.4
-    rec_b = InstanceErrors("b", np.array([5.0, 5.0, 5.0, 20.0, 20.0] * 10))  # gp11 = 0.6
-    per_cat, macro = aggregate_by_category([rec_a, rec_b])
+    errors_a = np.array([5.0, 5.0, 20.0, 20.0, 20.0])       # gp11 = 0.4
+    errors_b = np.array([5.0, 5.0, 5.0, 20.0, 20.0] * 10)  # gp11 = 0.6
+    per_cat, macro = aggregate_by_category({"a": [errors_a], "b": [errors_b]})
     assert per_cat["a"].gp_11_25 == 0.4
     assert per_cat["b"].gp_11_25 == 0.6
     assert macro.gp_11_25 == 0.5
@@ -281,17 +285,10 @@ def test_aggregate_macro_is_unweighted():
 def test_aggregate_pools_pixels_for_median():
     rng = np.random.default_rng(3)
     chunks = [rng.uniform(0.0, 40.0, size=17), rng.uniform(0.0, 40.0, size=8)]
-    per_cat, _ = aggregate_by_category([InstanceErrors("cat", chunks[0]),
-                                        InstanceErrors("cat", chunks[1])])
+    per_cat, _ = aggregate_by_category({"cat": chunks})
     pooled = np.sort(np.concatenate(chunks))
     assert per_cat["cat"].median_err_deg == pooled[(len(pooled) - 1) // 2]
     assert per_cat["cat"].mean_err_deg == pytest.approx(pooled.mean(), abs=1e-12)
-
-
-def test_aggregate_unknown_category_lists_offenders():
-    with pytest.raises(ValueError, match="zeppelin"):
-        aggregate_by_category([InstanceErrors("zeppelin", np.array([1.0]))],
-                              known_categories={"mug"})
 
 
 def test_metrics_permutation_invariance():

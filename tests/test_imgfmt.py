@@ -32,8 +32,6 @@ def test_pfm_header_layout(tmp_path):
 def test_pfm_rejects_bad_shapes_and_scale(tmp_path):
     with pytest.raises(ValueError):
         imgfmt.write_pfm(tmp_path / "x.pfm", np.zeros((2, 2, 4)))
-    with pytest.raises(ValueError):
-        imgfmt.write_pfm(tmp_path / "x.pfm", np.zeros((2, 2)), scale=1.0)
 
 
 def test_pfm_read_errors(tmp_path):
