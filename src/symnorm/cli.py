@@ -82,7 +82,7 @@ def read_predictions(path):
     """Tab-separated `image_id nx ny nz confidence` lines as a dict from image id
     to its (n, 4) array of those rows, in file order, orientations normalized."""
     rows_of, values, linenos = defaultdict(list), [], []
-    with open(path, "r", encoding="utf-8") as fh:
+    with util.open_text(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line or line.startswith("#"):
@@ -292,7 +292,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args, _load_config(args))
-    except (InputError, OSError, UnicodeDecodeError) as exc:
+    except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except GeometryError as exc:

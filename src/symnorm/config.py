@@ -8,6 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields, replace
 
+from . import util
 from .errors import InputError
 from .orientation import (
     HEMISPHERE,
@@ -54,7 +55,7 @@ class RunConfig(DetectorConfig, CameraIntrinsics):
         types = {f.name: f.type for f in fields(cls)}
         casts = {"int": int, "float": float, "str": str}
         values = {}
-        with open(path, "r", encoding="utf-8") as fh:
+        with util.open_text(path) as fh:
             for lineno, raw in enumerate(fh, start=1):
                 line = raw.strip()
                 if not line or line.startswith("#"):

@@ -159,7 +159,7 @@ def read_manifest(path):
     records = []
     saw_fields = False
     label_k = None
-    with open(path, "r", encoding="utf-8") as fh:
+    with util.open_text(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.rstrip("\n")
             if not line:
@@ -196,6 +196,11 @@ def read_manifest(path):
                                         nm_path, lm_path, label, view_setting, split))
     if not saw_fields:
         raise InputError(f"{path}: missing #fields: header line")
+    for key in ("codebook", "normal_codebook"):
+        try:
+            manifest_codebook(meta, key)
+        except (KeyError, ValueError):
+            raise InputError(f"{path}: missing or malformed #{key}: header line") from None
     return meta, records
 
 

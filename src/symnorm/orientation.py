@@ -17,6 +17,7 @@ SUPPORTS = (FULL_SPHERE, HEMISPHERE, HORIZONTAL_CIRCLE)
 SIGN_INVARIANT_SUPPORTS = (HORIZONTAL_CIRCLE, FULL_SPHERE)
 
 GOLDEN_CONJUGATE = (np.sqrt(5.0) - 1.0) / 2.0
+BIN_ROWS = 4096  # rows scored at once: a whole normal map's scores would be rows x K floats
 
 
 def canonical_sign(vectors):
@@ -124,11 +125,14 @@ def bin_orientations(codebook: OrientationCodebook, vectors, sign_invariant: boo
     per row of an (n, 3) array."""
     arr = np.asarray(vectors, dtype=np.float64).reshape(-1, 3)
     _require_unit(arr)
-    scores = arr @ codebook.directions.T
-    if sign_invariant:
-        scores = np.abs(scores)
-    # np.argmax returns the first maximum: ties break to the lowest index
-    return np.argmax(scores, axis=1).astype(np.int32)
+    labels = np.empty(len(arr), dtype=np.int32)
+    for start in range(0, len(arr), BIN_ROWS):
+        scores = arr[start:start + BIN_ROWS] @ codebook.directions.T
+        if sign_invariant:
+            scores = np.abs(scores)
+        # np.argmax returns the first maximum: ties break to the lowest index
+        labels[start:start + BIN_ROWS] = np.argmax(scores, axis=1)
+    return labels
 
 
 def euler_to_rotation(azimuth_deg: float, elevation_deg: float, cyclo_deg: float) -> np.ndarray:

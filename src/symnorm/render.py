@@ -3,9 +3,10 @@
 The camera auto-frames the posed mesh: it sits on the view axis at the
 distance where the mesh's bounding sphere fills the vertical field of view
 times a margin, looking at the bbox center along -z.  Shading is flat (face
-normals), normals are flipped to face the viewer (z > 0), and coverage uses
-a top-left fill rule at pixel centers (i + 0.5, j + 0.5) so output is
-bit-exact reproducible.
+normals), normals are flipped to face the viewer (z > 0), coverage uses a
+top-left fill rule at pixel centers (i + 0.5, j + 0.5), and each pixel shows
+the nearest face at positive depth, the lowest face index among equals, so
+output is bit-exact reproducible.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from .mesh_io import TriangleMesh
 from .orientation import HEMISPHERE, OrientationCodebook, ViewPose, bin_orientations
 
 BACKGROUND_DEPTH = np.inf
+RASTER_CHUNK = 16384  # (face, pixel) candidates tested at once
 
 
 @dataclass(frozen=True)
@@ -130,12 +132,40 @@ def frame_camera(mesh: TriangleMesh, pose: ViewPose, cam: CameraIntrinsics) -> C
                        cam.width / 2.0, cam.height / 2.0, cam.width, cam.height)
 
 
-def _edge_includes_boundary(a, b):
+def _face_setup(verts, faces, us, vs, w, h):
+    """Per-face normals, plane constants, screen edges and clipped bboxes.
+
+    Drops faces with a zero normal, edge-on faces (n_z == 0 after flipping
+    the normal towards the viewer), zero screen area and bboxes that hold
+    no pixel center.  The stacked matmuls give the same bits as the 1-d
+    `np.linalg.norm` and `n @ v`, which `np.linalg.norm(axis=1)` and
+    `einsum` do not always do.  Edge arrays are (edge, x|y, face).
+    """
+    va, vb, vc = verts[faces[:, 0]], verts[faces[:, 1]], verts[faces[:, 2]]
+    n = np.cross(vb - va, vc - va)
+    length = np.sqrt((n[:, None, :] @ n[:, :, None])[:, 0, 0])
+    keep = length != 0.0
+    n = n[keep] / length[keep, None]
+    n[n[:, 2] < 0.0] *= -1.0
+    on = n[:, 2] != 0.0
+    keep[keep] = on
+    n = n[on]
+    tri = np.stack([us[faces[keep]], vs[faces[keep]]], axis=2)  # (face, corner, x|y)
+    area = (tri[:, 1, 0] - tri[:, 0, 0]) * (tri[:, 2, 1] - tri[:, 0, 1]) \
+        - (tri[:, 1, 1] - tri[:, 0, 1]) * (tri[:, 2, 0] - tri[:, 0, 0])
+    tri[area < 0.0] = tri[area < 0.0][:, [0, 2, 1]]
+    lo = np.maximum(np.ceil(tri.min(axis=1) - 0.5), 0.0)
+    hi = np.minimum(np.floor(tri.max(axis=1) - 0.5), [w - 1, h - 1])
+    good = (area != 0.0) & np.all(lo <= hi, axis=1)
+    n, tri, lo, hi = n[good], tri[good], lo[good].astype(np.int64), hi[good].astype(np.int64)
+    plane = (n[:, None, :] @ verts[faces[keep][good, 0]][:, :, None])[:, 0, 0]
+    start = np.ascontiguousarray(tri.transpose(1, 2, 0))
+    edge = start[[1, 2, 0]] - start
     # top-left rule for a triangle wound so the interior is on the positive
     # side of every edge function: horizontal edges going right are "top",
     # edges going up in screen coordinates (dy < 0) are "left"
-    dy = b[1] - a[1]
-    return (dy == 0.0 and b[0] - a[0] > 0.0) or dy < 0.0
+    inclusive = ((edge[:, 1] == 0.0) & (edge[:, 0] > 0.0)) | (edge[:, 1] < 0.0)
+    return n, plane, start, edge, inclusive, lo.T, (hi - lo + 1).T
 
 
 def rasterize(mesh: TriangleMesh, pose: ViewPose, cam: CameraIntrinsics | None = None) -> NormalMap:
@@ -143,67 +173,61 @@ def rasterize(mesh: TriangleMesh, pose: ViewPose, cam: CameraIntrinsics | None =
 
     Depth is the distance along the view axis, found per pixel by
     intersecting the pixel-center ray with the face plane; the auto-framing
-    guarantees the whole mesh sits strictly in front of the camera.
+    guarantees the whole mesh sits strictly in front of the camera.  Each
+    pixel takes the nearest face at positive depth and, among faces at the
+    same depth, the lowest face index.  The whole mesh is drawn at once:
+    the (face, pixel) pairs of every face's clipped bbox are tested in runs
+    of RASTER_CHUNK, so memory stays bounded whatever the faces cover.
     """
     cam = cam if cam is not None else CameraIntrinsics()
     frame = frame_camera(mesh, pose, cam)
     verts = mesh.vertices @ pose.rotation.T - frame.center
     verts[:, 2] -= frame.distance
     w, h = frame.width, frame.height
-    depth = np.full((h, w), BACKGROUND_DEPTH)
-    normals = np.zeros((h, w, 3))
     inv_z = -1.0 / verts[:, 2]
     us = frame.cx + frame.focal_px * verts[:, 0] * inv_z
     vs = frame.cy - frame.focal_px * verts[:, 1] * inv_z
-    for ia, ib, ic in mesh.faces:
-        n = np.cross(verts[ib] - verts[ia], verts[ic] - verts[ia])
-        length = np.linalg.norm(n)
-        if length == 0.0:
-            continue
-        n /= length
-        if n[2] < 0.0:
-            n = -n
-        elif n[2] == 0.0:
-            continue  # edge-on face cannot carry a front-facing normal
-        tri = np.array([[us[ia], vs[ia]], [us[ib], vs[ib]], [us[ic], vs[ic]]])
-        area = (tri[1, 0] - tri[0, 0]) * (tri[2, 1] - tri[0, 1]) \
-            - (tri[1, 1] - tri[0, 1]) * (tri[2, 0] - tri[0, 0])
-        if area == 0.0:
-            continue
-        if area < 0.0:
-            tri[[1, 2]] = tri[[2, 1]]
-        x0 = max(int(np.ceil(tri[:, 0].min() - 0.5)), 0)
-        x1 = min(int(np.floor(tri[:, 0].max() - 0.5)), w - 1)
-        y0 = max(int(np.ceil(tri[:, 1].min() - 0.5)), 0)
-        y1 = min(int(np.floor(tri[:, 1].max() - 0.5)), h - 1)
-        if x1 < x0 or y1 < y0:
-            continue
-        px = np.arange(x0, x1 + 1) + 0.5
-        py = np.arange(y0, y1 + 1) + 0.5
-        X = px[None, :]
-        Y = py[:, None]
-        cover = np.ones((y1 - y0 + 1, x1 - x0 + 1), dtype=bool)
-        for a, b in ((tri[0], tri[1]), (tri[1], tri[2]), (tri[2], tri[0])):
-            wv = (b[0] - a[0]) * (Y - a[1]) - (b[1] - a[1]) * (X - a[0])
-            if _edge_includes_boundary(a, b):
-                cover &= wv >= 0.0
-            else:
-                cover &= wv > 0.0
-        if not cover.any():
-            continue
+    n, plane, start, edge, inclusive, lo, size = _face_setup(verts, mesh.faces, us, vs, w, h)
+    count = size[0] * size[1]
+    ends = np.cumsum(count)
+    begins = ends - count
+    depth = np.full(h * w, BACKGROUND_DEPTH)
+    winner = np.zeros(h * w, dtype=np.int64)
+    total = int(ends[-1]) if len(ends) else 0
+    for first in range(0, total, RASTER_CHUNK):
+        # candidates run in face order, so earlier chunks hold lower faces
+        last = min(first + RASTER_CHUNK, total)
+        fa, fb = np.searchsorted(ends, [first, last - 1], side="right")
+        span = np.arange(fa, fb + 1)
+        f = np.repeat(span, np.minimum(ends[span], last) - np.maximum(begins[span], first))
+        row, col = np.divmod(np.arange(first, last) - begins[f], size[0][f])
+        xi = lo[0][f] + col
+        yi = lo[1][f] + row
+        X = xi + 0.5
+        Y = yi + 0.5
+        cover = np.ones(len(f), dtype=bool)
+        for e in range(3):
+            wv = edge[e, 0][f] * (Y - start[e, 1][f]) - edge[e, 1][f] * (X - start[e, 0][f])
+            cover &= (wv > 0.0) | ((wv == 0.0) & inclusive[e][f])
+        f, xi, yi, X, Y = f[cover], xi[cover], yi[cover], X[cover], Y[cover]
         dx = (X - frame.cx) / frame.focal_px
         dy = (frame.cy - Y) / frame.focal_px
-        denom = n[0] * dx + n[1] * dy - n[2]
-        plane_const = float(n @ verts[ia])
+        nf = n[f]
+        denom = nf[:, 0] * dx + nf[:, 1] * dy - nf[:, 2]
         with np.errstate(divide="ignore", invalid="ignore"):
-            t = plane_const / denom
-        window = depth[y0:y1 + 1, x0:x1 + 1]
-        sel = cover & (t > 0.0) & (t < window)
-        if sel.any():
-            window[sel] = t[sel]
-            normals[y0:y1 + 1, x0:x1 + 1][sel] = n
+            t = plane[f] / denom
+        front = (t > 0.0) & (t < BACKGROUND_DEPTH)
+        f, t, pix = f[front], t[front], yi[front] * w + xi[front]
+        before = depth[pix]
+        np.minimum.at(depth, pix, t)
+        # strictly nearer than every earlier chunk; the lowest face wins ties
+        won = (t < before) & (t == depth[pix])
+        winner[pix[won]] = len(plane)  # above every face index
+        np.minimum.at(winner, pix[won], f[won])
     mask = np.isfinite(depth)
-    return NormalMap(normals, mask, depth)
+    normals = np.zeros((h * w, 3))
+    normals[mask] = n[winner[mask]]
+    return NormalMap(normals.reshape(h, w, 3), mask.reshape(h, w), depth.reshape(h, w))
 
 
 def discretize_normal_map(nm: NormalMap, codebook: OrientationCodebook) -> LabelMap:

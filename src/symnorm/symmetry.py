@@ -335,7 +335,7 @@ def write_planes(path, planes, comments=()) -> None:
 
 def read_planes(path) -> list[SymmetryPlane]:
     planes = []
-    with open(path, "r", encoding="utf-8") as fh:
+    with util.open_text(path) as fh:
         for raw in fh:
             line = raw.strip()
             if not line or line.startswith("#"):

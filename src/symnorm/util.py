@@ -1,10 +1,12 @@
-"""Small shared helpers: deterministic RNG streams and atomic file writes."""
+"""Small shared helpers: deterministic RNG streams, UTF-8 text reads and atomic file writes."""
 
 import contextlib
 import os
 import zlib
 
 import numpy as np
+
+from .errors import InputError
 
 
 def derive_rng(seed, *tags):
@@ -21,6 +23,17 @@ def derive_rng(seed, *tags):
 def derive_seed(seed, *tags):
     """Single integer seed derived from a (seed, tags...) stream."""
     return int(derive_rng(seed, *tags).integers(0, 1 << 63))
+
+
+@contextlib.contextmanager
+def open_text(path):
+    """Open a UTF-8 text file for reading; text that does not decode raises
+    InputError naming the file."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            yield fh
+        except UnicodeDecodeError as exc:
+            raise InputError(f"{path}: {exc}") from None
 
 
 def atomic_write_bytes(path, data):

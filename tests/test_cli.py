@@ -277,32 +277,50 @@ QUICK_DETECT_KEYS = "sample_count = 1000\npair_count = 4000\nmax_hypotheses = 8\
 
 
 @pytest.mark.parametrize("case", ["config-dir", "config-0xff", "predictions-0xff",
-                                  "manifest-dir", "detect-out-dir"])
+                                  "manifest-dir", "manifest-0xff", "detect-out-dir",
+                                  "eval-sym-no-codebook", "eval-normals-no-normal-codebook"])
 def test_unreadable_input_exits_2(tmp_path, cuboid_obj, capsys, case):
+    from symnorm.dataset import MANIFEST_FIELDS, write_manifest
+    from symnorm.orientation import HEMISPHERE, HORIZONTAL_CIRCLE, fibonacci_codebook
     cfg = tmp_path / "quick.cfg"
     cfg.write_text(QUICK_DETECT_KEYS)
+    manifest = tmp_path / "m.tsv"
+    write_manifest(manifest, [], fibonacci_codebook(10, HORIZONTAL_CIRCLE),
+                   fibonacci_codebook(60, HEMISPHERE), "V_N")
+    preds = tmp_path / "preds.tsv"
+    preds.write_text("")
     detect = ["detect", str(cuboid_obj), "--out", str(tmp_path / "o.txt")]
+    eval_sym = ["eval-sym", str(manifest), str(preds), "--out-dir", str(tmp_path / "rep")]
+    fields_line = "#fields:\t" + "\t".join(MANIFEST_FIELDS) + "\n"
+    named, header = tmp_path, None
     if case == "config-dir":
         argv = detect + ["--config", str(tmp_path)]
     elif case == "config-0xff":
         cfg.write_bytes(b"seed = 1\n\xff\n")
-        argv = detect + ["--config", str(cfg)]
+        argv, named = detect + ["--config", str(cfg)], cfg
     elif case == "predictions-0xff":
-        from symnorm.dataset import write_manifest
-        from symnorm.orientation import HEMISPHERE, HORIZONTAL_CIRCLE, fibonacci_codebook
-        manifest = tmp_path / "m.tsv"
-        write_manifest(manifest, [], fibonacci_codebook(10, HORIZONTAL_CIRCLE),
-                       fibonacci_codebook(60, HEMISPHERE), "V_N")
-        preds = tmp_path / "preds.tsv"
         preds.write_bytes(b"img\t0\t0\t1\t0.5\xff\n")
-        argv = ["eval-sym", str(manifest), str(preds), "--out-dir", str(tmp_path / "rep")]
+        argv, named = eval_sym, preds
     elif case == "manifest-dir":
-        argv = ["eval-sym", str(tmp_path), str(tmp_path / "preds.tsv"),
-                "--out-dir", str(tmp_path / "rep")]
+        argv = ["eval-sym", str(tmp_path), str(preds), "--out-dir", str(tmp_path / "rep")]
+    elif case == "manifest-0xff":
+        manifest.write_bytes(manifest.read_bytes() + b"\xff\n")
+        argv, named = eval_sym, manifest
+    elif case == "eval-sym-no-codebook":
+        manifest.write_text(fields_line)
+        argv, named, header = eval_sym, manifest, "#codebook:"
+    elif case == "eval-normals-no-normal-codebook":
+        manifest.write_text("#codebook:\tsupport=horizontal_circle\tk=10\n" + fields_line)
+        argv = ["eval-normals", str(manifest), str(tmp_path), "--out-dir", str(tmp_path / "rep")]
+        named, header = manifest, "#normal_codebook:"
     else:
         argv = ["detect", str(cuboid_obj), "--out", str(tmp_path), "--config", str(cfg)]
     assert main(argv) == 2
-    assert capsys.readouterr().err.startswith("error: ")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert str(named) in err
+    if header is not None:
+        assert header in err
 
 
 def test_write_failure_names_target_path(tmp_path, cuboid_obj, capsys):

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from scipy.stats import chisquare
 
 from symnorm.orientation import (
+    BIN_ROWS,
     FULL_SPHERE,
     HEMISPHERE,
     HORIZONTAL_CIRCLE,
@@ -116,6 +117,24 @@ def test_bin_orientations_matches_scalar():
     vs /= np.linalg.norm(vs, axis=1, keepdims=True)
     batch = bin_orientations(cb, vs)
     assert [bin_orientation(cb, v) for v in vs] == batch.tolist()
+
+
+@pytest.mark.parametrize("k, support", [(10, HORIZONTAL_CIRCLE), (60, HEMISPHERE), (200, FULL_SPHERE)])
+def test_bin_orientations_blocks_match_whole_product(k, support):
+    cb = fibonacci_codebook(k, support)
+    rng = np.random.default_rng(k)
+    vs = rng.normal(size=(3 * BIN_ROWS + 5, 3))
+    vs /= np.linalg.norm(vs, axis=1, keepdims=True)
+    # tied rows in every block: codebook members (a tie with their negation
+    # when sign-invariant) and +z, which scores exactly 0 against every
+    # horizontal direction
+    vs[::97] = cb.directions[rng.integers(0, k, size=len(vs[::97]))]
+    vs[1::89] = [0.0, 0.0, 1.0]
+    for sign_invariant in (False, True):
+        scores = vs @ cb.directions.T
+        if sign_invariant:
+            scores = np.abs(scores)
+        assert np.array_equal(bin_orientations(cb, vs, sign_invariant), np.argmax(scores, axis=1))
 
 
 def test_euler_identity_and_y_flip():

@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+import raster_oracle
 import shapes
 from symnorm.errors import GeometryError
 from symnorm.mesh_io import TriangleMesh, parse_obj
@@ -244,3 +247,118 @@ def test_save_load_roundtrip(tmp_path):
     assert np.abs(again.normals - nm.normals.astype(np.float32)).max() == 0.0
     lagain = load_label_map(tmp_path / "v000_labels.pgm", codebook.K)
     assert np.array_equal(lagain.labels, lm.labels)
+
+
+def assert_matches_oracle(mesh, pose, cam):
+    got = rasterize(mesh, pose, cam)
+    want = raster_oracle.rasterize(mesh, pose, cam)
+    assert got.normals.tobytes() == want.normals.tobytes()
+    assert got.depth.tobytes() == want.depth.tobytes()
+    assert got.mask.tobytes() == want.mask.tobytes()
+    return got
+
+
+def random_pose(rng):
+    return ViewPose(float(rng.uniform(-180.0, 180.0)), float(rng.uniform(-80.0, 80.0)),
+                    float(rng.uniform(-89.0, 90.0)))
+
+
+def test_rasterize_matches_per_face_oracle():
+    two_planes = TriangleMesh(np.array([
+        [-0.8, -0.7, 0.31], [0.9, -0.55, 0.29], [0.05, 0.85, 0.33],
+        [-0.75, -0.6, -0.12], [0.8, -0.72, 0.55], [-0.1, 0.9, 0.2],
+    ]), np.array([(0, 1, 2), (3, 4, 5)]))
+    fixtures = [
+        (frontal_square(), FRONTAL, CameraIntrinsics(width=64, height=64)),
+        (two_planes, FRONTAL, CameraIntrinsics(width=16, height=16)),
+        (shapes.icosphere(2), ViewPose(33.0, 12.0, -7.0), CameraIntrinsics(width=96, height=96)),
+        (shapes.cuboid(), ViewPose(30.0, 20.0, 0.0), CameraIntrinsics()),
+    ]
+    # four faces meeting at the center along the image axes: at FRONTAL with
+    # odd image sizes, pixel centers lie exactly on those edges, so the fill
+    # rule decides which face, or for one face alone whether any, owns them
+    diamond = np.array([[0.0, 0.0, 0.3], [0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, -1.0, 0.0],
+                        [-1.0, 0.0, 0.0]])
+    quarters = np.array([(0, 1, 2), (0, 2, 3), (0, 3, 4), (0, 4, 1)])
+    for cam in (CameraIntrinsics(width=33, height=33), CameraIntrinsics(width=97, height=61)):
+        fixtures.append((TriangleMesh(diamond, quarters), FRONTAL, cam))
+        fixtures.extend((TriangleMesh(diamond, quarters[[i]]), FRONTAL, cam) for i in range(4))
+    for mesh, pose, cam in fixtures:
+        assert assert_matches_oracle(mesh, pose, cam).mask.any()
+    rng = np.random.default_rng(11)
+    meshes = [shapes.cuboid(), shapes.square_plate(), shapes.asymmetric_tetrahedron(),
+              shapes.icosphere(1), shapes.icosphere(2), shapes.icosphere(3)]
+    cams = [CameraIntrinsics(width=48, height=48), CameraIntrinsics(width=97, height=61),
+            CameraIntrinsics(width=1, height=1)]
+    for cam in cams:
+        for mesh in meshes:
+            for _ in range(2 if len(mesh.faces) > 100 else 6):
+                assert_matches_oracle(mesh, random_pose(rng), cam)
+
+
+def test_rasterize_matches_oracle_on_degenerate_faces():
+    # FRONTAL is the identity rotation, so the face in the plane y = -0.5 is
+    # exactly edge-on (n_z == 0) there
+    verts = np.array([
+        [-1.0, -1.0, 0.0], [1.0, -1.0, 0.1], [0.0, 1.0, -0.1],   # good
+        [-0.5, 0.2, 0.3], [0.0, 0.4, 0.3], [0.5, 0.6, 0.3],     # collinear
+        [-0.8, -0.5, -0.4], [0.8, -0.5, -0.4], [0.0, -0.5, 0.6],  # edge-on at FRONTAL
+        [0.2, -0.9, 0.5], [0.9, 0.3, 0.45], [-0.6, 0.7, 0.2],   # good, in front
+    ])
+    faces = np.array([(0, 1, 2), (3, 3, 4), (3, 4, 5), (6, 7, 8), (9, 10, 11), (0, 0, 0), (9, 11, 10)])
+    mesh = TriangleMesh(verts, faces)
+    rng = np.random.default_rng(12)
+    for cam in (CameraIntrinsics(width=32, height=32), CameraIntrinsics(width=97, height=61)):
+        assert assert_matches_oracle(mesh, FRONTAL, cam).mask.any()
+        for _ in range(8):
+            assert_matches_oracle(mesh, random_pose(rng), cam)
+
+
+def test_rasterize_matches_oracle_on_duplicated_faces():
+    # exact copies tie in depth; rolled and reversed copies lie in the same
+    # plane but their normals and depths may differ in the last bit
+    base = shapes.icosphere(1)
+    a, b, c = base.faces.T
+    faces = np.concatenate([base.faces, base.faces, np.column_stack([b, c, a]),
+                            np.column_stack([a, c, b])])
+    mesh = TriangleMesh(base.vertices, faces)
+    rng = np.random.default_rng(13)
+    for cam in (CameraIntrinsics(width=64, height=64), CameraIntrinsics(width=61, height=97)):
+        for _ in range(6):
+            assert_matches_oracle(mesh, random_pose(rng), cam)
+
+
+def test_rasterize_matches_oracle_when_a_bbox_covers_the_image():
+    # corners on the bounding circle at 45, 135 and 315 degrees reach past
+    # every pixel center of a 1x1, 1x2 or 2x2 image
+    angles = np.radians([45.0, 135.0, 315.0])
+    mesh = TriangleMesh(np.column_stack([np.cos(angles), np.sin(angles), np.zeros(3)]),
+                        np.array([(0, 1, 2)]))
+    for width, height in ((1, 1), (1, 2), (2, 2)):
+        cam = CameraIntrinsics(width=width, height=height)
+        frame = frame_camera(mesh, FRONTAL, cam)
+        cam_verts = mesh.vertices - frame.center
+        cam_verts[:, 2] -= frame.distance
+        us = frame.cx - frame.focal_px * cam_verts[:, 0] / cam_verts[:, 2]
+        vs = frame.cy + frame.focal_px * cam_verts[:, 1] / cam_verts[:, 2]
+        assert us.min() < 0.5 and us.max() > width - 0.5
+        assert vs.min() < 0.5 and vs.max() > height - 0.5
+        assert_matches_oracle(mesh, FRONTAL, cam)
+
+
+def test_rasterize_memory_stays_bounded():
+    # 200 overlapping triangles each spanning most of the frame: about 4M
+    # (face, pixel) candidates, several hundred MB if tested all at once
+    count = 200
+    angles = np.arange(count)[:, None] * (0.3 / count) + np.radians([90.0, 210.0, 330.0])
+    depths = np.broadcast_to(np.linspace(-0.05, 0.05, count)[:, None], angles.shape)
+    verts = np.stack([np.cos(angles), np.sin(angles), depths], axis=2).reshape(-1, 3)
+    mesh = TriangleMesh(verts, np.arange(3 * count).reshape(count, 3))
+    tracemalloc.start()
+    try:
+        nm = rasterize(mesh, FRONTAL, CameraIntrinsics(width=224, height=224))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert nm.mask.mean() > 0.2
+    assert peak < 32 * 2 ** 20

@@ -6,7 +6,7 @@ from scipy.optimize import linear_sum_assignment
 from scipy.spatial import cKDTree
 
 import shapes
-from symnorm.errors import InsufficientGeometryError
+from symnorm.errors import InputError, InsufficientGeometryError
 from symnorm.mesh_io import SurfaceSamples, TriangleMesh, sample_surface
 from symnorm.orientation import euler_to_rotation
 from symnorm.symmetry import (
@@ -300,3 +300,10 @@ def test_planes_file_roundtrip(tmp_path):
         assert sym_angle_matrix(a.normal, b.normal).item() <= 1e-9
         assert a.offset == pytest.approx(b.offset, abs=1e-11)
         assert a.residual == pytest.approx(b.residual, abs=1e-11)
+
+
+def test_read_planes_names_file_that_is_not_utf8(tmp_path):
+    path = tmp_path / "planes.txt"
+    path.write_bytes(b"# \xff\n1 0 0 0 0\n")
+    with pytest.raises(InputError, match="planes.txt"):
+        read_planes(path)
