@@ -1,6 +1,16 @@
 """symnorm: reflection-symmetry extraction, normal-map ground truth and
 detection-style evaluation for triangle meshes."""
 
+import os
+
+# The package's matrix products are small (n x 3 by 3 x K).  OpenBLAS gains
+# no wall time on them from its helper threads, which spin between calls
+# and compete with the detector's KD-tree threads for the cores: on two
+# cores a dense build burnt a quarter more CPU and its wall time swung twice
+# as widely.  This must run before numpy loads; a value already in the
+# environment is kept.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .evaluation import (
     NormalMetrics,
     PRCurve,

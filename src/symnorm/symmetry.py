@@ -160,9 +160,11 @@ def _density_order(normals, offsets, config, bbox_diagonal):
     scale = 0.1 / (config.cluster_offset_frac * bbox_diagonal)
     embedded = np.column_stack([normals, offsets * scale])
     # count in the +/- doubled cloud so votes straddling the sign-
-    # canonicalization boundary see their antipodal twins
+    # canonicalization boundary see their antipodal twins.  One thread: the
+    # count takes about 0.2 s, and a second thread saves at most half of
+    # that on an idle host but nothing when another process holds a core
     counts = cKDTree(np.vstack([embedded, -embedded])).query_ball_point(
-        embedded, r=0.1, return_length=True, workers=-1)
+        embedded, r=0.1, return_length=True)
     return np.argsort(-counts, kind="stable")
 
 
@@ -299,9 +301,15 @@ def detect_symmetries(mesh: TriangleMesh, config: DetectorConfig | None = None) 
     """Full pipeline; returns deduped planes with residual <= accept_residual.
 
     An empty list (no error) means no plane passed acceptance.  Hypothesis
-    refinements are independent; they run on a thread pool (the KD-tree
-    queries release the GIL) and results are collected in hypothesis order,
-    so output is identical to the sequential pipeline.
+    refinements are independent and their results are collected in
+    hypothesis order, so output is identical to the sequential pipeline.
+    They run on this thread while each converges at its first iteration
+    (two KD-tree queries, about 20 ms): a whole pass of those takes well
+    under a second, a second thread saves little of it, and that little
+    comes and goes with the load on the other core.  From the first
+    refinement that iterates on, the rest run on a thread pool (the KD-tree
+    queries release the GIL), where each can take up to icp_max_iters
+    queries.
     """
     cfg = config if config is not None else DetectorConfig()
     samples = sample_surface(mesh, cfg.sample_count, cfg.seed)
@@ -309,17 +317,24 @@ def detect_symmetries(mesh: TriangleMesh, config: DetectorConfig | None = None) 
     tree = cKDTree(samples.points)
 
     def refine(hypothesis):
+        """(refined plane or None, ICP iterations run)."""
         try:
-            return refine_plane_icp(samples, hypothesis, cfg, tree=tree, query_workers=1)
+            plane, history = refine_plane_icp(samples, hypothesis, cfg, return_history=True,
+                                              tree=tree, query_workers=1)
         except (RefinementDivergedError, DegenerateCorrespondencesError):
-            return None
+            return None, 0
+        return plane, len(history) - 1  # one entry per iteration, plus the final rescoring
 
-    workers = min(len(hypotheses), os.cpu_count() or 1)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            refined = list(pool.map(refine, hypotheses))
-    else:
-        refined = [refine(h) for h in hypotheses]
+    refined = []
+    for k, hypothesis in enumerate(hypotheses):
+        plane, iterations = refine(hypothesis)
+        refined.append(plane)
+        rest = hypotheses[k + 1:]
+        workers = min(len(rest), os.cpu_count() or 1)
+        if iterations > 1 and workers > 1:
+            with ThreadPoolExecutor(max_workers=workers) as pool:
+                refined += [result for result, _ in pool.map(refine, rest)]
+            break
     accepted = [p for p in refined if p is not None and p.residual <= cfg.accept_residual]
     return dedupe_planes(accepted, cfg.dedupe_angle_deg)
 

@@ -6,6 +6,7 @@ from scipy.optimize import linear_sum_assignment
 from scipy.spatial import cKDTree
 
 import shapes
+from symnorm import symmetry
 from symnorm.errors import InputError, InsufficientGeometryError
 from symnorm.mesh_io import SurfaceSamples, TriangleMesh, sample_surface
 from symnorm.orientation import euler_to_rotation
@@ -259,6 +260,31 @@ def test_detect_output_canonical_and_deterministic():
         z, y, x = a.normal[2], a.normal[1], a.normal[0]
         first = z if z != 0 else (y if y != 0 else x)
         assert first > 0
+
+
+def test_detect_pools_refinements_only_after_one_iterates(monkeypatch):
+    """Hypotheses are refined on the calling thread until one needs a second
+    ICP iteration; the rest then share a pool, with the same planes."""
+    pools = []
+
+    class CountingPool(symmetry.ThreadPoolExecutor):
+        def __init__(self, **kwargs):
+            pools.append(kwargs)
+            super().__init__(**kwargs)
+
+    monkeypatch.setattr(symmetry, "ThreadPoolExecutor", CountingPool)
+    monkeypatch.setattr(symmetry.os, "cpu_count", lambda: 2)
+    # every suite-config refinement on the sphere converges at its first iteration
+    assert detect_symmetries(shapes.icosphere(), shapes.SUITE_CONFIG)
+    assert pools == []
+    config = DetectorConfig(sample_count=2000, pair_count=5000)
+    pooled = detect_symmetries(shapes.cuboid(), config)
+    assert pools == [{"max_workers": 2}]
+    monkeypatch.setattr(symmetry.os, "cpu_count", lambda: 1)
+    alone = detect_symmetries(shapes.cuboid(), config)
+    assert len(pools) == 1
+    assert [(p.normal.tolist(), p.offset, p.residual) for p in pooled] == \
+        [(p.normal.tolist(), p.offset, p.residual) for p in alone]
 
 
 def test_detect_rotation_equivariance():
