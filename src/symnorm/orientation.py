@@ -5,7 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from . import util
 
@@ -60,16 +59,16 @@ class OrientationCodebook:
         if len(dirs) == 0:
             raise ValueError("codebook needs at least one direction")
         norms = np.linalg.norm(dirs, axis=1)
-        if np.abs(norms - 1.0).max() > 1e-9:
+        if not np.abs(norms - 1.0).max() <= 1e-9:  # NaN fails too
             raise ValueError("codebook directions must be unit length")
         if self.support == HEMISPHERE and dirs[:, 2].min() < 0.0:
             raise ValueError("hemisphere codebook requires z >= 0")
         if self.support == HORIZONTAL_CIRCLE and np.abs(dirs[:, 2]).max() != 0.0:
             raise ValueError("horizontal codebook requires z == 0")
-        if len(dirs) > 1:
-            nearest, _ = cKDTree(dirs).query(dirs, k=2)
-            if nearest[:, 1].min() <= 0.0:
-                raise ValueError("codebook directions must be pairwise distinct")
+        # equal rows (0.0 == -0.0 included) sort next to each other
+        rows = dirs[np.lexsort(dirs.T[::-1])]
+        if (rows[1:] == rows[:-1]).all(axis=1).any():
+            raise ValueError("codebook directions must be pairwise distinct")
         object.__setattr__(self, "directions", util.readonly(dirs))
 
     @property

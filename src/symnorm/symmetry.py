@@ -9,12 +9,13 @@ normals are sign-canonicalized so detection output is orientation-unique.
 
 from __future__ import annotations
 
+import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from . import util
 from .errors import (
@@ -24,6 +25,9 @@ from .errors import (
 )
 from .mesh_io import SurfaceSamples, TriangleMesh, sample_surface
 from .orientation import canonical_sign, sym_angle_deg
+
+if TYPE_CHECKING:
+    from scipy.spatial import cKDTree
 
 UNSCORED = float("inf")
 
@@ -149,6 +153,14 @@ def generate_hypotheses(samples: SurfaceSamples, config: DetectorConfig) -> list
     return _cluster_votes(normals[order], offsets[order], config, samples.bbox_diagonal)
 
 
+def _kd_tree(points):
+    # scipy is imported here, not at module level, so that the commands
+    # that build no tree (evaluation, rendering) start without loading it
+    from scipy.spatial import cKDTree
+
+    return cKDTree(points)
+
+
 def _density_order(normals, offsets, config, bbox_diagonal):
     """Deterministic processing order: densest vote neighborhoods first.
 
@@ -163,64 +175,195 @@ def _density_order(normals, offsets, config, bbox_diagonal):
     # canonicalization boundary see their antipodal twins.  One thread: the
     # count takes about 0.2 s, and a second thread saves at most half of
     # that on an idle host but nothing when another process holds a core
-    counts = cKDTree(np.vstack([embedded, -embedded])).query_ball_point(
+    counts = _kd_tree(np.vstack([embedded, -embedded])).query_ball_point(
         embedded, r=0.1, return_length=True)
     return np.argsort(-counts, kind="stable")
 
 
+# The clustering sweep takes the votes in blocks of CLUSTER_BLOCK.  One
+# matrix product per block gives each vote its near clusters: those within
+# the cluster angle plus NEAR_ANGLE_DEG and the offset tolerance plus
+# NEAR_OFFSET of it, judged by the representatives and mean offsets the
+# block started with.  A cluster that opens in the block, or whose
+# representative or mean offset moves DRIFT of the way to those margins,
+# goes on a watch list that every later vote of the block also tests; a
+# block ends early once more than WATCH_LIMIT clusters are watched.  Any
+# cluster outside both lists is more than 0.1 degrees or 0.025 of the
+# offset tolerance from qualifying.  A decision within CLOSE_CALL of a
+# threshold or of a tie goes to `_reference_choice`.
+CLUSTER_BLOCK = 128
+NEAR_ANGLE_DEG = 1.0
+NEAR_OFFSET = 0.25
+DRIFT = 0.9
+WATCH_LIMIT = 48
+CLOSE_CALL = 1e-9
+
+
 def _cluster_votes(normals, offsets, config, bbox_diagonal):
-    # membership is sign-invariant: a vote and its negation name the same
-    # plane, so votes near the canonicalization boundary must not split
-    # into antipodal half-clusters.  Accumulation aligns each vote's sign
-    # (and therefore its offset's) with the cluster representative.
-    cos_thresh = np.cos(np.radians(config.cluster_angle_deg))
+    """Greedy clustering of the votes in the order given.
+
+    Each vote joins the qualifying cluster whose representative (its unit
+    mean normal) is closest in unoriented angle, the lowest index on exact
+    ties, or else opens a new cluster.  A cluster qualifies when its
+    representative is within cluster_angle_deg of the vote and its mean
+    offset, once the vote's sign is aligned with the representative, within
+    cluster_offset_frac * diagonal of the vote's.  Membership is
+    sign-invariant: a vote and its negation name the same plane, so votes
+    near the canonicalization boundary must not split into antipodal
+    half-clusters.
+
+    Only the near and watched clusters (see CLUSTER_BLOCK) are tested, in
+    Python floats.  Sums, offset sums and counts take the same IEEE adds in
+    the same order as the per-vote reference, so they and the mean offsets
+    are bit-identical to it; the representatives kept here are rounded
+    differently and only steer decisions, and a decision they cannot settle
+    is made by the reference rule on the reference representatives.
+    """
+    cos_thresh = float(np.cos(np.radians(config.cluster_angle_deg)))
     b_tol = config.cluster_offset_frac * bbox_diagonal
-    cap = len(normals)
-    reps = np.empty((cap, 3))
-    sums = np.empty((cap, 3))
-    b_sum = np.empty(cap)
-    b_mean = np.empty(cap)
-    counts = np.zeros(cap, dtype=np.int64)
-    m = 0
-    for v, b in zip(normals, offsets):
+    near_cos = math.cos(math.radians(config.cluster_angle_deg + NEAR_ANGLE_DEG))
+    near_b = (1.0 + NEAR_OFFSET) * b_tol
+    drift_cos = math.cos(math.radians(DRIFT * NEAR_ANGLE_DEG))
+    drift_b = DRIFT * NEAR_OFFSET * b_tol
+    cos_lo, cos_hi = cos_thresh - CLOSE_CALL, cos_thresh + CLOSE_CALL
+    b_lo, b_hi = b_tol - CLOSE_CALL * bbox_diagonal, b_tol + CLOSE_CALL * bbox_diagonal
+    reps, sums, b_sum, b_mean, counts = [], [], [], [], []
+    # reps and b_mean as numpy rows, refreshed at each block's start
+    rep_rows, mean_rows = np.empty((len(normals), 3)), np.empty(len(normals))
+    changed = set()
+    start = 0
+    while start < len(normals):
+        stop = min(start + CLUSTER_BLOCK, len(normals))
+        m = len(reps)
+        if changed:
+            stale = list(changed)
+            rep_rows[stale] = [reps[j] for j in stale]
+            mean_rows[stale] = [b_mean[j] for j in stale]
+            changed.clear()
+        block_reps, block_b = list(reps), list(b_mean)
+        # Python floats one block at a time: lists of every vote would raise
+        # the process's peak memory by more than the whole sweep needs
+        votes, vote_b = normals[start:stop].tolist(), offsets[start:stop].tolist()
+        near = [[] for _ in votes]
         if m:
-            dots = reps[:m] @ v
-            signs = np.where(dots < 0.0, -1.0, 1.0)
-            ok = (np.abs(dots) >= cos_thresh) & (np.abs(b_mean[:m] - signs * b) <= b_tol)
-            if ok.any():
-                # join the closest qualifying cluster (first one on exact ties)
-                j = int(np.argmax(np.where(ok, np.abs(dots), -2.0)))
-                sums[j] += signs[j] * v
-                b_sum[j] += signs[j] * b
-                counts[j] += 1
-                reps[j] = sums[j] / np.linalg.norm(sums[j])
-                b_mean[j] = b_sum[j] / counts[j]
-                continue
-        reps[m] = v
-        sums[m] = v
-        b_sum[m] = b
-        b_mean[m] = b
-        counts[m] = 1
-        m += 1
-    order = np.argsort(-counts[:m], kind="stable")[: config.max_hypotheses]
+            dots = normals[start:stop] @ rep_rows[:m].T
+            np.abs(dots, out=dots)
+            rows, cols = np.divmod(np.flatnonzero(dots >= near_cos), m)
+            # ||mean| - |b|| is the offset gap under the better sign: a vote's
+            # sign against a rep may flip as the rep drifts once the widened
+            # angle window reaches 90 degrees
+            keep = np.abs(np.abs(mean_rows[cols]) - np.abs(offsets[start + rows])) <= near_b
+            cuts = np.searchsorted(rows[keep], np.arange(stop - start + 1)).tolist()
+            cols = cols[keep].tolist()
+            near = [cols[lo:hi] for lo, hi in zip(cuts, cuts[1:])]
+        watch = []
+        for k in range(start, stop):
+            i = k - start
+            vx, vy, vz = votes[i]
+            b = vote_b[i]
+            candidates = near[i] + watch if watch else near[i]
+            best, best_s, best_a, second_a = -1, 1.0, 0.0, 0.0
+            close = False
+            for j in candidates:  # a cluster can be both near and watched
+                rx, ry, rz = reps[j]
+                d = rx * vx + ry * vy + rz * vz
+                s = -1.0 if d < 0.0 else 1.0
+                a = abs(d)
+                if a < cos_lo:
+                    continue
+                gap = abs(b_mean[j] - s * b)  # exact: the reference's expression
+                if a >= cos_hi and gap > b_hi:
+                    continue
+                if a < cos_hi or gap >= b_lo:
+                    close = True
+                    break
+                if a > best_a:
+                    best, best_s, best_a, second_a = j, s, a, best_a
+                elif a > second_a and j != best:
+                    second_a = a
+            if close or (second_a > 0.0 and best_a - second_a <= CLOSE_CALL):
+                best, best_s = _reference_choice(normals[k], offsets[k], sums, counts, b_mean,
+                                                 cos_thresh, b_tol)
+            if best < 0:
+                watch.append(len(reps))
+                changed.add(len(reps))
+                reps.append(votes[i])
+                sums.append([vx, vy, vz])
+                b_sum.append(b)
+                b_mean.append(b)
+                counts.append(1)
+            else:
+                total = sums[best]
+                total[0] += best_s * vx
+                total[1] += best_s * vy
+                total[2] += best_s * vz
+                b_sum[best] += best_s * b
+                counts[best] += 1
+                changed.add(best)
+                b_mean[best] = b_sum[best] / counts[best]
+                length = math.sqrt(total[0] * total[0] + total[1] * total[1] + total[2] * total[2])
+                rx, ry, rz = reps[best] = (total[0] / length, total[1] / length, total[2] / length)
+                if best < len(block_reps) and best not in watch:
+                    ox, oy, oz = block_reps[best]
+                    if rx * ox + ry * oy + rz * oz < drift_cos or \
+                            abs(b_mean[best] - block_b[best]) > drift_b:
+                        watch.append(best)
+            if len(watch) > WATCH_LIMIT:
+                break
+        start = k + 1
+    order = np.argsort(-np.array(counts), kind="stable")[: config.max_hypotheses]
     planes = []
     for j in order:
-        mean = sums[j] / np.linalg.norm(sums[j])
+        total = np.array(sums[j])
+        mean = total / np.linalg.norm(total)
         canon = canonical_sign(mean)
         b = float(b_mean[j]) if float(canon @ mean) >= 0.0 else -float(b_mean[j])
         planes.append(SymmetryPlane(canon, b))
     return planes
 
 
+def _reference_choice(v, b, sums, counts, b_mean, cos_thresh, b_tol):
+    """(cluster, sign) for vote (v, b) by the per-vote reference, (-1, 1.0)
+    to open a cluster.  Its representatives are v for a one-vote cluster and
+    the normalized sum otherwise, each computed as the reference does."""
+    totals = np.array(sums)
+    reps = np.array([t if c == 1 else t / np.linalg.norm(t) for t, c in zip(totals, counts)])
+    dots = reps @ v
+    signs = np.where(dots < 0.0, -1.0, 1.0)
+    ok = (np.abs(dots) >= cos_thresh) & (np.abs(np.array(b_mean) - signs * b) <= b_tol)
+    if not ok.any():
+        return -1, 1.0
+    j = int(np.argmax(np.where(ok, np.abs(dots), -2.0)))
+    return j, float(signs[j])
+
+
 def score_plane(samples: SurfaceSamples, plane: SymmetryPlane, tree: cKDTree | None = None,
                 query_workers: int = -1) -> float:
-    """Mean nearest-neighbor distance of the reflected samples / bbox diagonal."""
+    """Mean nearest-neighbor distance of the reflected samples / bbox diagonal.
+
+    `tree`, if given, is a cKDTree over samples.points."""
     if len(samples) == 0:
         raise ValueError("cannot score a plane against zero samples")
     if tree is None:
-        tree = cKDTree(samples.points)
-    dists, _ = tree.query(reflect_points(samples.points, plane), workers=query_workers)
+        tree = _kd_tree(samples.points)
+    dists, _ = _query_reflected(tree, samples.points, plane, query_workers)
     return float(dists.mean() / samples.bbox_diagonal)
+
+
+def _query_reflected(tree, points, plane, workers):
+    """`tree.query(reflect_points(points, plane))` for the tree of `points`,
+    asked in the tree's leaf order: an isometry keeps neighbouring points
+    neighbours, so consecutive queries walk the same branches.  A point's
+    nearest neighbour does not depend on the order it is asked in, so the
+    distances and indices, scattered back, are the ones a plain query gives."""
+    leaf_order = tree.indices
+    if len(leaf_order) != len(points):
+        raise ValueError("the KD-tree must be built over the points being reflected")
+    dists, idx = tree.query(reflect_points(points, plane)[leaf_order], workers=workers)
+    out_dists, out_idx = np.empty_like(dists), np.empty_like(idx)
+    out_dists[leaf_order] = dists
+    out_idx[leaf_order] = idx
+    return out_dists, out_idx
 
 
 def refine_plane_icp(samples: SurfaceSamples, plane: SymmetryPlane, config: DetectorConfig,
@@ -237,13 +380,14 @@ def refine_plane_icp(samples: SurfaceSamples, plane: SymmetryPlane, config: Dete
     is scored (the matching pass provides the residual for free) and the
     best-scoring plane is returned, so the accepted-state residual history
     never increases and the result is never worse than the input hypothesis.
+    `tree`, if given, is a cKDTree over samples.points.
     """
     pts = samples.points
     if len(pts) == 0:
         raise ValueError("cannot refine a plane against zero samples")
     diag = samples.bbox_diagonal
     if tree is None:
-        tree = cKDTree(pts)
+        tree = _kd_tree(pts)
     reject = config.icp_reject_frac * diag
     min_disp = 1e-6 * diag
     current = plane
@@ -251,7 +395,7 @@ def refine_plane_icp(samples: SurfaceSamples, plane: SymmetryPlane, config: Dete
     best_residual = np.inf
     history = []
     for iteration in range(config.icp_max_iters):
-        dists, idx = tree.query(reflect_points(pts, current), workers=query_workers)
+        dists, idx = _query_reflected(tree, pts, current, query_workers)
         residual = float(dists.mean() / diag)
         if residual < best_residual:
             best, best_residual = current, residual
@@ -314,7 +458,7 @@ def detect_symmetries(mesh: TriangleMesh, config: DetectorConfig | None = None) 
     cfg = config if config is not None else DetectorConfig()
     samples = sample_surface(mesh, cfg.sample_count, cfg.seed)
     hypotheses = generate_hypotheses(samples, cfg)
-    tree = cKDTree(samples.points)
+    tree = _kd_tree(samples.points)
 
     def refine(hypothesis):
         """(refined plane or None, ICP iterations run)."""

@@ -1,10 +1,14 @@
+import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import shapes
+import symnorm
 from symnorm.cli import main, read_predictions, write_predictions
 from symnorm.dataset import read_manifest, record_image_id
 from symnorm.imgfmt import read_pfm
@@ -210,6 +214,39 @@ def test_baseline_counts_and_determinism(tmp_path, toy_build):
     row = [l for l in (rep / "report.tsv").read_text().splitlines()
            if l.startswith("airplane\t")][0]
     assert 0.0 < float(row.split("\t")[1]) < 0.9  # uninformed but nonzero
+
+
+EVAL_WITHOUT_SCIPY = """
+import sys
+import symnorm.cli
+loaded = [m for m in sys.modules if m.split(".")[0] == "scipy"]
+assert not loaded, f"import symnorm.cli loaded {loaded[:3]}"
+manifest, predictions, maps, out = sys.argv[1:]
+assert symnorm.cli.main(["eval-sym", manifest, predictions, "--out-dir", out + "/sym"]) == 0
+assert symnorm.cli.main(["eval-normals", manifest, maps, "--out-dir", out + "/normals"]) == 0
+loaded = [m for m in sys.modules if m.split(".")[0] == "scipy"]
+assert not loaded, f"the eval commands loaded {loaded[:3]}"
+"""
+
+
+def test_eval_commands_do_not_load_scipy(tmp_path, toy_build):
+    _, _, out = toy_build
+    manifest = out / "manifest.tsv"
+    predictions = tmp_path / "p.tsv"
+    assert main(["baseline", str(manifest), "--out", str(predictions), "--seed", "1"]) == 0
+    maps = tmp_path / "maps"
+    for r in read_manifest(manifest)[1]:
+        dst = maps / (record_image_id(r) + "_normal.pfm")
+        dst.parent.mkdir(parents=True, exist_ok=True)
+        shutil.copy(out / r.normal_map_path, dst)
+    src = str(Path(symnorm.__file__).parents[1])
+    done = subprocess.run(
+        [sys.executable, "-c", EVAL_WITHOUT_SCIPY, str(manifest), str(predictions), str(maps),
+         str(tmp_path / "rep")],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert (tmp_path / "rep" / "sym" / "report.tsv").is_file()
+    assert (tmp_path / "rep" / "normals" / "report.tsv").is_file()
 
 
 def test_predictions_file_validation(tmp_path, toy_build):

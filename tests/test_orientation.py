@@ -62,6 +62,14 @@ def test_codebook_rejects_bad_input():
         OrientationCodebook(np.array([[0.0, 0.0, 2.0]]), FULL_SPHERE)
     with pytest.raises(ValueError):  # duplicate directions
         OrientationCodebook(np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 1.0]]), FULL_SPHERE)
+    with pytest.raises(ValueError, match="distinct"):  # a -0.0 twin, apart in input order
+        OrientationCodebook(np.array([[0.0, 0.0, 1.0], [-0.0, 1.0, 0.0], [0.0, 0.6, 0.8],
+                                      [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]), FULL_SPHERE)
+    with pytest.raises(ValueError, match="unit length"):  # NaN is not a direction
+        OrientationCodebook(np.array([[np.nan, 0.0, 1.0]]), FULL_SPHERE)
+    distinct = OrientationCodebook(np.array([[0.0, 0.0, 1.0], [0.0, 1.0, 0.0], [0.0, 0.6, 0.8]]),
+                                   FULL_SPHERE)
+    assert distinct.K == 3
     with pytest.raises(ValueError):  # hemisphere support but below equator
         OrientationCodebook(np.array([[0.0, 0.0, -1.0]]), HEMISPHERE)
 

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,11 +7,12 @@ from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 from scipy.spatial import cKDTree
 
+import cluster_oracle
 import shapes
 from symnorm import symmetry
 from symnorm.errors import InputError, InsufficientGeometryError
 from symnorm.mesh_io import SurfaceSamples, TriangleMesh, sample_surface
-from symnorm.orientation import euler_to_rotation
+from symnorm.orientation import canonical_sign, euler_to_rotation
 from symnorm.symmetry import (
     DetectorConfig,
     SymmetryPlane,
@@ -123,6 +126,152 @@ def test_cuboid_vote_peaks_cover_axis_planes():
     # and the single most-voted cluster is one of the true planes
     assert sym_angle_matrix(np.eye(3), normals[:1]).min() <= \
         shapes.SUITE_CONFIG.cluster_angle_deg
+
+
+def fixture_votes(monkeypatch, mesh, config):
+    """The density-ordered votes `generate_hypotheses` clusters for a mesh."""
+    seen = []
+
+    def capture(normals, offsets, cfg, diag):
+        seen.append((normals, offsets, diag))
+        return []
+
+    with monkeypatch.context() as patch:
+        patch.setattr(symmetry, "_cluster_votes", capture)
+        generate_hypotheses(sample_surface(mesh, config.sample_count, config.seed), config)
+    return seen[0]
+
+
+def assert_clusters_match_oracle(normals, offsets, config, diag):
+    """Every cluster (max_hypotheses lifted) with the oracle's bytes and order."""
+    config = replace(config, max_hypotheses=len(normals))
+    got = symmetry._cluster_votes(normals, offsets, config, diag)
+    want = cluster_oracle.cluster_votes(normals, offsets, config, diag)
+    assert [(p.normal.tobytes(), p.offset) for p in got] == \
+        [(p.normal.tobytes(), p.offset) for p in want]
+    return got
+
+
+def count_reference_choices(monkeypatch):
+    """Record every decision the sweep hands to the per-vote rule."""
+    calls = []
+    reference = symmetry._reference_choice
+
+    def counted(*args):
+        calls.append(args)
+        return reference(*args)
+
+    monkeypatch.setattr(symmetry, "_reference_choice", counted)
+    return calls
+
+
+@pytest.mark.parametrize("mesh, config, seed", [
+    (shapes.cuboid, shapes.SUITE_CONFIG, 1),
+    (shapes.square_plate, DetectorConfig(), 2),
+    (shapes.hexagonal_prism, shapes.SUITE_CONFIG, 3),
+    (shapes.asymmetric_tetrahedron, DetectorConfig(), 4),
+    (lambda: shapes.icosphere(1), shapes.SUITE_CONFIG, 5),
+    (lambda: shapes.icosphere(2), DetectorConfig(), 6),
+    (lambda: shapes.icosphere(3), shapes.SUITE_CONFIG, 7),
+], ids=["cuboid", "plate", "hex_prism", "tetrahedron", "icosphere1", "icosphere2", "icosphere3"])
+def test_cluster_sweep_matches_oracle_on_fixtures(monkeypatch, mesh, config, seed):
+    normals, offsets, diag = fixture_votes(monkeypatch, mesh(), replace(config, seed=seed))
+    assert_clusters_match_oracle(normals, offsets, config, diag)
+
+
+def adversarial_votes(rng, n, config):
+    """Unit votes in canonical sign with offsets: random planes, exact
+    duplicates, planes tilted by exactly the cluster angle from an earlier
+    vote, and horizontal planes on the sign-canonicalization boundary."""
+    normals = rng.normal(size=(n, 3))
+    normals /= np.linalg.norm(normals, axis=1, keepdims=True)
+    offsets = rng.choice([-0.3, 0.0, 0.2, 0.5], size=n) + rng.normal(scale=0.01, size=n)
+    theta = np.radians(config.cluster_angle_deg)
+    for i, kind in enumerate(rng.integers(0, 4, size=n)):
+        if i == 0 or kind == 0:
+            continue
+        j = rng.integers(0, i)
+        if kind == 1:
+            normals[i], offsets[i] = normals[j], offsets[j]
+        elif kind == 2:
+            side = np.cross(normals[j], rng.normal(size=3))
+            side /= np.linalg.norm(side)
+            normals[i] = np.cos(theta) * normals[j] + np.sin(theta) * side
+            offsets[i] = offsets[j] + rng.choice([0.0, config.cluster_offset_frac])
+        else:
+            a = rng.choice([0.0, np.pi]) + rng.choice([0.0, 1e-17, -1e-17, 1e-9])
+            normals[i] = [np.cos(a), np.sin(a), 0.0]
+    canon = canonical_sign(normals)
+    flipped = np.einsum("ij,ij->i", canon, normals) < 0.0
+    return canon, np.where(flipped, -offsets, offsets)
+
+
+def test_cluster_sweep_matches_oracle_on_adversarial_votes(monkeypatch):
+    calls = count_reference_choices(monkeypatch)
+    rng = np.random.default_rng(2024)
+    for case in range(40):
+        config = DetectorConfig(cluster_angle_deg=float(rng.choice([5.0, 10.0, 30.0, 89.5])),
+                                cluster_offset_frac=float(rng.choice([0.05, 0.2])))
+        n = int(rng.integers(1, 400))
+        normals, offsets = adversarial_votes(rng, n, config)
+        assert_clusters_match_oracle(normals, offsets, config, 1.0)
+    assert calls  # the tilted votes put some decisions on the threshold
+
+
+def test_cluster_sweep_single_and_identical_votes():
+    config = DetectorConfig()
+    v = canonical_sign(np.array([[0.3, -0.4, 0.5]]) / np.linalg.norm([0.3, -0.4, 0.5]))
+    assert len(assert_clusters_match_oracle(v, np.array([0.25]), config, 1.0)) == 1
+    same = assert_clusters_match_oracle(np.repeat(v, 300, axis=0), np.full(300, 0.25), config, 1.0)
+    assert len(same) == 1
+
+
+def test_cluster_sweep_exact_tie_takes_reference_rule(monkeypatch):
+    calls = count_reference_choices(monkeypatch)
+    s, c = np.sin(np.radians(6.0)), np.cos(np.radians(6.0))
+    # two clusters 12 degrees apart, then a vote 6 degrees from each
+    normals = np.array([[s, 0.0, c], [-s, 0.0, c], [0.0, 0.0, 1.0]])
+    planes = assert_clusters_match_oracle(normals, np.zeros(3), DetectorConfig(), 1.0)
+    assert len(calls) == 1
+    assert planes[0].normal[0] > 0.0  # the lowest index won the tie
+
+
+@pytest.mark.parametrize("delta, clusters", [(1e-12, 1), (-1e-12, 2)])
+def test_cluster_sweep_angle_close_call_takes_reference_rule(monkeypatch, delta, clusters):
+    calls = count_reference_choices(monkeypatch)
+    config = DetectorConfig()
+    z = float(np.cos(np.radians(config.cluster_angle_deg))) + delta
+    normals = np.array([[0.0, 0.0, 1.0], [np.sqrt(1.0 - z * z), 0.0, z]])
+    planes = assert_clusters_match_oracle(normals, np.zeros(2), config, 1.0)
+    assert len(calls) == 1 and len(planes) == clusters
+
+
+@pytest.mark.parametrize("delta, clusters", [(-1e-12, 1), (1e-12, 2)])
+def test_cluster_sweep_offset_close_call_takes_reference_rule(monkeypatch, delta, clusters):
+    calls = count_reference_choices(monkeypatch)
+    config = DetectorConfig()
+    diag = 2.0
+    normals = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 1.0]])
+    offsets = np.array([0.0, config.cluster_offset_frac * diag + delta])
+    planes = assert_clusters_match_oracle(normals, offsets, config, diag)
+    assert len(calls) == 1 and len(planes) == clusters
+
+
+@pytest.mark.parametrize("workers", [1, -1])
+def test_leaf_order_queries_match_plain_queries(workers):
+    samples = sample_surface(shapes.hexagonal_prism(), 3000, seed=5)
+    tree = cKDTree(samples.points)
+    rng = np.random.default_rng(21)
+    for _ in range(4):
+        n = rng.normal(size=3)
+        plane = SymmetryPlane(n / np.linalg.norm(n), float(rng.uniform(-0.3, 0.3)))
+        want_d, want_i = tree.query(reflect_points(samples.points, plane), workers=workers)
+        got_d, got_i = symmetry._query_reflected(tree, samples.points, plane, workers)
+        assert got_d.tobytes() == want_d.tobytes() and np.array_equal(got_i, want_i)
+        assert score_plane(samples, plane, tree=tree, query_workers=workers) == \
+            float(want_d.mean() / samples.bbox_diagonal)
+    with pytest.raises(ValueError, match="KD-tree"):
+        score_plane(samples, plane, tree=cKDTree(samples.points[::2]))
 
 
 def test_icp_recovers_perturbed_plane():
