@@ -18,15 +18,10 @@ import numpy as np
 
 from . import evaluation, util
 from .config import RunConfig
-from .dataset import (
-    build_manifest,
-    manifest_codebook,
-    read_manifest,
-    record_image_id,
-)
+from .dataset import build_manifest, read_manifest, record_image_id
 from .errors import GeometryError, InputError, SymnormError
 from .mesh_io import parse_obj_file
-from .orientation import VIEW_DISTRIBUTIONS, ViewPose, fibonacci_codebook
+from .orientation import VIEW_DISTRIBUTIONS, OrientationCodebook, ViewPose
 from .render import (
     discretize_normal_map,
     labels_to_normals,
@@ -115,7 +110,7 @@ def write_predictions(path, image_ids, per_image_predictions) -> None:
 
 def cmd_eval_sym(args, cfg: RunConfig) -> int:
     meta, records = read_manifest(args.gt_manifest)
-    codebook = manifest_codebook(meta)
+    codebook = meta["codebook"]
     predictions = read_predictions(args.predictions)
     known = {record_image_id(r) for r in records}
     stray = sorted(set(predictions) - known)
@@ -168,7 +163,7 @@ def _load_prediction_map(pred_dir: Path, image_id: str, codebook):
 
 def cmd_eval_normals(args, cfg: RunConfig) -> int:
     meta, records = read_manifest(args.gt_manifest)
-    codebook = manifest_codebook(meta, "normal_codebook")
+    codebook = meta["normal_codebook"]
     manifest_dir = Path(args.gt_manifest).parent
     pred_dir = Path(args.pred_dir)
     errors_by_category = defaultdict(list)
@@ -210,10 +205,12 @@ def cmd_eval_normals(args, cfg: RunConfig) -> int:
 
 
 def cmd_baseline(args, cfg: RunConfig) -> int:
+    if args.baseline_k is not None and args.baseline_k < 1:
+        raise InputError("--codebook-k must be at least 1")
     meta, records = read_manifest(args.gt_manifest)
-    codebook = manifest_codebook(meta)
-    if args.codebook_k is not None:
-        codebook = fibonacci_codebook(args.codebook_k, codebook.support)
+    codebook = meta["codebook"]
+    if args.baseline_k is not None:
+        codebook = OrientationCodebook(args.baseline_k, codebook.support)
     image_ids = [record_image_id(r) for r in records]
     predictions = evaluation.random_baseline(codebook, len(image_ids), cfg.seed)
     write_predictions(args.out, image_ids, predictions)
@@ -280,7 +277,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("baseline", help="emit the uninformed random baseline")
     p.add_argument("gt_manifest")
     p.add_argument("--out", required=True)
-    p.add_argument("--codebook-k", type=int, default=None, dest="codebook_k")
+    p.add_argument("--codebook-k", type=int, default=None, dest="baseline_k",
+                   help="resize the manifest's symmetry codebook (the codebook_k key does not)")
     common(p)
     p.set_defaults(func=cmd_baseline)
 

@@ -15,7 +15,6 @@ from .orientation import (
     HORIZONTAL_CIRCLE,
     SIGN_INVARIANT_SUPPORTS,
     OrientationCodebook,
-    fibonacci_codebook,
     view_distribution,
 )
 from .render import CameraIntrinsics
@@ -85,7 +84,7 @@ class RunConfig(DetectorConfig, CameraIntrinsics):
             raise InputError(str(exc)) from None
 
     def symmetry_codebook(self) -> OrientationCodebook:
-        return fibonacci_codebook(self.codebook_k, self.codebook_support)
+        return OrientationCodebook(self.codebook_k, self.codebook_support)
 
     def normal_codebook(self) -> OrientationCodebook:
-        return fibonacci_codebook(self.normal_codebook_k, HEMISPHERE)
+        return OrientationCodebook(self.normal_codebook_k, HEMISPHERE)

@@ -25,7 +25,6 @@ from .mesh_io import parse_obj_file
 from .orientation import (
     OrientationCodebook,
     ViewPose,
-    fibonacci_codebook,
     make_symmetry_label,
     rotate_orientations,
     sample_view,
@@ -138,8 +137,8 @@ MANIFEST_FIELDS = ("model_id", "category", "obj_path", "pose", "normal_map_path"
 def write_manifest(path, records, codebook: OrientationCodebook,
                    normal_codebook: OrientationCodebook, view_setting: str) -> None:
     lines = [
-        f"#codebook:\tsupport={codebook.support}\tk={codebook.K}",
-        f"#normal_codebook:\tsupport={normal_codebook.support}\tk={normal_codebook.K}",
+        f"#codebook:\t{codebook.header()}",
+        f"#normal_codebook:\t{normal_codebook.header()}",
         f"#view_setting:\t{view_setting}",
         "#fields:\t" + "\t".join(MANIFEST_FIELDS),
     ]
@@ -154,7 +153,8 @@ def write_manifest(path, records, codebook: OrientationCodebook,
 
 
 def read_manifest(path):
-    """Return (metadata dict, records).  Paths stay relative to the manifest."""
+    """Return (metadata dict, records).  Paths stay relative to the manifest;
+    meta["codebook"] and meta["normal_codebook"] are OrientationCodebooks."""
     meta = {}
     records = []
     saw_fields = False
@@ -170,6 +170,12 @@ def read_manifest(path):
                     if tuple(rest.split("\t")) != MANIFEST_FIELDS:
                         raise InputError(f"{path}: unexpected manifest fields")
                     saw_fields = True
+                elif key in ("codebook", "normal_codebook"):
+                    try:
+                        meta[key] = OrientationCodebook.from_header(rest)
+                    except ValueError:
+                        raise InputError(f"{path}: line {lineno}: malformed #{key}: header "
+                                         "line") from None
                 else:
                     meta[key] = rest
                 continue
@@ -183,11 +189,10 @@ def read_manifest(path):
             except ValueError:
                 raise InputError(f"{path}: line {lineno}: bad pose {pose_s!r}") from None
             if label_k is None:
-                try:
-                    label_k = manifest_codebook(meta).K
-                except (KeyError, ValueError):
-                    raise InputError(f"{path}: line {lineno}: no valid #codebook: header "
-                                     "before the first record") from None
+                if "codebook" not in meta:
+                    raise InputError(f"{path}: line {lineno}: no #codebook: header "
+                                     "before the first record")
+                label_k = meta["codebook"].K
             if len(bits) != label_k or bits.strip("01"):
                 raise InputError(f"{path}: line {lineno}: symmetry_label {bits!r} is not "
                                  f"{label_k} characters of 0 and 1")
@@ -197,16 +202,9 @@ def read_manifest(path):
     if not saw_fields:
         raise InputError(f"{path}: missing #fields: header line")
     for key in ("codebook", "normal_codebook"):
-        try:
-            manifest_codebook(meta, key)
-        except (KeyError, ValueError):
-            raise InputError(f"{path}: missing or malformed #{key}: header line") from None
+        if key not in meta:
+            raise InputError(f"{path}: missing #{key}: header line")
     return meta, records
-
-
-def manifest_codebook(meta, key="codebook") -> OrientationCodebook:
-    spec = dict(item.split("=", 1) for item in meta[key].split("\t"))
-    return fibonacci_codebook(int(spec["k"]), spec["support"])
 
 
 def _split_models(model_ids, seed, category, cap):
@@ -219,8 +217,7 @@ def _split_models(model_ids, seed, category, cap):
     return {mid: ("train" if rank < n_train else "test") for rank, mid in enumerate(kept)}
 
 
-def build_manifest(corpus_root, out_dir, config: RunConfig = RunConfig(),
-                   registry: CategoryRegistry | None = None):
+def build_manifest(corpus_root, out_dir, config: RunConfig = RunConfig()):
     """Generate ground truth for a corpus and write manifest plus sidecars.
 
     Per model: detect symmetry planes once, then per view sample a pose,
@@ -231,7 +228,7 @@ def build_manifest(corpus_root, out_dir, config: RunConfig = RunConfig(),
     """
     corpus_root = Path(corpus_root)
     out_dir = Path(out_dir)
-    registry = registry if registry is not None else default_registry()
+    registry = default_registry()
     codebook = config.symmetry_codebook()
     normal_codebook = config.normal_codebook()
     out_dir.mkdir(parents=True, exist_ok=True)

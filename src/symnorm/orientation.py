@@ -47,64 +47,50 @@ def sym_angle_deg(a, b):
 
 @dataclass(frozen=True)
 class OrientationCodebook:
-    """K approximately uniform unit directions used as classification bins."""
+    """K approximately uniform unit directions used as classification bins.
 
-    directions: np.ndarray  # (K, 3)
+    full_sphere and hemisphere: golden-angle lattices, z_k = 1 - (2k+1)/(s*K)
+    with s = 1 on the sphere and 2 on the (strictly front-facing) hemisphere.
+    horizontal_circle: azimuths pi*k/K in the z = 0 plane, spanning a half
+    circle because an orientation and its negation name the same plane.
+    """
+
+    K: int
     support: str
+    directions: np.ndarray = field(init=False, repr=False, compare=False)  # (K, 3)
 
     def __post_init__(self):
+        if self.K < 1:
+            raise ValueError("K must be >= 1")
         if self.support not in SUPPORTS:
             raise ValueError(f"unknown support {self.support!r}")
-        dirs = np.ascontiguousarray(np.asarray(self.directions, dtype=np.float64)).reshape(-1, 3)
-        if len(dirs) == 0:
-            raise ValueError("codebook needs at least one direction")
-        norms = np.linalg.norm(dirs, axis=1)
-        if not np.abs(norms - 1.0).max() <= 1e-9:  # NaN fails too
-            raise ValueError("codebook directions must be unit length")
-        if self.support == HEMISPHERE and dirs[:, 2].min() < 0.0:
-            raise ValueError("hemisphere codebook requires z >= 0")
-        if self.support == HORIZONTAL_CIRCLE and np.abs(dirs[:, 2]).max() != 0.0:
-            raise ValueError("horizontal codebook requires z == 0")
-        # equal rows (0.0 == -0.0 included) sort next to each other
-        rows = dirs[np.lexsort(dirs.T[::-1])]
-        if (rows[1:] == rows[:-1]).all(axis=1).any():
-            raise ValueError("codebook directions must be pairwise distinct")
+        k = np.arange(self.K, dtype=np.float64)
+        if self.support == HORIZONTAL_CIRCLE:
+            az = np.pi * k / self.K
+            dirs = np.column_stack([np.cos(az), np.sin(az), np.zeros(self.K)])
+        else:
+            s = 1.0 if self.support == FULL_SPHERE else 2.0  # scaling by 2 is exact
+            z = 1.0 - (2.0 * k + 1.0) / (s * self.K)
+            theta = 2.0 * np.pi * k * GOLDEN_CONJUGATE
+            # unit to machine precision; renormalizing would perturb the exact z_k
+            r = np.sqrt(np.maximum(1.0 - z * z, 0.0))
+            dirs = np.column_stack([r * np.cos(theta), r * np.sin(theta), z])
         object.__setattr__(self, "directions", util.readonly(dirs))
 
-    @property
-    def K(self) -> int:
-        return len(self.directions)
+    def header(self) -> str:
+        """The manifest header value naming this codebook: `support=...<TAB>k=...`."""
+        return f"support={self.support}\tk={self.K}"
+
+    @classmethod
+    def from_header(cls, text: str) -> "OrientationCodebook":
+        """The codebook a `header()` string names; ValueError if it names none."""
+        spec = dict(item.partition("=")[::2] for item in text.split("\t"))
+        return cls(int(spec.get("k", "")), spec.get("support", ""))
 
 
 def fibonacci_codebook(K: int, support: str = FULL_SPHERE) -> OrientationCodebook:
-    """Golden-angle lattice on the sphere or hemisphere, or an equal half-circle.
-
-    full_sphere: z_k = 1 - (2k+1)/K.  hemisphere: z_k = 1 - (k+0.5)/K, all
-    strictly front-facing.  horizontal_circle: azimuths pi*k/K in the z = 0
-    plane, spanning a half circle because an orientation and its negation
-    name the same plane.
-    """
-    if K < 1:
-        raise ValueError("K must be >= 1")
-    k = np.arange(K, dtype=np.float64)
-    if support == FULL_SPHERE:
-        z = 1.0 - (2.0 * k + 1.0) / K
-        theta = 2.0 * np.pi * k * GOLDEN_CONJUGATE
-        r = np.sqrt(np.maximum(1.0 - z * z, 0.0))
-        dirs = np.column_stack([r * np.cos(theta), r * np.sin(theta), z])
-    elif support == HEMISPHERE:
-        z = 1.0 - (k + 0.5) / K
-        theta = 2.0 * np.pi * k * GOLDEN_CONJUGATE
-        r = np.sqrt(np.maximum(1.0 - z * z, 0.0))
-        dirs = np.column_stack([r * np.cos(theta), r * np.sin(theta), z])
-    elif support == HORIZONTAL_CIRCLE:
-        az = np.pi * k / K
-        dirs = np.column_stack([np.cos(az), np.sin(az), np.zeros(K)])
-    else:
-        raise ValueError(f"unknown support {support!r}")
-    # the construction is unit to machine precision; renormalizing would
-    # perturb the exact z_k values the formula promises
-    return OrientationCodebook(dirs, support)
+    """The K-direction codebook on `support` (see OrientationCodebook)."""
+    return OrientationCodebook(K, support)
 
 
 def _require_unit(vectors, tol=1e-6):
@@ -170,16 +156,15 @@ class ViewPose:
 
 @dataclass(frozen=True)
 class ViewDistribution:
-    """Uniform box over (azimuth, elevation, cyclo); azimuth half-open above."""
+    """Azimuth uniform over (-180, 180]; elevation and cyclo uniform over their ranges."""
 
     name: str
-    azimuth_range: tuple
     elevation_range: tuple
     cyclo_range: tuple
 
 
-V_N = ViewDistribution("V_N", (-180.0, 180.0), (0.0, 10.0), (0.0, 0.0))
-V_D = ViewDistribution("V_D", (-180.0, 180.0), (0.0, 50.0), (-30.0, 30.0))
+V_N = ViewDistribution("V_N", (0.0, 10.0), (0.0, 0.0))
+V_D = ViewDistribution("V_D", (0.0, 50.0), (-30.0, 30.0))
 VIEW_DISTRIBUTIONS = {d.name: d for d in (V_N, V_D)}
 
 

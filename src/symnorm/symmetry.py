@@ -337,8 +337,7 @@ def _reference_choice(v, b, sums, counts, b_mean, cos_thresh, b_tol):
     return j, float(signs[j])
 
 
-def score_plane(samples: SurfaceSamples, plane: SymmetryPlane, tree: cKDTree | None = None,
-                query_workers: int = -1) -> float:
+def score_plane(samples: SurfaceSamples, plane: SymmetryPlane, tree: cKDTree | None = None) -> float:
     """Mean nearest-neighbor distance of the reflected samples / bbox diagonal.
 
     `tree`, if given, is a cKDTree over samples.points."""
@@ -346,11 +345,11 @@ def score_plane(samples: SurfaceSamples, plane: SymmetryPlane, tree: cKDTree | N
         raise ValueError("cannot score a plane against zero samples")
     if tree is None:
         tree = _kd_tree(samples.points)
-    dists, _ = _query_reflected(tree, samples.points, plane, query_workers)
+    dists, _ = _query_reflected(tree, samples.points, plane)
     return float(dists.mean() / samples.bbox_diagonal)
 
 
-def _query_reflected(tree, points, plane, workers):
+def _query_reflected(tree, points, plane):
     """`tree.query(reflect_points(points, plane))` for the tree of `points`,
     asked in the tree's leaf order: an isometry keeps neighbouring points
     neighbours, so consecutive queries walk the same branches.  A point's
@@ -359,7 +358,7 @@ def _query_reflected(tree, points, plane, workers):
     leaf_order = tree.indices
     if len(leaf_order) != len(points):
         raise ValueError("the KD-tree must be built over the points being reflected")
-    dists, idx = tree.query(reflect_points(points, plane)[leaf_order], workers=workers)
+    dists, idx = tree.query(reflect_points(points, plane)[leaf_order])
     out_dists, out_idx = np.empty_like(dists), np.empty_like(idx)
     out_dists[leaf_order] = dists
     out_idx[leaf_order] = idx
@@ -367,8 +366,7 @@ def _query_reflected(tree, points, plane, workers):
 
 
 def refine_plane_icp(samples: SurfaceSamples, plane: SymmetryPlane, config: DetectorConfig,
-                     return_history: bool = False, tree: cKDTree | None = None,
-                     query_workers: int = -1):
+                     return_history: bool = False, tree: cKDTree | None = None):
     """ICP between original and reflected samples with a closed-form refit.
 
     Per iteration: reflect all points, match each reflected point to its
@@ -395,7 +393,7 @@ def refine_plane_icp(samples: SurfaceSamples, plane: SymmetryPlane, config: Dete
     best_residual = np.inf
     history = []
     for iteration in range(config.icp_max_iters):
-        dists, idx = _query_reflected(tree, pts, current, query_workers)
+        dists, idx = _query_reflected(tree, pts, current)
         residual = float(dists.mean() / diag)
         if residual < best_residual:
             best, best_residual = current, residual
@@ -422,7 +420,7 @@ def refine_plane_icp(samples: SurfaceSamples, plane: SymmetryPlane, config: Dete
         current = SymmetryPlane(normal, offset)
         if step_deg < config.icp_converge_deg:
             break
-    final_residual = score_plane(samples, current, tree=tree, query_workers=query_workers)
+    final_residual = score_plane(samples, current, tree=tree)
     if final_residual < best_residual:
         best, best_residual = current, final_residual
     history.append(best_residual)
@@ -463,8 +461,7 @@ def detect_symmetries(mesh: TriangleMesh, config: DetectorConfig | None = None) 
     def refine(hypothesis):
         """(refined plane or None, ICP iterations run)."""
         try:
-            plane, history = refine_plane_icp(samples, hypothesis, cfg, return_history=True,
-                                              tree=tree, query_workers=1)
+            plane, history = refine_plane_icp(samples, hypothesis, cfg, return_history=True, tree=tree)
         except (RefinementDivergedError, DegenerateCorrespondencesError):
             return None, 0
         return plane, len(history) - 1  # one entry per iteration, plus the final rescoring

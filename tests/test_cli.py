@@ -122,8 +122,7 @@ def test_build_split_and_rerun_identical(tmp_path, toy_build):
 def test_eval_sym_perfect_predictions(tmp_path, toy_build):
     _, _, out = toy_build
     meta, records = read_manifest(out / "manifest.tsv")
-    from symnorm.dataset import manifest_codebook
-    codebook = manifest_codebook(meta)
+    codebook = meta["codebook"]
     image_ids, per_image = [], []
     for r in records:
         image_ids.append(record_image_id(r))
@@ -214,6 +213,94 @@ def test_baseline_counts_and_determinism(tmp_path, toy_build):
     row = [l for l in (rep / "report.tsv").read_text().splitlines()
            if l.startswith("airplane\t")][0]
     assert 0.0 < float(row.split("\t")[1]) < 0.9  # uninformed but nonzero
+
+
+def test_baseline_codebook_k_flag_resizes_and_config_key_does_not(tmp_path, toy_build, capsys):
+    _, _, out = toy_build
+    manifest = str(out / "manifest.tsv")
+    n_images = len(read_manifest(manifest)[1])
+    cfg = tmp_path / "k20.cfg"
+    cfg.write_text("codebook_k = 20\n")
+    per_image = {}
+    for name, flags in (("flag", ["--codebook-k", "20"]), ("config", ["--config", str(cfg)]),
+                        ("both", ["--config", str(cfg), "--codebook-k", "7"])):
+        pred = tmp_path / f"{name}.tsv"
+        assert main(["baseline", manifest, "--out", str(pred), *flags]) == 0
+        preds = read_predictions(pred)
+        assert len(preds) == n_images
+        per_image[name] = {len(v) for v in preds.values()}
+    # the flag resizes the manifest's codebook; the build key names the manifest's
+    assert per_image == {"flag": {20}, "config": {10}, "both": {7}}
+    capsys.readouterr()
+    assert main(["baseline", manifest, "--out", str(tmp_path / "zero.tsv"),
+                 "--codebook-k", "0"]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "zero.tsv").exists()
+
+
+def test_eval_commands_score_train_and_test_rows(tmp_path, toy_build):
+    """Both evaluations score every manifest row, whatever its split."""
+    _, _, out = toy_build
+    manifest = str(out / "manifest.tsv")
+    meta, records = read_manifest(manifest)
+    by_split = {"train": [r for r in records if r.split == "train"],
+                "test": [r for r in records if r.split == "test"]}
+    assert by_split["train"] and by_split["test"]
+    # symmetry: predictions for train rows only are counted against the
+    # ground truth of all rows
+    dirs = [meta["codebook"].directions[np.flatnonzero(r.symmetry_label)]
+            for r in by_split["train"]]
+    pred_file = tmp_path / "train.tsv"
+    write_predictions(pred_file, [record_image_id(r) for r in by_split["train"]],
+                      [np.column_stack([d, np.full(len(d), 0.9)]) for d in dirs])
+    assert main(["eval-sym", manifest, str(pred_file), "--out-dir", str(tmp_path / "sym")]) == 0
+    row = [l for l in (tmp_path / "sym" / "report.tsv").read_text().splitlines()
+           if l.startswith("airplane\t")][0].split("\t")
+    assert int(row[2]) == sum(int(r.symmetry_label.sum()) for r in records)
+    assert int(row[3]) == sum(len(d) for d in dirs) > 0
+    # normals: with maps for one split only, every image of the other split
+    # is attempted and skipped for want of a prediction
+    for split, other in (("train", "test"), ("test", "train")):
+        pred_dir = tmp_path / f"maps_{split}"
+        for r in by_split[split]:
+            dst = pred_dir / (record_image_id(r) + "_normal.pfm")
+            dst.parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy(out / r.normal_map_path, dst)
+        rep = tmp_path / f"normals_{split}"
+        assert main(["eval-normals", manifest, str(pred_dir), "--out-dir", str(rep)]) == 2
+        skipped = [l.split()[1].rstrip(":") for l in (rep / "report.txt").read_text().splitlines()
+                   if l.startswith("  skipped ")]
+        assert sorted(skipped) == sorted(record_image_id(r) for r in by_split[other])
+        assert (rep / "airplane_gp_curve.csv").is_file()
+
+
+@pytest.mark.parametrize("change, reason", [(1.5, "must be unit length"),
+                                            (-1.0, "must face the viewer")],
+                         ids=["non-unit", "back-facing"])
+def test_eval_normals_skips_invalid_predicted_normals(tmp_path, toy_build, change, reason):
+    """A predicted PFM normal that is not unit length or faces away from the
+    viewer is neither normalized nor flipped: its image is skipped."""
+    from symnorm.imgfmt import write_pfm
+    _, _, out = toy_build
+    _, records = read_manifest(out / "manifest.tsv")
+    pred_dir = tmp_path / "pred"
+    for r in records:
+        dst = pred_dir / (record_image_id(r) + "_normal.pfm")
+        dst.parent.mkdir(parents=True, exist_ok=True)
+        shutil.copy(out / r.normal_map_path, dst)
+    victim = record_image_id(records[0])
+    normals = read_pfm(pred_dir / (victim + "_normal.pfm")).copy()
+    if change < 0.0:
+        normals[..., 2] *= change
+    else:
+        normals *= change
+    write_pfm(pred_dir / (victim + "_normal.pfm"), normals)
+    rep = tmp_path / "rep"
+    assert main(["eval-normals", str(out / "manifest.tsv"), str(pred_dir),
+                 "--out-dir", str(rep)]) == 2
+    skipped = [l for l in (rep / "report.txt").read_text().splitlines() if "skipped" in l]
+    assert len(skipped) == 1
+    assert skipped[0].startswith(f"  skipped {victim}: ") and reason in skipped[0]
 
 
 EVAL_WITHOUT_SCIPY = """
@@ -315,7 +402,8 @@ QUICK_DETECT_KEYS = "sample_count = 1000\npair_count = 4000\nmax_hypotheses = 8\
 
 @pytest.mark.parametrize("case", ["config-dir", "config-0xff", "predictions-0xff",
                                   "manifest-dir", "manifest-0xff", "detect-out-dir",
-                                  "eval-sym-no-codebook", "eval-normals-no-normal-codebook"])
+                                  "eval-sym-no-codebook", "eval-sym-malformed-codebook",
+                                  "eval-normals-no-normal-codebook"])
 def test_unreadable_input_exits_2(tmp_path, cuboid_obj, capsys, case):
     from symnorm.dataset import MANIFEST_FIELDS, write_manifest
     from symnorm.orientation import HEMISPHERE, HORIZONTAL_CIRCLE, fibonacci_codebook
@@ -345,6 +433,9 @@ def test_unreadable_input_exits_2(tmp_path, cuboid_obj, capsys, case):
         argv, named = eval_sym, manifest
     elif case == "eval-sym-no-codebook":
         manifest.write_text(fields_line)
+        argv, named, header = eval_sym, manifest, "#codebook:"
+    elif case == "eval-sym-malformed-codebook":
+        manifest.write_text("#codebook:\tsupport=horizontal_circle\tk=ten\n" + fields_line)
         argv, named, header = eval_sym, manifest, "#codebook:"
     elif case == "eval-normals-no-normal-codebook":
         manifest.write_text("#codebook:\tsupport=horizontal_circle\tk=10\n" + fields_line)

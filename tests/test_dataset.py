@@ -11,7 +11,6 @@ from symnorm.dataset import (
     build_manifest,
     default_registry,
     induction_view,
-    manifest_codebook,
     read_manifest,
     record_image_id,
     write_manifest,
@@ -113,10 +112,10 @@ def test_build_manifest_split_and_integrity(tmp_path, caplog):
     # referential integrity: every path resolves and parses
     meta, again = read_manifest(manifest_path)
     assert len(again) == 8
-    codebook = manifest_codebook(meta)
-    assert codebook.K == 10 and codebook.support == HORIZONTAL_CIRCLE
-    normal_codebook = manifest_codebook(meta, "normal_codebook")
-    assert normal_codebook.K == 60 and normal_codebook.support == HEMISPHERE
+    codebook = meta["codebook"]
+    assert codebook == fibonacci_codebook(10, HORIZONTAL_CIRCLE)
+    normal_codebook = meta["normal_codebook"]
+    assert normal_codebook == fibonacci_codebook(60, HEMISPHERE)
     for r in again:
         nm = load_normal_map(manifest_path.parent / r.normal_map_path)
         lm = load_label_map(manifest_path.parent / r.label_map_path, normal_codebook.K)

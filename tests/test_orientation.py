@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -59,19 +61,48 @@ def test_codebook_rejects_bad_input():
     with pytest.raises(ValueError):
         fibonacci_codebook(4, "cube")
     with pytest.raises(ValueError):
-        OrientationCodebook(np.array([[0.0, 0.0, 2.0]]), FULL_SPHERE)
-    with pytest.raises(ValueError):  # duplicate directions
-        OrientationCodebook(np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 1.0]]), FULL_SPHERE)
-    with pytest.raises(ValueError, match="distinct"):  # a -0.0 twin, apart in input order
-        OrientationCodebook(np.array([[0.0, 0.0, 1.0], [-0.0, 1.0, 0.0], [0.0, 0.6, 0.8],
-                                      [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]), FULL_SPHERE)
-    with pytest.raises(ValueError, match="unit length"):  # NaN is not a direction
-        OrientationCodebook(np.array([[np.nan, 0.0, 1.0]]), FULL_SPHERE)
-    distinct = OrientationCodebook(np.array([[0.0, 0.0, 1.0], [0.0, 1.0, 0.0], [0.0, 0.6, 0.8]]),
-                                   FULL_SPHERE)
-    assert distinct.K == 3
-    with pytest.raises(ValueError):  # hemisphere support but below equator
-        OrientationCodebook(np.array([[0.0, 0.0, -1.0]]), HEMISPHERE)
+        OrientationCodebook(-1, HEMISPHERE)
+
+
+# sha256 of directions.tobytes(): label maps, symmetry labels and baseline
+# predictions index into these directions, so their bits are output bytes
+CODEBOOK_DIGESTS = {
+    (FULL_SPHERE, 1): "725c4777db328932b197731b1c986c84913a069a2090deb3667b697624551c8b",
+    (FULL_SPHERE, 10): "bcce42bf586e156b07f3c14f03e56415aeb0d3776f2b616707d6b9c1fa59bbf1",
+    (FULL_SPHERE, 60): "56b77d283c950c220985f836d1d1cdad6fabbb3dbeda05045f0f8c42ba684c50",
+    (FULL_SPHERE, 1000): "c5176e98a6a6f53ad481074a6282a2b690af5008cd0ce14ab8168bd052728650",
+    (HEMISPHERE, 1): "ec5be3fbb29231f405f55a57ab0dbdd5d4f838eb66ba6cb665eed794b0f52df8",
+    (HEMISPHERE, 10): "76b3e3f219d53f821c37e3b65a8ef40df7d6b0a7e4497c3e0f675608d4378cb2",
+    (HEMISPHERE, 60): "250bbb2cff3dd2ea7035a5b7c712531cf10ad54776343175e23f12d1e2cb77d0",
+    (HEMISPHERE, 1000): "c53c24d0fd84dcaf61b51d28f34432851ddf59d7ff5ddd63e5f7014a0dda9816",
+    (HORIZONTAL_CIRCLE, 1): "725c4777db328932b197731b1c986c84913a069a2090deb3667b697624551c8b",
+    (HORIZONTAL_CIRCLE, 10): "87aedc9ec36070092155590601a4203ad85774d7d8b0e73c47df25e476b64d27",
+    (HORIZONTAL_CIRCLE, 60): "1e6d16d67f6ef9d1e92f353f7fc3a3438e4afec35747ef78ba608ad694f43b04",
+    (HORIZONTAL_CIRCLE, 1000): "649ae7195234ce86cbe462defa40b7cdd73658e6f4d2426615d35d87df4097c2",
+}
+
+
+@pytest.mark.parametrize("support, K", sorted(CODEBOOK_DIGESTS))
+def test_codebook_directions_pinned(support, K):
+    cb = fibonacci_codebook(K, support)
+    assert hashlib.sha256(cb.directions.tobytes()).hexdigest() == CODEBOOK_DIGESTS[support, K]
+    assert cb.directions.shape == (K, 3) and not cb.directions.flags.writeable
+
+
+@pytest.mark.parametrize("support, K", sorted(CODEBOOK_DIGESTS))
+def test_codebook_header_round_trip(support, K):
+    cb = fibonacci_codebook(K, support)
+    assert cb.header() == f"support={support}\tk={K}"
+    again = OrientationCodebook.from_header(cb.header())
+    assert again == cb and again.directions.tobytes() == cb.directions.tobytes()
+
+
+@pytest.mark.parametrize("text", ["support=hemisphere", "k=10", "support=cube\tk=10",
+                                  "support=hemisphere\tk=0", "support=hemisphere\tk=ten",
+                                  "hemisphere\t10", ""])
+def test_codebook_header_rejects_malformed(text):
+    with pytest.raises(ValueError):
+        OrientationCodebook.from_header(text)
 
 
 def test_codebook_directions_unit_within_1e9():

@@ -257,18 +257,17 @@ def test_cluster_sweep_offset_close_call_takes_reference_rule(monkeypatch, delta
     assert len(calls) == 1 and len(planes) == clusters
 
 
-@pytest.mark.parametrize("workers", [1, -1])
-def test_leaf_order_queries_match_plain_queries(workers):
+def test_leaf_order_queries_match_plain_queries():
     samples = sample_surface(shapes.hexagonal_prism(), 3000, seed=5)
     tree = cKDTree(samples.points)
     rng = np.random.default_rng(21)
     for _ in range(4):
         n = rng.normal(size=3)
         plane = SymmetryPlane(n / np.linalg.norm(n), float(rng.uniform(-0.3, 0.3)))
-        want_d, want_i = tree.query(reflect_points(samples.points, plane), workers=workers)
-        got_d, got_i = symmetry._query_reflected(tree, samples.points, plane, workers)
+        want_d, want_i = tree.query(reflect_points(samples.points, plane))
+        got_d, got_i = symmetry._query_reflected(tree, samples.points, plane)
         assert got_d.tobytes() == want_d.tobytes() and np.array_equal(got_i, want_i)
-        assert score_plane(samples, plane, tree=tree, query_workers=workers) == \
+        assert score_plane(samples, plane, tree=tree) == \
             float(want_d.mean() / samples.bbox_diagonal)
     with pytest.raises(ValueError, match="KD-tree"):
         score_plane(samples, plane, tree=cKDTree(samples.points[::2]))
