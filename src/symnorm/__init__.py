@@ -27,7 +27,6 @@ from .orientation import (
     ViewPose,
     V_D,
     V_N,
-    bin_orientation,
     euler_to_rotation,
     fibonacci_codebook,
     make_symmetry_label,
@@ -48,7 +47,6 @@ from .symmetry import (
     dedupe_planes,
     detect_symmetries,
     generate_hypotheses,
-    reflect_point,
     reflect_points,
     refine_plane_icp,
     score_plane,

@@ -21,7 +21,7 @@ from .config import RunConfig
 from .dataset import build_manifest, read_manifest, record_image_id
 from .errors import GeometryError, InputError, SymnormError
 from .mesh_io import parse_obj_file
-from .orientation import VIEW_DISTRIBUTIONS, OrientationCodebook, ViewPose
+from .orientation import VIEW_DISTRIBUTIONS, OrientationCodebook, ViewPose, unit_rows
 from .render import (
     discretize_normal_map,
     labels_to_normals,
@@ -95,7 +95,7 @@ def read_predictions(path):
     bad = evaluation.bad_prediction_row(table)
     if bad is not None:
         raise InputError(f"{path}: line {linenos[bad[0]]}: {bad[1]}")
-    table[:, :3] = evaluation.unit_rows(table[:, :3])
+    table[:, :3] = unit_rows(table[:, :3])
     return {image_id: table[index] for image_id, index in rows_of.items()}
 
 

@@ -171,6 +171,9 @@ def read_manifest(path):
                         raise InputError(f"{path}: unexpected manifest fields")
                     saw_fields = True
                 elif key in ("codebook", "normal_codebook"):
+                    if records or key in meta:
+                        raise InputError(f"{path}: line {lineno}: #{key}: header must come "
+                                         "once, before the first record")
                     try:
                         meta[key] = OrientationCodebook.from_header(rest)
                     except ValueError:
@@ -186,8 +189,9 @@ def read_manifest(path):
             model_id, category, obj_path, pose_s, nm_path, lm_path, bits, view_setting, split = parts
             try:
                 az, el, cy = (float(v) for v in pose_s.split(","))
-            except ValueError:
-                raise InputError(f"{path}: line {lineno}: bad pose {pose_s!r}") from None
+                pose = ViewPose(az, el, cy)
+            except ValueError as exc:
+                raise InputError(f"{path}: line {lineno}: bad pose {pose_s!r}: {exc}") from None
             if label_k is None:
                 if "codebook" not in meta:
                     raise InputError(f"{path}: line {lineno}: no #codebook: header "
@@ -197,7 +201,7 @@ def read_manifest(path):
                 raise InputError(f"{path}: line {lineno}: symmetry_label {bits!r} is not "
                                  f"{label_k} characters of 0 and 1")
             label = np.array([c == "1" for c in bits], dtype=bool)
-            records.append(SampleRecord(model_id, category, obj_path, ViewPose(az, el, cy),
+            records.append(SampleRecord(model_id, category, obj_path, pose,
                                         nm_path, lm_path, label, view_setting, split))
     if not saw_fields:
         raise InputError(f"{path}: missing #fields: header line")

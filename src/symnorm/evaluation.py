@@ -9,7 +9,7 @@ import numpy as np
 
 from . import util
 from .errors import NoForegroundError, UndefinedAPError
-from .orientation import OrientationCodebook, sym_angle_deg
+from .orientation import OrientationCodebook, sym_angle_deg, unit_mask, unit_rows
 from .render import NormalMap
 
 GP_THRESHOLDS_DEG = (11.25, 22.5, 30.0)
@@ -20,16 +20,9 @@ def angular_distance_sym(a, b) -> float:
     """Angle between unoriented unit directions: arccos(|a.b|), in [0, 90]."""
     va = np.asarray(a, dtype=np.float64).reshape(3)
     vb = np.asarray(b, dtype=np.float64).reshape(3)
-    for v in (va, vb):
-        if not abs(float(np.linalg.norm(v)) - 1.0) <= 1e-6:
-            raise ValueError("directions must be unit length")
+    if not unit_mask([va, vb]).all():
+        raise ValueError("directions must be unit length")
     return float(sym_angle_deg(va, vb))
-
-
-def unit_rows(directions) -> np.ndarray:
-    """Each row divided by its own norm, one row at a time: the whole-array
-    norm differs in the last bit, which would move written prediction bytes."""
-    return np.array([v / np.linalg.norm(v) for v in directions]).reshape(-1, 3)
 
 
 def bad_prediction_row(table):
@@ -40,7 +33,7 @@ def bad_prediction_row(table):
     non-finite value fails one of them."""
     if table.ndim != 2 or table.shape[1] != 4:
         raise ValueError(f"predictions must form an (n, 4) array, not {table.shape}")
-    unit = np.abs(np.linalg.norm(table[:, :3], axis=1) - 1.0) <= 1e-6
+    unit = unit_mask(table[:, :3])
     bad = np.flatnonzero(~(unit & (table[:, 3] >= 0.0) & (table[:, 3] <= 1.0)))
     if not bad.size:
         return None

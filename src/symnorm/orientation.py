@@ -37,6 +37,25 @@ def canonical_sign(vectors):
     return out[0] if single else out
 
 
+def row_norms(vectors) -> np.ndarray:
+    """Length of each row of an (n, 3) array, with the bits of the 1-d
+    `np.linalg.norm` of that row; `np.linalg.norm(axis=1)` and `einsum`
+    differ from it in the last bit for some rows."""
+    v = np.asarray(vectors, dtype=np.float64).reshape(-1, 3)
+    return np.sqrt((v[:, None, :] @ v[:, :, None])[:, 0, 0])
+
+
+def unit_mask(vectors) -> np.ndarray:
+    """Per row of an (n, 3) array: unit length within 1e-6.  NaN and inf fail."""
+    return np.abs(row_norms(vectors) - 1.0) <= 1e-6
+
+
+def unit_rows(vectors) -> np.ndarray:
+    """Each row of an (n, 3) array divided by its own length (see row_norms)."""
+    v = np.asarray(vectors, dtype=np.float64).reshape(-1, 3)
+    return v / row_norms(v)[:, None]
+
+
 def sym_angle_deg(a, b):
     """Angle between unoriented directions, arccos(|a @ b|), in [0, 90] degrees.
 
@@ -93,23 +112,12 @@ def fibonacci_codebook(K: int, support: str = FULL_SPHERE) -> OrientationCodeboo
     return OrientationCodebook(K, support)
 
 
-def _require_unit(vectors, tol=1e-6):
-    norms = np.linalg.norm(vectors, axis=-1)
-    if np.abs(norms - 1.0).max() > tol:
-        raise ValueError("direction must be unit length")
-
-
-def bin_orientation(codebook: OrientationCodebook, v, sign_invariant: bool = False) -> int:
-    """Index of the codebook direction with maximal (optionally absolute) dot."""
-    vec = np.asarray(v, dtype=np.float64).reshape(3)
-    return int(bin_orientations(codebook, vec, sign_invariant)[0])
-
-
 def bin_orientations(codebook: OrientationCodebook, vectors, sign_invariant: bool = False) -> np.ndarray:
     """Index of the codebook direction with maximal (optionally absolute) dot,
     per row of an (n, 3) array."""
     arr = np.asarray(vectors, dtype=np.float64).reshape(-1, 3)
-    _require_unit(arr)
+    if not unit_mask(arr).all():
+        raise ValueError("directions must be unit length")
     labels = np.empty(len(arr), dtype=np.int32)
     for start in range(0, len(arr), BIN_ROWS):
         scores = arr[start:start + BIN_ROWS] @ codebook.directions.T
@@ -148,6 +156,8 @@ class ViewPose:
     def __post_init__(self):
         if not -180.0 < self.azimuth_deg <= 180.0:
             raise ValueError("azimuth must lie in (-180, 180]")
+        if not np.isfinite(self.elevation_deg):
+            raise ValueError("elevation must be finite")
         if not -90.0 < self.cyclo_deg <= 90.0:
             raise ValueError("cyclo-rotation must lie in (-90, 90]")
         rot = euler_to_rotation(self.azimuth_deg, self.elevation_deg, self.cyclo_deg)
@@ -202,7 +212,5 @@ def make_symmetry_label(normals, codebook: OrientationCodebook) -> np.ndarray:
         raise ValueError("symmetry labels need a sign-invariant codebook "
                          f"({' or '.join(SIGN_INVARIANT_SUPPORTS)})")
     label = np.zeros(codebook.K, dtype=bool)
-    arr = np.asarray(normals, dtype=np.float64).reshape(-1, 3)
-    if len(arr):
-        label[bin_orientations(codebook, arr, sign_invariant=True)] = True
+    label[bin_orientations(codebook, normals, sign_invariant=True)] = True
     return label

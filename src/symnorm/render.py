@@ -18,7 +18,7 @@ import numpy as np
 from . import imgfmt, util
 from .errors import GeometryError
 from .mesh_io import TriangleMesh
-from .orientation import HEMISPHERE, OrientationCodebook, ViewPose, bin_orientations
+from .orientation import HEMISPHERE, OrientationCodebook, ViewPose, bin_orientations, row_norms, unit_mask
 
 BACKGROUND_DEPTH = np.inf
 RASTER_CHUNK = 16384  # (face, pixel) candidates tested at once
@@ -70,7 +70,7 @@ class NormalMap:
             raise ValueError("normals, mask and depth shapes disagree")
         if mask.any():
             fg = normals[mask]
-            if np.abs(np.linalg.norm(fg, axis=1) - 1.0).max() > 1e-6:
+            if not unit_mask(fg).all():
                 raise ValueError("masked normals must be unit length")
             if fg[:, 2].min() <= 0.0:
                 raise ValueError("masked normals must face the viewer (z > 0)")
@@ -137,13 +137,13 @@ def _face_setup(verts, faces, us, vs, w, h):
 
     Drops faces with a zero normal, edge-on faces (n_z == 0 after flipping
     the normal towards the viewer), zero screen area and bboxes that hold
-    no pixel center.  The stacked matmuls give the same bits as the 1-d
-    `np.linalg.norm` and `n @ v`, which `np.linalg.norm(axis=1)` and
-    `einsum` do not always do.  Edge arrays are (edge, x|y, face).
+    no pixel center.  The stacked matmul gives the same bits as the 1-d
+    `n @ v`, which `einsum` does not always do.  Edge arrays are
+    (edge, x|y, face).
     """
     va, vb, vc = verts[faces[:, 0]], verts[faces[:, 1]], verts[faces[:, 2]]
     n = np.cross(vb - va, vc - va)
-    length = np.sqrt((n[:, None, :] @ n[:, :, None])[:, 0, 0])
+    length = row_norms(n)
     keep = length != 0.0
     n = n[keep] / length[keep, None]
     n[n[:, 2] < 0.0] *= -1.0
@@ -244,8 +244,6 @@ def labels_to_normals(lm: LabelMap, codebook: OrientationCodebook) -> NormalMap:
     """Lift bins back to their codebook directions; depth stays unknown."""
     if codebook.K != lm.K:
         raise ValueError(f"label map has K={lm.K}, codebook has K={codebook.K}")
-    if lm.labels.size and lm.labels.max() > codebook.K:
-        raise ValueError("label exceeds the codebook size")
     mask = lm.labels < lm.K
     normals = np.zeros((lm.height, lm.width, 3))
     if mask.any():
@@ -265,11 +263,12 @@ def save_normal_map(path_prefix, nm: NormalMap) -> tuple[str, str]:
 
 def load_normal_map(path) -> NormalMap:
     """Rebuild a NormalMap from a 3-channel PFM; the mask comes from the
-    zero-vector background convention and depth is left unknown."""
+    zero-vector background convention and depth is left unknown.  A NaN
+    pixel counts as foreground, so NormalMap rejects it as not unit length."""
     arr = np.asarray(imgfmt.read_pfm(path), dtype=np.float64)
     if arr.ndim != 3:
         raise ValueError("normal maps are 3-channel PFM files")
-    mask = np.linalg.norm(arr, axis=2) > 0.5
+    mask = ~(np.linalg.norm(arr, axis=2) <= 0.5)
     arr[~mask] = 0.0
     depth = np.where(mask, 1.0, BACKGROUND_DEPTH)
     return NormalMap(arr, mask, depth)

@@ -24,7 +24,7 @@ from .errors import (
     RefinementDivergedError,
 )
 from .mesh_io import SurfaceSamples, TriangleMesh, sample_surface
-from .orientation import canonical_sign, sym_angle_deg
+from .orientation import canonical_sign, sym_angle_deg, unit_mask, unit_rows
 
 if TYPE_CHECKING:
     from scipy.spatial import cKDTree
@@ -41,11 +41,10 @@ class SymmetryPlane:
     residual: float = UNSCORED
 
     def __post_init__(self):
-        n = np.asarray(self.normal, dtype=np.float64).reshape(3).copy()
-        length = float(np.linalg.norm(n))
-        if not np.isfinite(length) or abs(length - 1.0) > 1e-6:
+        n = np.asarray(self.normal, dtype=np.float64).reshape(1, 3)
+        if not unit_mask(n)[0]:
             raise ValueError("plane normal must be unit length")
-        n /= length
+        n = unit_rows(n)[0]
         canon = canonical_sign(n)
         b = float(self.offset)
         if float(canon @ n) < 0.0:
@@ -92,10 +91,6 @@ def reflect_points(points, plane: SymmetryPlane) -> np.ndarray:
     pts = np.asarray(points, dtype=np.float64)
     dist = pts @ plane.normal - plane.offset
     return pts - 2.0 * dist[..., None] * plane.normal
-
-
-def reflect_point(point, plane: SymmetryPlane) -> np.ndarray:
-    return reflect_points(np.asarray(point, dtype=np.float64).reshape(3), plane)
 
 
 # A pair can only witness a reflection if that reflection maps its first
@@ -312,14 +307,8 @@ def _cluster_votes(normals, offsets, config, bbox_diagonal):
                 break
         start = k + 1
     order = np.argsort(-np.array(counts), kind="stable")[: config.max_hypotheses]
-    planes = []
-    for j in order:
-        total = np.array(sums[j])
-        mean = total / np.linalg.norm(total)
-        canon = canonical_sign(mean)
-        b = float(b_mean[j]) if float(canon @ mean) >= 0.0 else -float(b_mean[j])
-        planes.append(SymmetryPlane(canon, b))
-    return planes
+    means = unit_rows(np.array(sums)[order])
+    return [SymmetryPlane(mean, float(b_mean[j])) for mean, j in zip(means, order)]
 
 
 def _reference_choice(v, b, sums, counts, b_mean, cos_thresh, b_tol):
@@ -327,7 +316,7 @@ def _reference_choice(v, b, sums, counts, b_mean, cos_thresh, b_tol):
     to open a cluster.  Its representatives are v for a one-vote cluster and
     the normalized sum otherwise, each computed as the reference does."""
     totals = np.array(sums)
-    reps = np.array([t if c == 1 else t / np.linalg.norm(t) for t, c in zip(totals, counts)])
+    reps = np.where(np.array(counts)[:, None] == 1, totals, unit_rows(totals))
     dots = reps @ v
     signs = np.where(dots < 0.0, -1.0, 1.0)
     ok = (np.abs(dots) >= cos_thresh) & (np.abs(np.array(b_mean) - signs * b) <= b_tol)
@@ -414,7 +403,7 @@ def refine_plane_icp(samples: SurfaceSamples, plane: SymmetryPlane, config: Dete
             break
         ds = d[strong]
         _, vecs = np.linalg.eigh(ds.T @ ds)
-        normal = canonical_sign(vecs[:, -1])
+        normal = vecs[:, -1]
         offset = float(normal @ (0.5 * (p + q)).mean(axis=0))
         step_deg = sym_angle_deg(normal, current.normal)
         current = SymmetryPlane(normal, offset)

@@ -275,11 +275,13 @@ def test_eval_commands_score_train_and_test_rows(tmp_path, toy_build):
 
 
 @pytest.mark.parametrize("change, reason", [(1.5, "must be unit length"),
-                                            (-1.0, "must face the viewer")],
-                         ids=["non-unit", "back-facing"])
+                                            (-1.0, "must face the viewer"),
+                                            (np.nan, "must be unit length")],
+                         ids=["non-unit", "back-facing", "nan-pixel"])
 def test_eval_normals_skips_invalid_predicted_normals(tmp_path, toy_build, change, reason):
     """A predicted PFM normal that is not unit length or faces away from the
-    viewer is neither normalized nor flipped: its image is skipped."""
+    viewer is neither normalized nor flipped, and a NaN pixel is not taken
+    for background: its image is skipped."""
     from symnorm.imgfmt import write_pfm
     _, _, out = toy_build
     _, records = read_manifest(out / "manifest.tsv")
@@ -290,7 +292,10 @@ def test_eval_normals_skips_invalid_predicted_normals(tmp_path, toy_build, chang
         shutil.copy(out / r.normal_map_path, dst)
     victim = record_image_id(records[0])
     normals = read_pfm(pred_dir / (victim + "_normal.pfm")).copy()
-    if change < 0.0:
+    if np.isnan(change):
+        y, x = np.argwhere(np.any(normals != 0.0, axis=2))[0]
+        normals[y, x] = change
+    elif change < 0.0:
         normals[..., 2] *= change
     else:
         normals *= change
@@ -403,7 +408,7 @@ QUICK_DETECT_KEYS = "sample_count = 1000\npair_count = 4000\nmax_hypotheses = 8\
 @pytest.mark.parametrize("case", ["config-dir", "config-0xff", "predictions-0xff",
                                   "manifest-dir", "manifest-0xff", "detect-out-dir",
                                   "eval-sym-no-codebook", "eval-sym-malformed-codebook",
-                                  "eval-normals-no-normal-codebook"])
+                                  "eval-sym-late-codebook", "eval-normals-no-normal-codebook"])
 def test_unreadable_input_exits_2(tmp_path, cuboid_obj, capsys, case):
     from symnorm.dataset import MANIFEST_FIELDS, write_manifest
     from symnorm.orientation import HEMISPHERE, HORIZONTAL_CIRCLE, fibonacci_codebook
@@ -436,6 +441,11 @@ def test_unreadable_input_exits_2(tmp_path, cuboid_obj, capsys, case):
         argv, named, header = eval_sym, manifest, "#codebook:"
     elif case == "eval-sym-malformed-codebook":
         manifest.write_text("#codebook:\tsupport=horizontal_circle\tk=ten\n" + fields_line)
+        argv, named, header = eval_sym, manifest, "#codebook:"
+    elif case == "eval-sym-late-codebook":
+        row = ["m0", "airplane", "m0.obj", "0.0,0.0,0.0", "n.pfm", "l.pgm", "0" * 10, "V_N", "test"]
+        with open(manifest, "a", encoding="utf-8") as fh:
+            fh.write("\t".join(row) + "\n#codebook:\tsupport=horizontal_circle\tk=20\n")
         argv, named, header = eval_sym, manifest, "#codebook:"
     elif case == "eval-normals-no-normal-codebook":
         manifest.write_text("#codebook:\tsupport=horizontal_circle\tk=10\n" + fields_line)

@@ -209,6 +209,33 @@ def test_manifest_rejects_malformed_symmetry_label(tmp_path, bits):
         read_manifest(path)
 
 
+LATE_CODEBOOK = "#codebook:\tsupport=horizontal_circle\tk=20"
+ROW = "\t".join(["m0", "airplane", "m0.obj", "{pose}", "airplane/m0/v000_normal.pfm",
+                 "airplane/m0/v000_labels.pgm", "1010", "V_N", "train"])
+
+
+@pytest.mark.parametrize("extra, lineno, reason", [
+    ([ROW.format(pose="0.0,0.0,0.0"), LATE_CODEBOOK], 6, "#codebook: header must come once"),
+    ([ROW.format(pose="0.0,0.0,0.0"), "#normal_codebook:\tsupport=hemisphere\tk=60"], 6,
+     "#normal_codebook: header must come once"),
+    ([LATE_CODEBOOK, ROW.format(pose="0.0,0.0,0.0")], 5, "#codebook: header must come once"),
+    ([ROW.format(pose="0.0,nan,0.0")], 5, "elevation must be finite"),
+    ([ROW.format(pose="0.0,inf,0.0")], 5, "elevation must be finite"),
+    ([ROW.format(pose="nan,0.0,0.0")], 5, "azimuth"),
+    ([ROW.format(pose="0.0,0.0,-inf")], 5, "cyclo"),
+], ids=["late-codebook", "late-normal-codebook", "repeated-codebook", "nan-elevation",
+        "inf-elevation", "nan-azimuth", "inf-cyclo"])
+def test_manifest_rejects_misplaced_header_and_non_finite_pose(tmp_path, extra, lineno, reason):
+    path = tmp_path / "manifest.tsv"
+    write_manifest(path, [], fibonacci_codebook(4, HORIZONTAL_CIRCLE),
+                   fibonacci_codebook(60, HEMISPHERE), "V_N")
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.write("\n".join(extra) + "\n")
+    from symnorm.errors import InputError
+    with pytest.raises(InputError, match=f"line {lineno}: .*{reason}"):
+        read_manifest(path)
+
+
 def test_write_manifest_header_shape(tmp_path):
     path = tmp_path / "manifest.tsv"
     write_manifest(path, [], fibonacci_codebook(10, HORIZONTAL_CIRCLE),

@@ -15,14 +15,16 @@ from symnorm.orientation import (
     V_N,
     OrientationCodebook,
     ViewPose,
-    bin_orientation,
     bin_orientations,
     canonical_sign,
     euler_to_rotation,
     fibonacci_codebook,
     make_symmetry_label,
     rotate_orientations,
+    row_norms,
     sample_view,
+    unit_mask,
+    unit_rows,
     view_distribution,
 )
 
@@ -105,6 +107,69 @@ def test_codebook_header_rejects_malformed(text):
         OrientationCodebook.from_header(text)
 
 
+def per_row_norms(vectors):
+    """The oracle: each row's 1-d `np.linalg.norm`, one row at a time."""
+    return np.array([np.linalg.norm(v) for v in vectors])
+
+
+@pytest.mark.parametrize("scale", [None, 1e-3, 1.0, 1e3], ids=["near-unit", "1e-3", "1", "1e3"])
+def test_row_norms_and_unit_rows_match_per_row_oracle(scale):
+    rng = np.random.default_rng(7)
+    vs = rng.normal(size=(20000, 3))
+    if scale is None:
+        vs = vs / per_row_norms(vs)[:, None] * (1.0 + 1e-9 * rng.normal(size=(len(vs), 1)))
+    else:
+        vs *= scale
+    want = per_row_norms(vs)
+    assert row_norms(vs).tobytes() == want.tobytes()
+    assert unit_rows(vs).tobytes() == np.array([v / n for v, n in zip(vs, want)]).tobytes()
+
+
+def test_unit_mask_tolerance_and_non_finite():
+    rows = [[0.0, 0.0, 1.0], [0.0, 0.0, 1.0 + 5e-7], [0.0, 0.0, 1.0 + 2e-6], [0.0, 0.0, 0.0],
+            [np.nan, 0.0, 0.0], [0.0, np.inf, 0.0], [np.nan] * 3]
+    assert unit_mask(rows).tolist() == [True, True, False, False, False, False, False]
+    assert unit_mask(np.empty((0, 3))).tolist() == []
+
+
+def _reject_plane(v):
+    from symnorm.symmetry import SymmetryPlane
+    SymmetryPlane(v, 0.0)
+
+
+def _reject_bin(v):
+    bin_orientations(fibonacci_codebook(10, FULL_SPHERE), v)
+
+
+def _reject_normal_map(v):
+    from symnorm.render import NormalMap
+    normals = np.zeros((1, 2, 3))
+    normals[0, 0] = [0.0, 0.0, 1.0]
+    normals[0, 1] = v
+    NormalMap(normals, np.ones((1, 2), dtype=bool), np.ones((1, 2)))
+
+
+def _reject_angle(v):
+    from symnorm.evaluation import angular_distance_sym
+    angular_distance_sym([0.0, 0.0, 1.0], v)
+
+
+def _reject_prediction(v):
+    from symnorm.evaluation import bad_prediction_row
+    bad = bad_prediction_row(np.array([[0.0, 0.0, 1.0, 0.5], [*v, 0.5]]))
+    if bad is not None:
+        raise ValueError(f"prediction {bad[0]}: {bad[1]}")
+
+
+@pytest.mark.parametrize("value", [[np.nan, 0.0, 1.0], [0.0, 0.0, np.inf], [np.nan] * 3,
+                                   [0.0, -np.inf, np.nan]], ids=["nan", "inf", "all-nan", "mixed"])
+@pytest.mark.parametrize("site", [_reject_plane, _reject_bin, _reject_normal_map, _reject_angle,
+                                  _reject_prediction], ids=lambda f: f.__name__[8:])
+def test_every_unit_check_rejects_non_finite(site, value):
+    with pytest.raises(ValueError, match="unit length"):
+        site(np.array(value))
+
+
 def test_codebook_directions_unit_within_1e9():
     for support, K in ((FULL_SPHERE, 60), (HEMISPHERE, 60), (HORIZONTAL_CIRCLE, 10)):
         cb = fibonacci_codebook(K, support)
@@ -113,9 +178,9 @@ def test_codebook_directions_unit_within_1e9():
 
 def test_bin_self_and_sign_invariance():
     cb = fibonacci_codebook(12, FULL_SPHERE)
-    assert bin_orientation(cb, cb.directions[5]) == 5
-    assert bin_orientation(cb, -cb.directions[5], sign_invariant=True) == 5
-    assert bin_orientation(cb, -cb.directions[5], sign_invariant=False) != 5
+    assert bin_orientations(cb, cb.directions[5]).tolist() == [5]
+    assert bin_orientations(cb, -cb.directions[5], sign_invariant=True).tolist() == [5]
+    assert bin_orientations(cb, -cb.directions[5], sign_invariant=False).tolist() != [5]
 
 
 def test_bin_idempotent_on_every_codebook_member():
@@ -128,7 +193,7 @@ def test_bin_exact_tie_breaks_to_lowest_index():
     cb = fibonacci_codebook(10, HORIZONTAL_CIRCLE)
     # (0,0,1) is orthogonal to every horizontal direction: all scores are
     # exactly 0.0, so the argmax must return index 0
-    assert bin_orientation(cb, np.array([0.0, 0.0, 1.0]), sign_invariant=True) == 0
+    assert bin_orientations(cb, np.array([0.0, 0.0, 1.0]), sign_invariant=True).tolist() == [0]
 
 
 def test_bin_midpoint_of_adjacent_directions():
@@ -139,13 +204,13 @@ def test_bin_midpoint_of_adjacent_directions():
     # the two scores tie up to float rounding; whichever ulp wins, the bin
     # must be one of the two nearest directions
     assert abs(scores[0] - scores[1]) < 1e-14
-    assert bin_orientation(cb, mid) in (0, 1)
+    assert bin_orientations(cb, mid)[0] in (0, 1)
 
 
 def test_bin_rejects_non_unit():
     cb = fibonacci_codebook(6, FULL_SPHERE)
     with pytest.raises(ValueError):
-        bin_orientation(cb, np.array([0.0, 0.0, 0.5]))
+        bin_orientations(cb, np.array([0.0, 0.0, 0.5]))
 
 
 def test_bin_orientations_matches_scalar():
@@ -155,7 +220,7 @@ def test_bin_orientations_matches_scalar():
     vs[:, 2] = np.abs(vs[:, 2])
     vs /= np.linalg.norm(vs, axis=1, keepdims=True)
     batch = bin_orientations(cb, vs)
-    assert [bin_orientation(cb, v) for v in vs] == batch.tolist()
+    assert [bin_orientations(cb, v)[0] for v in vs] == batch.tolist()
 
 
 @pytest.mark.parametrize("k, support", [(10, HORIZONTAL_CIRCLE), (60, HEMISPHERE), (200, FULL_SPHERE)])
@@ -290,8 +355,8 @@ def test_binning_sign_invariance_property(seed):
     cb = fibonacci_codebook(24, FULL_SPHERE)
     v = np.random.default_rng(seed).normal(size=3)
     v /= np.linalg.norm(v)
-    assert bin_orientation(cb, v, sign_invariant=True) == \
-        bin_orientation(cb, -v, sign_invariant=True)
+    assert np.array_equal(bin_orientations(cb, v, sign_invariant=True),
+                          bin_orientations(cb, -v, sign_invariant=True))
 
 
 @given(unit_angles, unit_angles, unit_angles)

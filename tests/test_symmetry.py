@@ -21,7 +21,6 @@ from symnorm.symmetry import (
     generate_hypotheses,
     read_planes,
     refine_plane_icp,
-    reflect_point,
     reflect_points,
     score_plane,
     write_planes,
@@ -51,10 +50,10 @@ def perturbed(normal, angle_deg, rng):
 
 def test_reflect_examples():
     z0 = SymmetryPlane(np.array([0.0, 0.0, 1.0]), 0.0)
-    assert reflect_point(np.array([1.0, 2.0, 3.0]), z0).tolist() == [1.0, 2.0, -3.0]
-    assert reflect_point(np.array([4.0, -1.0, 0.0]), z0).tolist() == [4.0, -1.0, 0.0]
+    assert reflect_points(np.array([1.0, 2.0, 3.0]), z0).tolist() == [1.0, 2.0, -3.0]
+    assert reflect_points(np.array([4.0, -1.0, 0.0]), z0).tolist() == [4.0, -1.0, 0.0]
     x_half = SymmetryPlane(np.array([1.0, 0.0, 0.0]), 0.5)
-    assert reflect_point(np.array([2.0, 0.0, 0.0]), x_half).tolist() == [-1.0, 0.0, 0.0]
+    assert reflect_points(np.array([2.0, 0.0, 0.0]), x_half).tolist() == [-1.0, 0.0, 0.0]
 
 
 @given(st.integers(min_value=0, max_value=2 ** 31 - 1))
