@@ -123,18 +123,21 @@ def cmd_eval_sym(args, cfg: RunConfig) -> int:
         preds.append(predictions.get(record_image_id(r), np.empty((0, 4))))
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    rows = []
+    rows, empty = [], []
     for category in sorted(by_category):
         gts, preds = by_category[category]
         n_gt = sum(len(g) for g in gts)
         n_pred = sum(len(p) for p in preds)
         if n_gt == 0:
-            logger.warning("category %s has no ground-truth planes; skipped", category)
+            empty.append(category)
             continue
         curve = evaluation.ap_symmetry(gts, preds, cfg.theta_deg)
         rows.append((category, curve.ap, n_gt, n_pred))
         csv = "recall,precision\n" + "".join(f"{float(r)!r},{float(p)!r}\n" for r, p in curve.points)
         util.atomic_write_text(out_dir / f"{category}_pr.csv", csv)
+    if empty:
+        logger.warning("category has no ground-truth planes, skipped (%d of %d): %s",
+                       len(empty), len(by_category), ", ".join(empty))
     if not rows:
         raise InputError("no category had ground-truth planes")
     macro = float(np.mean([ap for _, ap, _, _ in rows]))

@@ -123,11 +123,13 @@ class SampleRecord:
     split: str
 
 
+LABEL_MAP_SUFFIX = "_labels.pgm"
+
+
 def record_image_id(record: SampleRecord) -> str:
-    suffix = "_labels.pgm"
-    if not record.label_map_path.endswith(suffix):
+    if not record.label_map_path.endswith(LABEL_MAP_SUFFIX):
         raise ValueError(f"unexpected label map path {record.label_map_path!r}")
-    return record.label_map_path[: -len(suffix)]
+    return record.label_map_path[: -len(LABEL_MAP_SUFFIX)]
 
 
 MANIFEST_FIELDS = ("model_id", "category", "obj_path", "pose", "normal_map_path",
@@ -192,6 +194,9 @@ def read_manifest(path):
                 pose = ViewPose(az, el, cy)
             except ValueError as exc:
                 raise InputError(f"{path}: line {lineno}: bad pose {pose_s!r}: {exc}") from None
+            if not lm_path.endswith(LABEL_MAP_SUFFIX):
+                raise InputError(f"{path}: line {lineno}: label_map_path {lm_path!r} does not "
+                                 f"end in {LABEL_MAP_SUFFIX}")
             if label_k is None:
                 if "codebook" not in meta:
                     raise InputError(f"{path}: line {lineno}: no #codebook: header "
@@ -293,14 +298,14 @@ def _model_records(obj_path, category, split, out_dir, config, codebook, normal_
         label = make_symmetry_label(rotated, codebook)
         rel = f"{category}/{model_id}/v{view:03d}"
         save_normal_map(out_dir / rel, nm)
-        save_label_map(out_dir / f"{rel}_labels.pgm", lm)
+        save_label_map(out_dir / f"{rel}{LABEL_MAP_SUFFIX}", lm)
         records.append(SampleRecord(
             model_id=model_id,
             category=category,
             obj_path=os.path.relpath(obj_path, out_dir),
             pose=pose,
             normal_map_path=f"{rel}_normal.pfm",
-            label_map_path=f"{rel}_labels.pgm",
+            label_map_path=f"{rel}{LABEL_MAP_SUFFIX}",
             symmetry_label=label,
             view_setting=config.view_setting,
             split=split,

@@ -263,12 +263,13 @@ def save_normal_map(path_prefix, nm: NormalMap) -> tuple[str, str]:
 
 def load_normal_map(path) -> NormalMap:
     """Rebuild a NormalMap from a 3-channel PFM; the mask comes from the
-    zero-vector background convention and depth is left unknown.  A NaN
-    pixel counts as foreground, so NormalMap rejects it as not unit length."""
+    zero-vector background convention and depth is left unknown.  Only an
+    exact zero vector is background: any other pixel, a short or a NaN one
+    included, is foreground, so NormalMap rejects it unless it is unit length."""
     arr = np.asarray(imgfmt.read_pfm(path), dtype=np.float64)
     if arr.ndim != 3:
         raise ValueError("normal maps are 3-channel PFM files")
-    mask = ~(np.linalg.norm(arr, axis=2) <= 0.5)
+    mask = np.any(arr != 0.0, axis=2)
     arr[~mask] = 0.0
     depth = np.where(mask, 1.0, BACKGROUND_DEPTH)
     return NormalMap(arr, mask, depth)

@@ -175,22 +175,8 @@ def _density_order(normals, offsets, config, bbox_diagonal):
     return np.argsort(-counts, kind="stable")
 
 
-# The clustering sweep takes the votes in blocks of CLUSTER_BLOCK.  One
-# matrix product per block gives each vote its near clusters: those within
-# the cluster angle plus NEAR_ANGLE_DEG and the offset tolerance plus
-# NEAR_OFFSET of it, judged by the representatives and mean offsets the
-# block started with.  A cluster that opens in the block, or whose
-# representative or mean offset moves DRIFT of the way to those margins,
-# goes on a watch list that every later vote of the block also tests; a
-# block ends early once more than WATCH_LIMIT clusters are watched.  Any
-# cluster outside both lists is more than 0.1 degrees or 0.025 of the
-# offset tolerance from qualifying.  A decision within CLOSE_CALL of a
-# threshold or of a tie goes to `_reference_choice`.
-CLUSTER_BLOCK = 128
-NEAR_ANGLE_DEG = 1.0
-NEAR_OFFSET = 0.25
-DRIFT = 0.9
-WATCH_LIMIT = 48
+# A decision within CLOSE_CALL of a threshold or of a tie goes to
+# `_reference_choice`.
 CLOSE_CALL = 1e-9
 
 
@@ -207,59 +193,42 @@ def _cluster_votes(normals, offsets, config, bbox_diagonal):
     near the canonicalization boundary must not split into antipodal
     half-clusters.
 
-    Only the near and watched clusters (see CLUSTER_BLOCK) are tested, in
-    Python floats.  Sums, offset sums and counts take the same IEEE adds in
-    the same order as the per-vote reference, so they and the mean offsets
-    are bit-identical to it; the representatives kept here are rounded
-    differently and only steer decisions, and a decision they cannot settle
-    is made by the reference rule on the reference representatives.
+    Candidates come from a uniform grid whose cell edge is the chord of the
+    angle window: a representative within the window lies within one chord
+    of v or -v in every coordinate, so each cluster is filed in the 27 cells
+    around its representative's and a vote tests the clusters filed at the
+    cells of v and -v.  Sums, offset sums and counts take the reference's
+    IEEE adds in its order, so they and the mean offsets are bit-identical
+    to it; the representatives kept here are rounded differently and only
+    steer, and a decision they cannot settle goes to the reference rule.
     """
     cos_thresh = float(np.cos(np.radians(config.cluster_angle_deg)))
     b_tol = config.cluster_offset_frac * bbox_diagonal
-    near_cos = math.cos(math.radians(config.cluster_angle_deg + NEAR_ANGLE_DEG))
-    near_b = (1.0 + NEAR_OFFSET) * b_tol
-    drift_cos = math.cos(math.radians(DRIFT * NEAR_ANGLE_DEG))
-    drift_b = DRIFT * NEAR_OFFSET * b_tol
     cos_lo, cos_hi = cos_thresh - CLOSE_CALL, cos_thresh + CLOSE_CALL
     b_lo, b_hi = b_tol - CLOSE_CALL * bbox_diagonal, b_tol + CLOSE_CALL * bbox_diagonal
-    reps, sums, b_sum, b_mean, counts = [], [], [], [], []
-    # reps and b_mean as numpy rows, refreshed at each block's start
-    rep_rows, mean_rows = np.empty((len(normals), 3)), np.empty(len(normals))
-    changed = set()
-    start = 0
-    while start < len(normals):
-        stop = min(start + CLUSTER_BLOCK, len(normals))
-        m = len(reps)
-        if changed:
-            stale = list(changed)
-            rep_rows[stale] = [reps[j] for j in stale]
-            mean_rows[stale] = [b_mean[j] for j in stale]
-            changed.clear()
-        block_reps, block_b = list(reps), list(b_mean)
-        # Python floats one block at a time: lists of every vote would raise
-        # the process's peak memory by more than the whole sweep needs
-        votes, vote_b = normals[start:stop].tolist(), offsets[start:stop].tolist()
-        near = [[] for _ in votes]
-        if m:
-            dots = normals[start:stop] @ rep_rows[:m].T
-            np.abs(dots, out=dots)
-            rows, cols = np.divmod(np.flatnonzero(dots >= near_cos), m)
-            # ||mean| - |b|| is the offset gap under the better sign: a vote's
-            # sign against a rep may flip as the rep drifts once the widened
-            # angle window reaches 90 degrees
-            keep = np.abs(np.abs(mean_rows[cols]) - np.abs(offsets[start + rows])) <= near_b
-            cuts = np.searchsorted(rows[keep], np.arange(stop - start + 1)).tolist()
-            cols = cols[keep].tolist()
-            near = [cols[lo:hi] for lo, hi in zip(cuts, cuts[1:])]
-        watch = []
-        for k in range(start, stop):
-            i = k - start
-            vx, vy, vz = votes[i]
+    # widened so that rounding in the dot products and the cell divisions
+    # cannot put a representative in the window two cells from v or -v
+    edge = math.sqrt(2.0 - 2.0 * cos_lo) * (1.0 + 1e-6)
+    # cell (i, j, k) has the key (i * size + j) * size + k, which is unique
+    # while the indices of every cell and its neighbours stay below size / 2
+    size = 2 * math.floor(1.0 / edge) + 5
+    around = [(dx * size + dy) * size + dz
+              for dx in (-1, 0, 1) for dy in (-1, 0, 1) for dz in (-1, 0, 1)]
+    grid = {}
+    reps, sums, b_sum, b_mean, counts, cells = [], [], [], [], [], []
+    # Python floats one chunk at a time: lists of every vote would raise the
+    # process's peak memory by more than the whole clustering needs
+    for start in range(0, len(normals), 1024):
+        chunk = normals[start:start + 1024]
+        votes, vote_b = chunk.tolist(), offsets[start:start + 1024].tolist()
+        plus = (np.floor(chunk / edge).astype(np.int64) @ [size * size, size, 1]).tolist()
+        minus = (np.floor(-chunk / edge).astype(np.int64) @ [size * size, size, 1]).tolist()
+        for i, (vx, vy, vz) in enumerate(votes):
             b = vote_b[i]
-            candidates = near[i] + watch if watch else near[i]
             best, best_s, best_a, second_a = -1, 1.0, 0.0, 0.0
             close = False
-            for j in candidates:  # a cluster can be both near and watched
+            near, far = grid.get(plus[i], []), grid.get(minus[i])
+            for j in near + far if far else near:
                 rx, ry, rz = reps[j]
                 d = rx * vx + ry * vy + rz * vz
                 s = -1.0 if d < 0.0 else 1.0
@@ -277,16 +246,16 @@ def _cluster_votes(normals, offsets, config, bbox_diagonal):
                 elif a > second_a and j != best:
                     second_a = a
             if close or (second_a > 0.0 and best_a - second_a <= CLOSE_CALL):
-                best, best_s = _reference_choice(normals[k], offsets[k], sums, counts, b_mean,
-                                                 cos_thresh, b_tol)
+                best, best_s = _reference_choice(normals[start + i], offsets[start + i], sums,
+                                                 counts, b_mean, cos_thresh, b_tol)
             if best < 0:
-                watch.append(len(reps))
-                changed.add(len(reps))
+                best = len(reps)
                 reps.append(votes[i])
                 sums.append([vx, vy, vz])
                 b_sum.append(b)
                 b_mean.append(b)
                 counts.append(1)
+                cells.append(None)
             else:
                 total = sums[best]
                 total[0] += best_s * vx
@@ -294,18 +263,18 @@ def _cluster_votes(normals, offsets, config, bbox_diagonal):
                 total[2] += best_s * vz
                 b_sum[best] += best_s * b
                 counts[best] += 1
-                changed.add(best)
                 b_mean[best] = b_sum[best] / counts[best]
                 length = math.sqrt(total[0] * total[0] + total[1] * total[1] + total[2] * total[2])
-                rx, ry, rz = reps[best] = (total[0] / length, total[1] / length, total[2] / length)
-                if best < len(block_reps) and best not in watch:
-                    ox, oy, oz = block_reps[best]
-                    if rx * ox + ry * oy + rz * oz < drift_cos or \
-                            abs(b_mean[best] - block_b[best]) > drift_b:
-                        watch.append(best)
-            if len(watch) > WATCH_LIMIT:
-                break
-        start = k + 1
+                reps[best] = (total[0] / length, total[1] / length, total[2] / length)
+            rx, ry, rz = reps[best]
+            key = (math.floor(rx / edge) * size + math.floor(ry / edge)) * size + math.floor(rz / edge)
+            if key != cells[best]:  # file the cluster around its new cell
+                if cells[best] is not None:
+                    for step in around:
+                        grid[cells[best] + step].remove(best)
+                for step in around:
+                    grid.setdefault(key + step, []).append(best)
+                cells[best] = key
     order = np.argsort(-np.array(counts), kind="stable")[: config.max_hypotheses]
     means = unit_rows(np.array(sums)[order])
     return [SymmetryPlane(mean, float(b_mean[j])) for mean, j in zip(means, order)]

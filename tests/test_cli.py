@@ -1,3 +1,4 @@
+import logging
 import os
 import shutil
 import subprocess
@@ -153,6 +154,24 @@ def test_eval_sym_empty_predictions(tmp_path, toy_build):
     assert int(n_gt) > 0 and int(n_pred) == 0
 
 
+def test_eval_sym_logs_one_line_for_categories_without_planes(tmp_path, toy_build, caplog):
+    _, _, out = toy_build
+    manifest = out / "manifest.tsv"
+    k = read_manifest(manifest)[0]["codebook"].K
+    rows = ["\t".join([f"{c}0", c, "m.obj", "0.0,0.0,0.0", f"{c}/v_normal.pfm",
+                       f"{c}/v_labels.pgm", "0" * k, "V_N", "test"]) for c in ("bench", "chair")]
+    manifest.write_text(manifest.read_text() + "\n".join(rows) + "\n")
+    pred_file = tmp_path / "empty.tsv"
+    pred_file.write_text("")
+    rep = tmp_path / "rep"
+    with caplog.at_level(logging.WARNING):
+        assert main(["eval-sym", str(manifest), str(pred_file), "--out-dir", str(rep)]) == 0
+    assert [m for m in caplog.messages if "ground-truth planes" in m] == \
+        ["category has no ground-truth planes, skipped (2 of 3): bench, chair"]
+    report = (rep / "report.tsv").read_text().splitlines()
+    assert [l.split("\t")[0] for l in report] == ["category", "airplane", "macro"]
+
+
 def test_eval_sym_rejects_unknown_image_ids(tmp_path, toy_build):
     _, _, out = toy_build
     pred_file = tmp_path / "stray.tsv"
@@ -276,12 +295,13 @@ def test_eval_commands_score_train_and_test_rows(tmp_path, toy_build):
 
 @pytest.mark.parametrize("change, reason", [(1.5, "must be unit length"),
                                             (-1.0, "must face the viewer"),
-                                            (np.nan, "must be unit length")],
-                         ids=["non-unit", "back-facing", "nan-pixel"])
+                                            ((np.nan,) * 3, "must be unit length"),
+                                            ((0.0, 0.0, 0.4), "must be unit length")],
+                         ids=["non-unit", "back-facing", "nan-pixel", "short-pixel"])
 def test_eval_normals_skips_invalid_predicted_normals(tmp_path, toy_build, change, reason):
     """A predicted PFM normal that is not unit length or faces away from the
-    viewer is neither normalized nor flipped, and a NaN pixel is not taken
-    for background: its image is skipped."""
+    viewer is neither normalized nor flipped, and a NaN or short non-zero
+    pixel is not taken for background: its image is skipped."""
     from symnorm.imgfmt import write_pfm
     _, _, out = toy_build
     _, records = read_manifest(out / "manifest.tsv")
@@ -292,7 +312,7 @@ def test_eval_normals_skips_invalid_predicted_normals(tmp_path, toy_build, chang
         shutil.copy(out / r.normal_map_path, dst)
     victim = record_image_id(records[0])
     normals = read_pfm(pred_dir / (victim + "_normal.pfm")).copy()
-    if np.isnan(change):
+    if isinstance(change, tuple):
         y, x = np.argwhere(np.any(normals != 0.0, axis=2))[0]
         normals[y, x] = change
     elif change < 0.0:
@@ -408,7 +428,9 @@ QUICK_DETECT_KEYS = "sample_count = 1000\npair_count = 4000\nmax_hypotheses = 8\
 @pytest.mark.parametrize("case", ["config-dir", "config-0xff", "predictions-0xff",
                                   "manifest-dir", "manifest-0xff", "detect-out-dir",
                                   "eval-sym-no-codebook", "eval-sym-malformed-codebook",
-                                  "eval-sym-late-codebook", "eval-normals-no-normal-codebook"])
+                                  "eval-sym-late-codebook", "eval-normals-no-normal-codebook",
+                                  "eval-sym-bad-label-path", "eval-normals-bad-label-path",
+                                  "baseline-bad-label-path"])
 def test_unreadable_input_exits_2(tmp_path, cuboid_obj, capsys, case):
     from symnorm.dataset import MANIFEST_FIELDS, write_manifest
     from symnorm.orientation import HEMISPHERE, HORIZONTAL_CIRCLE, fibonacci_codebook
@@ -421,7 +443,12 @@ def test_unreadable_input_exits_2(tmp_path, cuboid_obj, capsys, case):
     preds.write_text("")
     detect = ["detect", str(cuboid_obj), "--out", str(tmp_path / "o.txt")]
     eval_sym = ["eval-sym", str(manifest), str(preds), "--out-dir", str(tmp_path / "rep")]
+    eval_normals = ["eval-normals", str(manifest), str(tmp_path),
+                    "--out-dir", str(tmp_path / "rep")]
+    baseline = ["baseline", str(manifest), "--out", str(tmp_path / "b.tsv")]
     fields_line = "#fields:\t" + "\t".join(MANIFEST_FIELDS) + "\n"
+    row = ["m0", "airplane", "m0.obj", "0.0,0.0,0.0", "n.pfm", "m0_labels.pgm", "0" * 10, "V_N",
+           "test"]
     named, header = tmp_path, None
     if case == "config-dir":
         argv = detect + ["--config", str(tmp_path)]
@@ -443,14 +470,19 @@ def test_unreadable_input_exits_2(tmp_path, cuboid_obj, capsys, case):
         manifest.write_text("#codebook:\tsupport=horizontal_circle\tk=ten\n" + fields_line)
         argv, named, header = eval_sym, manifest, "#codebook:"
     elif case == "eval-sym-late-codebook":
-        row = ["m0", "airplane", "m0.obj", "0.0,0.0,0.0", "n.pfm", "l.pgm", "0" * 10, "V_N", "test"]
         with open(manifest, "a", encoding="utf-8") as fh:
             fh.write("\t".join(row) + "\n#codebook:\tsupport=horizontal_circle\tk=20\n")
         argv, named, header = eval_sym, manifest, "#codebook:"
     elif case == "eval-normals-no-normal-codebook":
         manifest.write_text("#codebook:\tsupport=horizontal_circle\tk=10\n" + fields_line)
-        argv = ["eval-normals", str(manifest), str(tmp_path), "--out-dir", str(tmp_path / "rep")]
-        named, header = manifest, "#normal_codebook:"
+        argv, named, header = eval_normals, manifest, "#normal_codebook:"
+    elif case.endswith("-bad-label-path"):
+        row[5] = "m0_label.pgm"
+        with open(manifest, "a", encoding="utf-8") as fh:
+            fh.write("\t".join(row) + "\n")
+        argv = {"eval-sym": eval_sym, "eval-normals": eval_normals,
+                "baseline": baseline}[case.removesuffix("-bad-label-path")]
+        named, header = manifest, "m0_label.pgm"
     else:
         argv = ["detect", str(cuboid_obj), "--out", str(tmp_path), "--config", str(cfg)]
     assert main(argv) == 2

@@ -209,12 +209,24 @@ def test_cluster_sweep_matches_oracle_on_adversarial_votes(monkeypatch):
     calls = count_reference_choices(monkeypatch)
     rng = np.random.default_rng(2024)
     for case in range(40):
-        config = DetectorConfig(cluster_angle_deg=float(rng.choice([5.0, 10.0, 30.0, 89.5])),
+        angle = rng.choice([0.05, 0.5, 5.0, 10.0, 30.0, 89.5, 89.9])
+        config = DetectorConfig(cluster_angle_deg=float(angle),
                                 cluster_offset_frac=float(rng.choice([0.05, 0.2])))
         n = int(rng.integers(1, 400))
         normals, offsets = adversarial_votes(rng, n, config)
         assert_clusters_match_oracle(normals, offsets, config, 1.0)
     assert calls  # the tilted votes put some decisions on the threshold
+
+
+def test_cluster_sweep_finds_a_representative_across_a_cell_boundary():
+    # the representative sits on the grid plane x = 0 and the vote lies
+    # almost one chord of the angle window to its -x side: the two fall in
+    # adjacent cells only if the cell edge is at least that chord
+    config = DetectorConfig()
+    theta = np.radians(config.cluster_angle_deg - 0.01)
+    normals = np.array([[0.0, 0.0, 1.0], [-np.sin(theta), 0.0, np.cos(theta)]])
+    planes = assert_clusters_match_oracle(normals, np.zeros(2), config, 1.0)
+    assert len(planes) == 1
 
 
 def test_cluster_sweep_single_and_identical_votes():
