@@ -23,6 +23,8 @@ from .errors import GeometryError, InputError, SymnormError
 from .mesh_io import parse_obj_file
 from .orientation import VIEW_DISTRIBUTIONS, OrientationCodebook, ViewPose, unit_rows
 from .render import (
+    LABEL_MAP_SUFFIX,
+    NORMAL_MAP_SUFFIX,
     discretize_normal_map,
     labels_to_normals,
     load_label_map,
@@ -61,7 +63,7 @@ def cmd_render(args, cfg: RunConfig) -> int:
     nm = rasterize(mesh, pose, cfg)
     lm = discretize_normal_map(nm, cfg.normal_codebook())
     normal_path, depth_path = save_normal_map(args.out, nm)
-    label_path = f"{args.out}_labels.pgm"
+    label_path = f"{args.out}{LABEL_MAP_SUFFIX}"
     save_label_map(label_path, lm)
     print(f"wrote {normal_path}, {depth_path}, {label_path}")
     return 0
@@ -155,10 +157,10 @@ def cmd_eval_sym(args, cfg: RunConfig) -> int:
 
 
 def _load_prediction_map(pred_dir: Path, image_id: str, codebook):
-    pgm = pred_dir / f"{image_id}_labels.pgm"
+    pgm = pred_dir / f"{image_id}{LABEL_MAP_SUFFIX}"
     if pgm.is_file():
         return labels_to_normals(load_label_map(pgm, codebook.K), codebook)
-    pfm = pred_dir / f"{image_id}_normal.pfm"
+    pfm = pred_dir / f"{image_id}{NORMAL_MAP_SUFFIX}"
     if pfm.is_file():
         return load_normal_map(pfm)
     raise InputError(f"no prediction found for {image_id} under {pred_dir}")

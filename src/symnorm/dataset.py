@@ -30,7 +30,14 @@ from .orientation import (
     sample_view,
     view_distribution,
 )
-from .render import discretize_normal_map, rasterize, save_label_map, save_normal_map
+from .render import (
+    LABEL_MAP_SUFFIX,
+    NORMAL_MAP_SUFFIX,
+    discretize_normal_map,
+    rasterize,
+    save_label_map,
+    save_normal_map,
+)
 from .symmetry import detect_symmetries, write_planes
 
 logger = logging.getLogger(__name__)
@@ -121,9 +128,6 @@ class SampleRecord:
     symmetry_label: np.ndarray  # (K,) bool
     view_setting: str
     split: str
-
-
-LABEL_MAP_SUFFIX = "_labels.pgm"
 
 
 def record_image_id(record: SampleRecord) -> str:
@@ -304,7 +308,7 @@ def _model_records(obj_path, category, split, out_dir, config, codebook, normal_
             category=category,
             obj_path=os.path.relpath(obj_path, out_dir),
             pose=pose,
-            normal_map_path=f"{rel}_normal.pfm",
+            normal_map_path=f"{rel}{NORMAL_MAP_SUFFIX}",
             label_map_path=f"{rel}{LABEL_MAP_SUFFIX}",
             symmetry_label=label,
             view_setting=config.view_setting,

@@ -252,9 +252,14 @@ def labels_to_normals(lm: LabelMap, codebook: OrientationCodebook) -> NormalMap:
     return NormalMap(normals, mask, depth)
 
 
+# suffixes of a view's sidecar files: <prefix>_normal.pfm, <prefix>_labels.pgm
+NORMAL_MAP_SUFFIX = "_normal.pfm"
+LABEL_MAP_SUFFIX = "_labels.pgm"
+
+
 def save_normal_map(path_prefix, nm: NormalMap) -> tuple[str, str]:
     """Persist as <prefix>_normal.pfm (3-channel) and <prefix>_depth.pfm."""
-    normal_path = f"{path_prefix}_normal.pfm"
+    normal_path = f"{path_prefix}{NORMAL_MAP_SUFFIX}"
     depth_path = f"{path_prefix}_depth.pfm"
     imgfmt.write_pfm(normal_path, nm.normals.astype(np.float32))
     imgfmt.write_pfm(depth_path, nm.depth.astype(np.float32))

@@ -331,11 +331,23 @@ def refine_plane_icp(samples: SurfaceSamples, plane: SymmetryPlane, config: Dete
     nearest original, reject matches beyond icp_reject_frac * diagonal, then
     refit the plane from correspondences (p, q): the new normal is the
     principal eigenvector of sum(d d^T) over displaced pairs d = p - q, the
-    new offset places the plane through the mean midpoint.  Iteration stops
-    early once the normal rotates less than icp_converge_deg; every iterate
-    is scored (the matching pass provides the residual for free) and the
+    new offset places the plane through the mean midpoint.  Every iterate is
+    scored (the matching pass provides the residual for free) and the
     best-scoring plane is returned, so the accepted-state residual history
     never increases and the result is never worse than the input hypothesis.
+
+    Iteration stops once the normal rotates less than icp_converge_deg or
+    after icp_max_iters refits; only then is the last refit plane scored once
+    more.  It also stops, with no refit and no rescoring, when the residual
+    trend shows the refinement cannot be accepted: after iteration i >= 1
+    with best residual h_i, at most icp_max_iters - i more planes can be
+    scored (the remaining iterations and the final rescoring), so if even
+    gaining drop = h_(i-1) - h_i on each of them leaves h_i - (icp_max_iters
+    - i) * drop above accept_residual, the best plane so far is returned; its
+    residual is above accept_residual.  Any other exit (no match within the
+    rejection radius, fewer than three displaced matches) also returns the
+    best plane already scored.  The history holds one entry per iteration
+    run plus a last one for the result.
     `tree`, if given, is a cKDTree over samples.points.
     """
     pts = samples.points
@@ -357,6 +369,11 @@ def refine_plane_icp(samples: SurfaceSamples, plane: SymmetryPlane, config: Dete
             best, best_residual = current, residual
         # accepted-state residuals: nonincreasing by construction
         history.append(best_residual)
+        if iteration > 0:
+            # hopeless: gaining the last drop on each score left stays rejected
+            drop = history[-2] - best_residual
+            if best_residual - (config.icp_max_iters - iteration) * drop > config.accept_residual:
+                break
         keep = dists <= reject
         if not keep.any():
             if iteration == 0:
@@ -376,11 +393,11 @@ def refine_plane_icp(samples: SurfaceSamples, plane: SymmetryPlane, config: Dete
         offset = float(normal @ (0.5 * (p + q)).mean(axis=0))
         step_deg = sym_angle_deg(normal, current.normal)
         current = SymmetryPlane(normal, offset)
-        if step_deg < config.icp_converge_deg:
+        if step_deg < config.icp_converge_deg or iteration == config.icp_max_iters - 1:
+            final_residual = score_plane(samples, current, tree=tree)
+            if final_residual < best_residual:
+                best, best_residual = current, final_residual
             break
-    final_residual = score_plane(samples, current, tree=tree)
-    if final_residual < best_residual:
-        best, best_residual = current, final_residual
     history.append(best_residual)
     refined = SymmetryPlane(best.normal, best.offset, best_residual)
     return (refined, history) if return_history else refined
@@ -400,9 +417,14 @@ def dedupe_planes(planes, angle_deg: float) -> list[SymmetryPlane]:
 def detect_symmetries(mesh: TriangleMesh, config: DetectorConfig | None = None) -> list[SymmetryPlane]:
     """Full pipeline; returns deduped planes with residual <= accept_residual.
 
-    An empty list (no error) means no plane passed acceptance.  Hypothesis
-    refinements are independent and their results are collected in
-    hypothesis order, so output is identical to the sequential pipeline.
+    An empty list (no error) means no plane passed acceptance.  A refinement
+    whose residual trend shows it cannot reach accept_residual stops early
+    (see `refine_plane_icp`) and is rejected.  The kept planes are those of
+    full-length refinements (`tests/icp_oracle.py`) unless a stopped
+    refinement would have ended accepted and been kept by dedupe.
+
+    Hypothesis refinements are independent and their results are collected
+    in hypothesis order, so output is identical to the sequential pipeline.
     They run on this thread while each converges at its first iteration
     (two KD-tree queries, about 20 ms): a whole pass of those takes well
     under a second, a second thread saves little of it, and that little

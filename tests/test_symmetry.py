@@ -8,6 +8,7 @@ from scipy.optimize import linear_sum_assignment
 from scipy.spatial import cKDTree
 
 import cluster_oracle
+import icp_oracle
 import shapes
 from symnorm import symmetry
 from symnorm.errors import InputError, InsufficientGeometryError
@@ -329,6 +330,145 @@ def test_icp_monotone_on_fixture_hypotheses():
             continue
         assert refined.residual <= start_residual + 1e-9
         assert all(b <= a + 1e-9 for a, b in zip(history, history[1:]))
+
+
+def counted_refinement(monkeypatch, samples, plane, config):
+    """refine_plane_icp's (plane, history), the KD queries of its loop and
+    how often it rescored a refit plane."""
+    queries, rescores = [], []
+    query, score = symmetry._query_reflected, symmetry.score_plane
+
+    def counted_query(*args):
+        queries.append(1)
+        return query(*args)
+
+    def counted_score(*args, **kwargs):
+        rescores.append(1)
+        return score(*args, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(symmetry, "_query_reflected", counted_query)
+        patch.setattr(symmetry, "score_plane", counted_score)
+        refined, history = refine_plane_icp(samples, plane, config, return_history=True)
+    return refined, history, len(queries) - len(rescores), len(rescores)
+
+
+def plane_bytes(plane):
+    return plane.normal.tobytes(), plane.offset, plane.residual
+
+
+CUBOID_SMALL = DetectorConfig(sample_count=1000, pair_count=5000)
+
+
+def cuboid_hypotheses():
+    samples = sample_surface(shapes.cuboid(), CUBOID_SMALL.sample_count, CUBOID_SMALL.seed)
+    return samples, generate_hypotheses(samples, CUBOID_SMALL)
+
+
+def test_icp_stops_only_refinements_that_end_rejected():
+    """Each refinement either runs as the full-length oracle does, or stops
+    early with the oracle's history up to the stop and a residual above
+    accept_residual, and the stop rule holds at the last iteration run."""
+    samples, hypotheses = cuboid_hypotheses()
+    cfg = CUBOID_SMALL
+    stopped = 0
+    for hypothesis in hypotheses:
+        refined, history = refine_plane_icp(samples, hypothesis, cfg, return_history=True)
+        full, full_history = icp_oracle.refine_plane_icp(samples, hypothesis, cfg, return_history=True)
+        if history == full_history and plane_bytes(refined) == plane_bytes(full):
+            continue
+        stopped += 1
+        i = len(history) - 2  # the last iteration run
+        assert i >= 1 and history[:-1] == full_history[:i + 1] and history[-1] == history[-2]
+        assert history[i] - (cfg.icp_max_iters - i) * (history[i - 1] - history[i]) > cfg.accept_residual
+        assert refined.residual == history[-1] > cfg.accept_residual
+    assert stopped >= len(hypotheses) // 2
+
+
+def test_icp_history_counts_iterations_on_every_exit(monkeypatch):
+    """len(history) - 1 is the number of iterations run and the history never
+    increases, whether a refinement stops early, converges or reaches
+    icp_max_iters: the traced replay reads icp_iters and icp_capped so.  Only
+    a converged or capped refinement rescores its last refit plane."""
+    samples, hypotheses = cuboid_hypotheses()
+    cfg = CUBOID_SMALL
+    exits = {}
+    for hypothesis in hypotheses:
+        _, history, iterations, rescores = counted_refinement(monkeypatch, samples, hypothesis, cfg)
+        assert len(history) - 1 == iterations
+        assert all(b <= a for a, b in zip(history, history[1:]))
+        _, full_history = icp_oracle.refine_plane_icp(samples, hypothesis, cfg, return_history=True)
+        if iterations < len(full_history) - 1:
+            exits.setdefault("stopped", iterations)
+            assert rescores == 0
+        elif rescores:
+            exits.setdefault("converged", iterations)
+    rng = np.random.default_rng(11)
+    pts, n_true, b_true = shapes.mirrored_cloud(rng)
+    pts = pts + rng.normal(scale=1e-3, size=pts.shape)
+    start = SymmetryPlane(perturbed(n_true, 8.0, rng), b_true)
+    capped = replace(DetectorConfig(), icp_converge_deg=1e-12)
+    _, history, iterations, rescores = counted_refinement(monkeypatch, cloud_samples(pts), start, capped)
+    assert len(history) - 1 == iterations == capped.icp_max_iters and rescores == 1
+    assert all(b <= a for a, b in zip(history, history[1:]))
+    assert 1 < exits["converged"] < cfg.icp_max_iters
+    assert 1 < exits["stopped"] < cfg.icp_max_iters
+
+
+@pytest.mark.parametrize("exit_kind", ["no_match", "degenerate"])
+def test_icp_exit_after_an_iteration_reuses_its_score(monkeypatch, exit_kind):
+    """A refinement that runs out of matches (none within the rejection radius,
+    or fewer than three displaced) after its first iteration returns the best
+    plane already scored, without querying the tree again."""
+    rng = np.random.default_rng(13)
+    pts, n_true, b_true = shapes.mirrored_cloud(rng)
+    samples = cloud_samples(pts)
+    start = SymmetryPlane(perturbed(n_true, 8.0, rng), b_true)
+    cfg = replace(DetectorConfig(), accept_residual=1e3)  # never stop for the trend
+    query = symmetry._query_reflected
+    calls = []
+
+    def failing_second_query(tree, points, plane):
+        dists, idx = query(tree, points, plane)
+        calls.append(plane)
+        if len(calls) == 2 and exit_kind == "no_match":
+            dists = dists + 1e3
+        elif len(calls) == 2:
+            idx = np.arange(len(points))  # every point matched to itself
+        return dists, idx
+
+    monkeypatch.setattr(symmetry, "_query_reflected", failing_second_query)
+    refined, history = refine_plane_icp(samples, start, cfg, return_history=True)
+    assert len(calls) == 2 and len(history) == 3
+    first = score_plane(samples, start)
+    second = float(query(cKDTree(pts), pts, calls[1])[0].mean() / samples.bbox_diagonal)
+    if exit_kind == "no_match":
+        assert (refined.normal.tobytes(), refined.offset) == (start.normal.tobytes(), start.offset)
+        assert history == [first, first, first] and refined.residual == first
+    else:
+        assert min(first, second) == refined.residual == history[-1]
+
+
+@pytest.mark.parametrize("config", [DetectorConfig(), shapes.SUITE_CONFIG], ids=["default", "suite"])
+@pytest.mark.parametrize("mesh", [shapes.cuboid, shapes.square_plate, shapes.asymmetric_tetrahedron,
+                                  lambda: shapes.icosphere(1)],
+                         ids=["cuboid", "plate", "tetrahedron", "icosphere1"])
+def test_detect_keeps_the_planes_of_full_length_icp(monkeypatch, mesh, config):
+    """Detection keeps the same plane bytes with the full-length ICP oracle
+    patched in as with the early-stopping refinement."""
+    generate, seen = symmetry.generate_hypotheses, []
+
+    def generate_once(samples, cfg):  # both detections draw the same hypotheses
+        if not seen:
+            seen.append((samples.points.tobytes(), generate(samples, cfg)))
+        assert samples.points.tobytes() == seen[0][0]
+        return seen[0][1]
+
+    monkeypatch.setattr(symmetry, "generate_hypotheses", generate_once)
+    planes = detect_symmetries(mesh(), config)
+    monkeypatch.setattr(symmetry, "refine_plane_icp", icp_oracle.refine_plane_icp)
+    assert [plane_bytes(p) for p in planes] == \
+        [plane_bytes(p) for p in detect_symmetries(mesh(), config)]
 
 
 def test_icp_on_asymmetric_cloud_rejected():
