@@ -10,6 +10,8 @@ prefix of a row's map files, ``<category>/<model_id>/v###``.
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import logging
 import math
 import os
@@ -238,6 +240,17 @@ def build_manifest(corpus_root, out_dir, config: RunConfig = RunConfig()):
     into the view and discretize them into the multilabel target.  A model
     that fails to parse or to detect is skipped with a warning and leaves no
     files.  Returns (records, manifest_path).
+
+    Models are independent, so they are built in a pool of
+    min(models, util.usable_cpu_count()) worker processes, or in this
+    process when that is below 2; each worker still pools its own ICP
+    refinements (see `detect_symmetries`).  The workers are forked, which
+    spares each of them the numpy import; this process has started no
+    thread of its own when it forks.  Results are read in registry order,
+    and only this process logs, counts and writes the manifest, so the
+    files, the manifest and the warnings are the same for any worker count.
+    No worker outlives the call, and an error other than a skip propagates
+    once the pool has shut down.
     """
     corpus_root = Path(corpus_root)
     out_dir = Path(out_dir)
@@ -245,28 +258,42 @@ def build_manifest(corpus_root, out_dir, config: RunConfig = RunConfig()):
     codebook = config.symmetry_codebook()
     normal_codebook = config.normal_codebook()
     out_dir.mkdir(parents=True, exist_ok=True)
-    records = []
+    jobs = []
     missing = []
-    unusable = []
+    usable = {}
     for category in registry.categories:
         cat_dir = corpus_root / category
         if not cat_dir.is_dir():
             missing.append(category)
             continue
+        usable[category] = 0
         model_ids = [p.stem for p in cat_dir.glob("*.obj")]
         split_of = _split_models(model_ids, config.seed, category, config.max_models_per_category)
-        usable = 0
-        for model_id in sorted(split_of):
-            obj_path = cat_dir / f"{model_id}.obj"
-            try:
-                records.extend(_model_records(obj_path, category, split_of[model_id], out_dir,
-                                              config, codebook, normal_codebook))
-            except SymnormError as exc:
-                logger.warning("skipping %s: %s", obj_path, exc)
-                continue
-            usable += 1
-        if usable == 0:
-            unusable.append(category)
+        jobs += [(category, cat_dir / f"{mid}.obj", split_of[mid]) for mid in sorted(split_of)]
+    build = functools.partial(_model_outcome, out_dir=out_dir, config=config,
+                              codebook=codebook, normal_codebook=normal_codebook)
+    workers = min(len(jobs), util.usable_cpu_count())
+    records = []
+    with contextlib.ExitStack() as stack:
+        if workers < 2:
+            outcomes = map(build, jobs)
+        else:
+            # imported here: the eval commands never need them, and they add
+            # to every start-up of the CLI
+            import multiprocessing
+            from concurrent.futures.process import ProcessPoolExecutor
+
+            pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
+            stack.callback(pool.shutdown, cancel_futures=True)
+            futures = [pool.submit(build, job) for job in jobs]
+            outcomes = (future.result() for future in futures)
+        for (category, obj_path, _), outcome in zip(jobs, outcomes):
+            if isinstance(outcome, str):
+                logger.warning("skipping %s: %s", obj_path, outcome)
+            else:
+                records.extend(outcome)
+                usable[category] += 1
+    unusable = [category for category, n in usable.items() if n == 0]
     total = len(registry.categories)
     if missing:
         logger.warning("category has no directory under %s (%d of %d): %s",
@@ -278,6 +305,17 @@ def build_manifest(corpus_root, out_dir, config: RunConfig = RunConfig()):
     manifest_path = out_dir / "manifest.tsv"
     write_manifest(manifest_path, records, codebook, normal_codebook, config.view_setting)
     return records, manifest_path
+
+
+def _model_outcome(job, **context):
+    """One (category, obj_path, split) job's records, or the message of the
+    SymnormError that skips the model: a plain string, so a worker never has
+    to pickle the error itself."""
+    category, obj_path, split = job
+    try:
+        return _model_records(obj_path, category, split, **context)
+    except SymnormError as exc:
+        return str(exc)
 
 
 def _model_records(obj_path, category, split, out_dir, config, codebook, normal_codebook):

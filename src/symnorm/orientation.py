@@ -163,6 +163,11 @@ class ViewPose:
         rot = euler_to_rotation(self.azimuth_deg, self.elevation_deg, self.cyclo_deg)
         object.__setattr__(self, "rotation", util.readonly(rot))
 
+    def __reduce__(self):
+        # rebuilt from the angles, so an unpickled pose's rotation is
+        # read-only too (with the same bits)
+        return ViewPose, (self.azimuth_deg, self.elevation_deg, self.cyclo_deg)
+
 
 @dataclass(frozen=True)
 class ViewDistribution:

@@ -10,7 +10,6 @@ normals are sign-canonicalized so detection output is orientation-unique.
 from __future__ import annotations
 
 import math
-import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
@@ -451,7 +450,7 @@ def detect_symmetries(mesh: TriangleMesh, config: DetectorConfig | None = None) 
         plane, iterations = refine(hypothesis)
         refined.append(plane)
         rest = hypotheses[k + 1:]
-        workers = min(len(rest), os.cpu_count() or 1)
+        workers = min(len(rest), util.usable_cpu_count())
         if iterations > 1 and workers > 1:
             with ThreadPoolExecutor(max_workers=workers) as pool:
                 refined += [result for result, _ in pool.map(refine, rest)]

@@ -1,4 +1,5 @@
-"""Small shared helpers: deterministic RNG streams, UTF-8 text reads and atomic file writes."""
+"""Small shared helpers: deterministic RNG streams, UTF-8 text reads, atomic
+file writes and the usable CPU count."""
 
 import contextlib
 import os
@@ -7,6 +8,15 @@ import zlib
 import numpy as np
 
 from .errors import InputError
+
+
+def usable_cpu_count():
+    """CPUs this process may run on: its affinity set where the OS reports
+    one (a container or `taskset` can narrow it below the machine's count),
+    else os.cpu_count()."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def derive_rng(seed, *tags):

@@ -361,6 +361,17 @@ def test_eval_commands_do_not_load_scipy(tmp_path, toy_build):
     assert (tmp_path / "rep" / "normals" / "report.tsv").is_file()
 
 
+def test_cli_import_leaves_the_process_pool_modules_unloaded():
+    """The build's process pool imports them itself; every other command
+    starts without them."""
+    code = ("import sys, symnorm.cli; print(' '.join(m for m in sys.modules if m in "
+            "('multiprocessing', 'concurrent.futures.process')))")
+    src = str(Path(symnorm.__file__).parents[1])
+    done = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True, timeout=120, check=True)
+    assert done.stdout.strip() == ""
+
+
 def test_predictions_file_validation(tmp_path, toy_build):
     bad = tmp_path / "bad.tsv"
     bad.write_text("img\t1\t0\t0\n")  # four fields instead of five

@@ -1,10 +1,16 @@
+import hashlib
 import logging
+import multiprocessing
+import os
+from concurrent.futures.process import ProcessPoolExecutor
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import shapes
+from symnorm import dataset, util
+from symnorm.cli import main
 from symnorm.config import RunConfig
 from symnorm.dataset import (
     CategoryRegistry,
@@ -57,6 +63,11 @@ TOY = RunConfig(sample_count=2500, pair_count=8000, max_hypotheses=16,
 
 def toy(**values):
     return replace(TOY, **values)
+
+
+BROKEN_OBJ = "v 0 0 zero\nf 1 2 3\n"
+# parses, but every face is collinear: detection fails on zero area
+COLLINEAR_OBJ = "v 0 0 0\nv 1 0 0\nv 2 0 0\nf 1 2 3\n"
 
 
 def make_corpus(root, categories=("airplane",), models=4):
@@ -152,15 +163,128 @@ def test_split_stable_under_view_count_change(tmp_path):
 def test_unreadable_obj_skipped_with_reason(tmp_path, caplog):
     corpus = tmp_path / "corpus"
     make_corpus(corpus, models=2)
-    (corpus / "airplane" / "broken.obj").write_text("v 0 0 zero\nf 1 2 3\n")
-    # parses, but every face is collinear: detection fails on zero area
-    (corpus / "airplane" / "collinear.obj").write_text("v 0 0 0\nv 1 0 0\nv 2 0 0\nf 1 2 3\n")
+    (corpus / "airplane" / "broken.obj").write_text(BROKEN_OBJ)
+    (corpus / "airplane" / "collinear.obj").write_text(COLLINEAR_OBJ)
     with caplog.at_level(logging.WARNING):
         records, _ = build_manifest(corpus, tmp_path / "out", toy(per_model_views=1, seed=0))
     assert {r.model_id for r in records} == {"model0", "model1"}
     assert any("broken.obj" in m for m in caplog.messages)
     assert any("collinear.obj" in m for m in caplog.messages)
     assert not (tmp_path / "out" / "airplane" / "collinear").exists()
+
+
+def tree_digests(root):
+    return {p.relative_to(root).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+def count_forks(monkeypatch):
+    """Patch os.fork to count the children started from this process."""
+    forks = []
+    real_fork = os.fork
+
+    def counted():
+        forks.append(1)
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", counted)
+    return forks
+
+
+def test_pooled_build_matches_in_process_build(tmp_path, monkeypatch, caplog):
+    corpus = tmp_path / "corpus"
+    make_corpus(corpus, categories=("airplane", "car"), models=2)
+    (corpus / "airplane" / "broken.obj").write_text(BROKEN_OBJ)
+    (corpus / "bathtub").mkdir()
+    (corpus / "bathtub" / "collinear.obj").write_text(COLLINEAR_OBJ)
+    config = toy(per_model_views=2, seed=0)
+    forks = count_forks(monkeypatch)
+    runs = {}
+    for cpus in (2, 1):
+        monkeypatch.setattr(util, "usable_cpu_count", lambda: cpus)
+        out = tmp_path / f"out{cpus}"
+        caplog.clear()
+        with caplog.at_level(logging.WARNING):
+            records, _ = build_manifest(corpus, out, config)
+        runs[cpus] = (tree_digests(out), list(caplog.messages), records)
+        for model in ("airplane/broken", "bathtub/collinear"):
+            assert not (out / model).exists()
+        assert all(not r.pose.rotation.flags.writeable for r in records)
+        assert len(forks) == 2  # the pooled build forked one worker per CPU, the other none
+    (pooled, pooled_log, pooled_records), (alone, alone_log, alone_records) = runs[2], runs[1]
+    assert len(pooled) == 1 + 4 * (1 + 2 * 3)  # manifest; per model planes and 2 views of 3 maps
+    assert pooled == alone
+    assert pooled_log == alone_log
+    skips = [m for m in pooled_log if m.startswith("skipping ")]
+    assert [m.split(":")[0] for m in skips] == [
+        f"skipping {corpus / 'airplane' / 'broken.obj'}",
+        f"skipping {corpus / 'bathtub' / 'collinear.obj'}",
+    ]
+    assert pooled_log.index(skips[-1]) < pooled_log.index(
+        "category holds no usable models (1 of 57): bathtub")
+
+    def fields(r):
+        return (r.label_map_path, r.split, r.pose.azimuth_deg, r.pose.elevation_deg,
+                r.pose.rotation.tobytes(), r.symmetry_label.tobytes())
+
+    assert [fields(r) for r in pooled_records] == [fields(r) for r in alone_records]
+
+
+def test_empty_corpus_and_one_model_build_start_no_child(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(util, "usable_cpu_count", lambda: 2)
+    forks = count_forks(monkeypatch)
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    assert main(["build", str(corpus), str(tmp_path / "empty"), "--seed", "0"]) == 0
+    assert "0 records" in capsys.readouterr().out
+    lines = (tmp_path / "empty" / "manifest.tsv").read_text().splitlines()
+    assert [line.split(":")[0] for line in lines] == \
+        ["#codebook", "#normal_codebook", "#view_setting", "#fields"]
+    make_corpus(corpus, models=1)
+    records, _ = build_manifest(corpus, tmp_path / "one", toy(per_model_views=1, seed=0))
+    assert len(records) == 1
+    assert forks == []
+    assert multiprocessing.active_children() == []
+
+
+def test_no_worker_outlives_a_build(tmp_path, monkeypatch):
+    monkeypatch.setattr(util, "usable_cpu_count", lambda: 2)
+    forks = count_forks(monkeypatch)
+    shutdowns = []
+    real_shutdown = ProcessPoolExecutor.shutdown
+
+    def recorded(self, *args, **kwargs):
+        shutdowns.append(kwargs)
+        return real_shutdown(self, *args, **kwargs)
+
+    monkeypatch.setattr(ProcessPoolExecutor, "shutdown", recorded)
+    corpus = tmp_path / "corpus"
+    make_corpus(corpus, models=3)
+    config = toy(per_model_views=1, seed=0)
+    records, _ = build_manifest(corpus, tmp_path / "clean", config)
+    assert len(records) == 3
+    assert multiprocessing.active_children() == []
+    (corpus / "airplane" / "broken.obj").write_text(BROKEN_OBJ)
+    records, _ = build_manifest(corpus, tmp_path / "skip", config)
+    assert len(records) == 3
+    assert multiprocessing.active_children() == []
+    parse = dataset.parse_obj_file
+
+    def fail_on_model1(path):
+        if path.stem == "model1":
+            raise RuntimeError("internal fault")
+        return parse(path)
+
+    monkeypatch.setattr(dataset, "parse_obj_file", fail_on_model1)
+    config_file = tmp_path / "toy.cfg"
+    config_file.write_text("sample_count = 2500\npair_count = 8000\nmax_hypotheses = 16\n"
+                           "per_model_views = 1\nwidth = 64\nheight = 64\n")
+    with pytest.raises(RuntimeError, match="internal fault"):
+        main(["build", str(corpus), str(tmp_path / "fail"), "--config", str(config_file)])
+    assert multiprocessing.active_children() == []
+    assert not (tmp_path / "fail" / "manifest.tsv").exists()
+    assert len(forks) == 6
+    assert shutdowns == [{"cancel_futures": True}] * 3
 
 
 def test_model_cap(tmp_path):

@@ -572,14 +572,14 @@ def test_detect_pools_refinements_only_after_one_iterates(monkeypatch):
             super().__init__(**kwargs)
 
     monkeypatch.setattr(symmetry, "ThreadPoolExecutor", CountingPool)
-    monkeypatch.setattr(symmetry.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(symmetry.util, "usable_cpu_count", lambda: 2)
     # every suite-config refinement on the sphere converges at its first iteration
     assert detect_symmetries(shapes.icosphere(), shapes.SUITE_CONFIG)
     assert pools == []
     config = DetectorConfig(sample_count=2000, pair_count=5000)
     pooled = detect_symmetries(shapes.cuboid(), config)
     assert pools == [{"max_workers": 2}]
-    monkeypatch.setattr(symmetry.os, "cpu_count", lambda: 1)
+    monkeypatch.setattr(symmetry.util, "usable_cpu_count", lambda: 1)
     alone = detect_symmetries(shapes.cuboid(), config)
     assert len(pools) == 1
     assert [(p.normal.tolist(), p.offset, p.residual) for p in pooled] == \

@@ -31,3 +31,13 @@ def _blas_threads_after_import(**env):
 def test_import_runs_openblas_on_one_thread_unless_the_environment_sets_it():
     assert _blas_threads_after_import() == "1"
     assert _blas_threads_after_import(OPENBLAS_NUM_THREADS="2") == "2"
+
+
+def test_usable_cpu_count_follows_the_affinity_set(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3, 5}, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    assert util.usable_cpu_count() == 3
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert util.usable_cpu_count() == 8
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert util.usable_cpu_count() == 1
