@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import evaluation, util
+from . import evaluation, imgfmt, util
 from .config import RunConfig
 from .dataset import build_manifest, read_manifest, record_image_id
 from .errors import GeometryError, InputError, SymnormError
@@ -25,14 +25,17 @@ from .orientation import VIEW_DISTRIBUTIONS, OrientationCodebook, ViewPose, unit
 from .render import (
     LABEL_MAP_SUFFIX,
     NORMAL_MAP_SUFFIX,
+    check_foreground_normals,
+    check_labels,
     discretize_normal_map,
-    labels_to_normals,
-    load_label_map,
-    load_normal_map,
+    pixels_at,
     rasterize,
+    read_normal_pixels,
     save_label_map,
     save_normal_map,
 )
+# not called here: perfbench/replay.py wraps these names on this module
+from .render import labels_to_normals, load_label_map, load_normal_map  # noqa: F401
 from .symmetry import detect_symmetries, write_planes
 
 logger = logging.getLogger(__name__)
@@ -156,14 +159,37 @@ def cmd_eval_sym(args, cfg: RunConfig) -> int:
     return 0
 
 
-def _load_prediction_map(pred_dir: Path, image_id: str, codebook):
+def _prediction_map(pred_dir: Path, image_id: str, codebook):
+    """An image's validated prediction: its (h, w) label map, which takes
+    precedence, or else its (h, w, 3) normal map (see read_normal_pixels).
+    Each codebook row that a label map uses is checked once, as a predicted
+    normal."""
     pgm = pred_dir / f"{image_id}{LABEL_MAP_SUFFIX}"
     if pgm.is_file():
-        return labels_to_normals(load_label_map(pgm, codebook.K), codebook)
+        labels = imgfmt.read_pgm16(pgm)
+        check_labels(labels, codebook.K)
+        used = np.bincount(labels.reshape(-1), minlength=codebook.K + 1)[:codebook.K] > 0
+        check_foreground_normals(codebook.directions[used])
+        return labels
     pfm = pred_dir / f"{image_id}{NORMAL_MAP_SUFFIX}"
     if pfm.is_file():
-        return load_normal_map(pfm)
+        return read_normal_pixels(pfm)[0]
     raise InputError(f"no prediction found for {image_id} under {pred_dir}")
+
+
+def _image_errors(gt_path, pred_dir: Path, image_id: str, codebook) -> np.ndarray:
+    """One image's per-pixel errors over its ground-truth foreground.  Its
+    checks run in this order: the ground truth's non-zero pixels, the
+    prediction's (all of them, not only those on that foreground), the map
+    sizes, then the foreground's emptiness."""
+    gt, gt_mask = read_normal_pixels(gt_path)
+    pred = _prediction_map(pred_dir, image_id, codebook)
+    evaluation.check_map_pair(gt_mask, pred.shape[:2])
+    pred_fg = pixels_at(pred, gt_mask)
+    if pred.ndim == 2:
+        # a label's direction; the background label K looks up the zero vector
+        pred_fg = np.vstack([codebook.directions, np.zeros((1, 3))])[pred_fg]
+    return evaluation.pixel_errors_deg(pixels_at(gt, gt_mask), pred_fg)
 
 
 def cmd_eval_normals(args, cfg: RunConfig) -> int:
@@ -176,9 +202,7 @@ def cmd_eval_normals(args, cfg: RunConfig) -> int:
     for r in records:
         image_id = record_image_id(r)
         try:
-            gt = load_normal_map(manifest_dir / r.normal_map_path)
-            pred = _load_prediction_map(pred_dir, image_id, codebook)
-            errors = evaluation.pixel_errors_deg(gt, pred)
+            errors = _image_errors(manifest_dir / r.normal_map_path, pred_dir, image_id, codebook)
         except (SymnormError, ValueError) as exc:
             skipped.append((image_id, str(exc)))
             continue

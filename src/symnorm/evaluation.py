@@ -10,7 +10,7 @@ import numpy as np
 from . import util
 from .errors import NoForegroundError, UndefinedAPError
 from .orientation import OrientationCodebook, sym_angle_deg, unit_mask, unit_rows
-from .render import NormalMap
+from .render import NormalMap, foreground_mask
 
 GP_THRESHOLDS_DEG = (11.25, 22.5, 30.0)
 CURVE_MAX_DEG = 30
@@ -113,20 +113,27 @@ def random_baseline(codebook: OrientationCodebook, images: int, seed: int):
     return [np.column_stack([directions, rng.random(codebook.K)]) for _ in range(images)]
 
 
-def pixel_errors_deg(gt: NormalMap, pred: NormalMap) -> np.ndarray:
-    """Per-pixel angular error over the ground-truth foreground.
-
-    A prediction claiming background where the ground truth is foreground
-    counts as 180 degrees, so predicting background everywhere cannot win.
-    """
-    if gt.normals.shape != pred.normals.shape:
+def check_map_pair(gt_mask, pred_size) -> None:
+    """Raise unless a prediction's (h, w) `pred_size` matches the (h, w)
+    ground-truth foreground mask and that mask holds a pixel, in that order."""
+    if gt_mask.shape != tuple(pred_size):
         raise ValueError("normal map dimensions disagree")
-    fg = gt.mask
-    if not fg.any():
+    if not gt_mask.any():
         raise NoForegroundError("ground-truth mask is empty")
-    dots = np.einsum("ij,ij->i", gt.normals[fg], pred.normals[fg])
+
+
+def pixel_errors_deg(gt_normals, pred_normals) -> np.ndarray:
+    """Angular error at each ground-truth foreground pixel, from the (n, 3)
+    ground-truth normals there and the prediction's at the same pixels.
+
+    A prediction claiming background there (the zero vector) counts as 180
+    degrees, so predicting background everywhere cannot win.
+    """
+    gt = np.asarray(gt_normals, dtype=np.float64)
+    pred = np.asarray(pred_normals, dtype=np.float64)
+    dots = np.einsum("ij,ij->i", gt, pred)
     errors = np.degrees(np.arccos(np.clip(dots, -1.0, 1.0)))
-    errors[~pred.mask[fg]] = 180.0
+    errors[~foreground_mask(pred)] = 180.0
     return errors
 
 
@@ -153,7 +160,8 @@ def metrics_from_errors(errors_deg) -> NormalMetrics:
         raise NoForegroundError("no pixel errors to aggregate")
     mean = float(errors.mean())
     median = float(errors[(n - 1) // 2])  # lower middle for even counts
-    gp = [float((errors <= t).mean()) for t in GP_THRESHOLDS_DEG]
+    # sorted, so the count within a threshold is its right insertion point
+    gp = (np.searchsorted(errors, GP_THRESHOLDS_DEG, side="right") / n).tolist()
     thresholds = np.arange(CURVE_MAX_DEG + 1, dtype=np.float64)
     fractions = np.searchsorted(errors, thresholds, side="right") / n
     curve = np.column_stack([thresholds, fractions])
@@ -162,7 +170,8 @@ def metrics_from_errors(errors_deg) -> NormalMetrics:
 
 
 def normal_metrics(gt: NormalMap, pred: NormalMap) -> NormalMetrics:
-    return metrics_from_errors(pixel_errors_deg(gt, pred))
+    check_map_pair(gt.mask, pred.mask.shape)
+    return metrics_from_errors(pixel_errors_deg(gt.normals[gt.mask], pred.normals[gt.mask]))
 
 
 def aggregate_by_category(errors_by_category):

@@ -55,14 +55,13 @@ def read_pfm(path) -> np.ndarray:
     scale = float(ss)
     channels = 3 if magic == b"PF" else 1
     dtype = "<f4" if scale < 0 else ">f4"
-    expected = w * h * channels * 4
-    data = buf[pos:pos + expected]
-    if len(data) != expected:
+    payload = memoryview(buf)[pos:]
+    if not 0 <= w * h * channels * 4 <= len(payload):
         raise InputError("PFM payload shorter than header promises")
-    arr = np.frombuffer(data, dtype=dtype).reshape(h, w, channels).astype(np.float32)
-    if channels == 1:
-        arr = arr[:, :, 0]
-    return np.flipud(arr).copy()
+    shape = (h, w, 3) if channels == 3 else (h, w)
+    arr = np.frombuffer(payload, dtype=dtype, count=w * h * channels).reshape(shape)
+    # the one copy: native float32, rows flipped to top-to-bottom
+    return arr[::-1].astype(np.float32, order="C")
 
 
 def write_pgm16(path, image) -> None:
@@ -87,8 +86,8 @@ def read_pgm16(path) -> np.ndarray:
     if int(maxs) != 65535:
         raise InputError(f"expected maxval 65535, found {int(maxs)}")
     w, h = int(ws), int(hs)
-    expected = w * h * 2
-    data = buf[pos:pos + expected]
-    if len(data) != expected:
+    payload = memoryview(buf)[pos:]
+    if not 0 <= w * h * 2 <= len(payload):
         raise InputError("PGM payload shorter than header promises")
-    return np.frombuffer(data, dtype=">u2").reshape(h, w).astype(np.uint16)
+    # the one copy: big-endian samples to native uint16
+    return np.frombuffer(payload, dtype=">u2", count=w * h).reshape(h, w).astype(np.uint16)

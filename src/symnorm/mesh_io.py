@@ -39,12 +39,22 @@ class TriangleMesh:
             raise EmptyMeshError("mesh needs at least one vertex and one face")
         if faces.min() < 0 or faces.max() >= len(verts):
             raise ValueError("face index out of range")
-        diagonal = float(np.linalg.norm(verts.max(axis=0) - verts.min(axis=0)))
+        if not np.isfinite(verts).all():
+            raise GeometryError("mesh vertices must be finite")
+        # finite coordinates can still overflow float64 in the extent or an area
+        with np.errstate(over="ignore", invalid="ignore"):
+            diagonal = float(np.linalg.norm(verts.max(axis=0) - verts.min(axis=0)))
+        if not math.isfinite(diagonal):
+            raise GeometryError("mesh bounding box diagonal is not finite")
         if not diagonal > 0.0:
             raise GeometryError("mesh bounding box has zero diagonal")
         object.__setattr__(self, "vertices", util.readonly(verts))
         object.__setattr__(self, "faces", util.readonly(faces))
         object.__setattr__(self, "bbox_diagonal", diagonal)
+        with np.errstate(over="ignore", invalid="ignore"):
+            areas = face_areas(self)
+        if not np.isfinite(areas).all():
+            raise GeometryError("mesh face areas are not finite")
 
 
 @dataclass(frozen=True)

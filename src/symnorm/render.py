@@ -68,12 +68,7 @@ class NormalMap:
         if normals.ndim != 3 or normals.shape[2] != 3 or normals.shape[:2] != mask.shape \
                 or depth.shape != mask.shape:
             raise ValueError("normals, mask and depth shapes disagree")
-        if mask.any():
-            fg = normals[mask]
-            if not unit_mask(fg).all():
-                raise ValueError("masked normals must be unit length")
-            if fg[:, 2].min() <= 0.0:
-                raise ValueError("masked normals must face the viewer (z > 0)")
+        check_foreground_normals(normals[mask])
         if (~mask).any():
             if np.any(normals[~mask] != 0.0) or not np.all(depth[~mask] == BACKGROUND_DEPTH):
                 raise ValueError("background pixels must have zero normal and sentinel depth")
@@ -101,8 +96,7 @@ class LabelMap:
         labels = np.ascontiguousarray(np.asarray(self.labels, dtype=np.int32))
         if labels.ndim != 2:
             raise ValueError("labels must be a 2-d array")
-        if labels.size and (labels.min() < 0 or labels.max() > self.K):
-            raise ValueError("labels must lie in {0..K}")
+        check_labels(labels, self.K)
         object.__setattr__(self, "labels", util.readonly(labels))
 
     @property
@@ -116,6 +110,33 @@ class LabelMap:
     @property
     def background(self) -> int:
         return self.K
+
+
+def foreground_mask(normals) -> np.ndarray:
+    """Per pixel of a (..., 3) normal array: True unless it is the exact zero
+    vector, the background.  A short or a NaN pixel is foreground."""
+    return (normals[..., 0] != 0.0) | (normals[..., 1] != 0.0) | (normals[..., 2] != 0.0)
+
+
+def pixels_at(image, mask) -> np.ndarray:
+    """The pixels of an (h, w) or (h, w, c) image where the (h, w) mask is
+    set, in row-major order, as boolean indexing gives them, only faster."""
+    return image.reshape(mask.size, *image.shape[2:]).take(np.flatnonzero(mask), axis=0)
+
+
+def check_foreground_normals(normals) -> None:
+    """Raise ValueError unless every row of an (n, 3) array is a unit normal
+    (see unit_mask: NaN fails) that faces the viewer (z > 0)."""
+    if not unit_mask(normals).all():
+        raise ValueError("masked normals must be unit length")
+    if np.any(normals[:, 2] <= 0.0):
+        raise ValueError("masked normals must face the viewer (z > 0)")
+
+
+def check_labels(labels, K: int) -> None:
+    """Raise ValueError unless every label lies in {0..K}, K being background."""
+    if labels.size and (labels.min() < 0 or labels.max() > K):
+        raise ValueError("labels must lie in {0..K}")
 
 
 def frame_camera(mesh: TriangleMesh, pose: ViewPose, cam: CameraIntrinsics) -> CameraFrame:
@@ -266,18 +287,26 @@ def save_normal_map(path_prefix, nm: NormalMap) -> tuple[str, str]:
     return normal_path, depth_path
 
 
-def load_normal_map(path) -> NormalMap:
-    """Rebuild a NormalMap from a 3-channel PFM; the mask comes from the
-    zero-vector background convention and depth is left unknown.  Only an
-    exact zero vector is background: any other pixel, a short or a NaN one
-    included, is foreground, so NormalMap rejects it unless it is unit length."""
-    arr = np.asarray(imgfmt.read_pfm(path), dtype=np.float64)
+def read_normal_pixels(path):
+    """A 3-channel PFM normal map as read, a float32 (h, w, 3) array, and its
+    (h, w) foreground mask.  Only an exact zero vector is background: any
+    other pixel, a short or a NaN one included, is foreground, and ValueError
+    is raised unless every foreground pixel passes check_foreground_normals."""
+    arr = imgfmt.read_pfm(path)
     if arr.ndim != 3:
         raise ValueError("normal maps are 3-channel PFM files")
-    mask = np.any(arr != 0.0, axis=2)
-    arr[~mask] = 0.0
-    depth = np.where(mask, 1.0, BACKGROUND_DEPTH)
-    return NormalMap(arr, mask, depth)
+    mask = foreground_mask(arr)
+    check_foreground_normals(pixels_at(arr, mask))
+    return arr, mask
+
+
+def load_normal_map(path) -> NormalMap:
+    """Rebuild a NormalMap from a 3-channel PFM (see read_normal_pixels);
+    depth is left unknown."""
+    arr, mask = read_normal_pixels(path)
+    normals = arr.astype(np.float64)
+    normals[~mask] = 0.0
+    return NormalMap(normals, mask, np.where(mask, 1.0, BACKGROUND_DEPTH))
 
 
 def save_label_map(path, lm: LabelMap) -> None:

@@ -1,3 +1,5 @@
+import dataclasses
+import json
 import logging
 import os
 import shutil
@@ -8,12 +10,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import normal_eval_oracle
 import shapes
 import symnorm
+from symnorm import cli
 from symnorm.cli import main, read_predictions, write_predictions
-from symnorm.dataset import read_manifest, record_image_id
-from symnorm.imgfmt import read_pfm
+from symnorm.dataset import read_manifest, record_image_id, write_manifest
+from symnorm.imgfmt import read_pfm, read_pgm16, write_pfm, write_pgm16
 from symnorm.mesh_io import serialize_obj
+from symnorm.orientation import FULL_SPHERE, OrientationCodebook
 from symnorm.symmetry import read_planes
 
 SUITE_KEYS = ("sample_count = 8000\naccept_residual = 0.0088\n"
@@ -71,6 +76,43 @@ def test_detect_missing_and_malformed_inputs(tmp_path):
     degen.write_text("v 1 1 1\nv 1 1 1\nv 1 1 1\nf 1 2 3\n")
     rc = main(["detect", str(degen), "--out", str(tmp_path / "o.txt")])
     assert rc == 3
+
+
+# finite coordinates whose bbox diagonal (the first two) or face areas (the
+# last) overflow float64
+OVERFLOWING_OBJ = {
+    "extent-1e200": "v 1e200 0 0\nv -1e200 0 0\nv 0 1 0\nv 0 0 1\nf 1 2 3\nf 1 3 4\nf 2 4 3\n",
+    "extent-1e308": "v 1e308 0 0\nv -1e308 0 0\nv 0 1 0\nv 0 0 1\nf 1 2 3\nf 1 3 4\nf 2 4 3\n",
+    "area-1e150": "v 1e150 0 0\nv -1e150 0 0\nv 0 1e150 0\nf 1 2 3\n",
+}
+
+
+@pytest.mark.parametrize("command", ["detect", "render"])
+@pytest.mark.parametrize("mesh", sorted(OVERFLOWING_OBJ))
+def test_overflowing_mesh_exits_3(tmp_path, capsys, command, mesh):
+    obj = tmp_path / "big.obj"
+    obj.write_text(OVERFLOWING_OBJ[mesh])
+    out = tmp_path / "out"
+    assert main([command, str(obj), "--out", str(out)]) == 3
+    assert "not finite" in capsys.readouterr().err
+    assert not list(tmp_path.glob("out*"))
+
+
+def test_build_skips_an_overflowing_mesh_and_builds_the_rest(tmp_path, cuboid_obj, caplog):
+    corpus = tmp_path / "corpus"
+    (corpus / "can").mkdir(parents=True)
+    (corpus / "mug").mkdir()
+    bad = corpus / "can" / "big.obj"
+    bad.write_text(OVERFLOWING_OBJ["extent-1e200"])
+    shutil.copy(cuboid_obj, corpus / "mug" / "box.obj")
+    cfg = tmp_path / "toy.cfg"
+    cfg.write_text(TOY_KEYS)
+    out = tmp_path / "out"
+    with caplog.at_level(logging.WARNING):
+        assert main(["build", str(corpus), str(out), "--config", str(cfg)]) == 0
+    assert f"skipping {bad}: mesh bounding box diagonal is not finite" in caplog.messages
+    assert {r.model_id for r in read_manifest(out / "manifest.tsv")[1]} == {"box"}
+    assert not (out / "can").exists()
 
 
 def test_detect_stable_across_seeds(tmp_path, cuboid_obj, suite_cfg):
@@ -326,6 +368,250 @@ def test_eval_normals_skips_invalid_predicted_normals(tmp_path, toy_build, chang
     skipped = [l for l in (rep / "report.txt").read_text().splitlines() if "skipped" in l]
     assert len(skipped) == 1
     assert skipped[0].startswith(f"  skipped {victim}: ") and reason in skipped[0]
+
+
+def _eval_normals(manifest, pred_dir, out_dir):
+    """(exit code, {file name: bytes}) of one eval-normals run."""
+    rc = main(["eval-normals", str(manifest), str(pred_dir), "--out-dir", str(out_dir)])
+    return rc, {p.name: p.read_bytes() for p in sorted(out_dir.iterdir())}
+
+
+def _skip_reasons(report_txt: bytes):
+    lines = report_txt.decode().splitlines()
+    return dict(l.removeprefix("  skipped ").split(": ", 1) for l in lines
+                if l.startswith("  skipped "))
+
+
+def _unit_noise(normals, rng):
+    """A valid prediction: each foreground normal jittered and renormalized,
+    kept where the jitter turned it away from the viewer."""
+    fg = np.any(normals != 0.0, axis=2)
+    truth = normals[fg].astype(np.float64)
+    noisy = truth + rng.normal(scale=0.15, size=truth.shape)
+    noisy /= np.linalg.norm(noisy, axis=1, keepdims=True)
+    away = noisy[:, 2] <= 1e-3
+    noisy[away] = truth[away]
+    out = np.zeros_like(normals)
+    out[fg] = noisy
+    return out
+
+
+def _scaled(normals, factor):
+    out = normals.copy()
+    out[..., 2] *= factor
+    return out
+
+
+def _first_foreground(normals):
+    return tuple(np.argwhere(np.any(normals != 0.0, axis=2))[0])
+
+
+def _with_pixel(normals, where, value):
+    out = normals.copy()
+    out[where] = value
+    return out
+
+
+def _relabelled(labels, k, rng):
+    """Labels with a quarter of the foreground moved to random bins and a
+    tenth of it to the background label K."""
+    out = labels.astype(np.int64)
+    fg = np.flatnonzero(out.reshape(-1) < k)
+    draw = rng.random(len(fg))
+    out.reshape(-1)[fg[draw < 0.25]] = rng.integers(0, k, int((draw < 0.25).sum()))
+    out.reshape(-1)[fg[draw > 0.9]] = k
+    return out
+
+
+UNIT_Z = np.array([0.0, 0.0, 1.0], dtype=np.float32)
+
+# case -> the skip reason of its image, or None when it is scored; each case
+# writes its prediction and may replace its ground truth (see _case_files)
+PREDICTION_CASES = {
+    "labels": None,
+    "labels-all-background": None,
+    "labels-over-normals": None,
+    "noisy-normals": None,
+    "exact-normals": None,
+    "non-unit": "masked normals must be unit length",
+    "back-facing": "masked normals must face the viewer (z > 0)",
+    "nan-pixel": "masked normals must be unit length",
+    "short-pixel": "masked normals must be unit length",
+    "invalid-off-foreground": "masked normals must be unit length",
+    "mis-sized": "normal map dimensions disagree",
+    "mis-sized-labels": "normal map dimensions disagree",
+    "label-above-k": "labels must lie in {0..K}",
+    "missing": "no prediction found for ",  # then the image id and the directory
+    "empty-truth": "ground-truth mask is empty",
+    "mis-sized-and-invalid": "masked normals must be unit length",
+    "invalid-truth-and-prediction": "masked normals must be unit length",
+    "empty-truth-and-mis-sized": "normal map dimensions disagree",
+}
+
+
+def _case_files(case, prefix, gt_path, gt_labels, k, rng):
+    """Write one case's prediction under `prefix` and, for the cases about the
+    ground truth, replace the map at `gt_path`."""
+    gt = read_pfm(gt_path)
+    normals, labels = f"{prefix}_normal.pfm", f"{prefix}_labels.pgm"
+    if case == "labels":
+        write_pgm16(labels, _relabelled(gt_labels, k, rng))
+    elif case == "labels-all-background":
+        write_pgm16(labels, np.full(gt_labels.shape, k))
+    elif case == "labels-over-normals":
+        write_pgm16(labels, _relabelled(gt_labels, k, rng))
+        write_pfm(normals, _scaled(gt, 1.5))
+    elif case == "noisy-normals":
+        write_pfm(normals, _unit_noise(gt, rng))
+    elif case == "exact-normals":
+        write_pfm(normals, gt)
+    elif case == "non-unit":
+        write_pfm(normals, gt * 1.5)
+    elif case == "back-facing":
+        write_pfm(normals, _scaled(gt, -1.0))
+    elif case == "nan-pixel":
+        write_pfm(normals, _with_pixel(gt, _first_foreground(gt), np.nan))
+    elif case == "short-pixel":
+        write_pfm(normals, _with_pixel(gt, _first_foreground(gt), (0.0, 0.0, 0.4)))
+    elif case == "invalid-off-foreground":
+        background = tuple(np.argwhere(~np.any(gt != 0.0, axis=2))[0])
+        write_pfm(normals, _with_pixel(gt, background, (0.0, 0.0, 2.0)))
+    elif case == "mis-sized":
+        write_pfm(normals, np.tile(UNIT_Z, (8, 8, 1)))
+    elif case == "mis-sized-labels":
+        write_pgm16(labels, np.zeros((8, 8), dtype=np.int64))
+    elif case == "label-above-k":
+        write_pgm16(labels, _with_pixel(gt_labels, _first_foreground(gt), k + 1))
+    elif case == "empty-truth":
+        write_pfm(normals, gt)
+        write_pfm(gt_path, np.zeros_like(gt))
+    elif case == "mis-sized-and-invalid":
+        write_pfm(normals, np.tile(2.0 * UNIT_Z, (8, 8, 1)))
+    elif case == "invalid-truth-and-prediction":
+        write_pfm(normals, _scaled(gt, -1.0))
+        write_pfm(gt_path, gt * 1.5)
+    elif case == "empty-truth-and-mis-sized":
+        write_pfm(normals, np.tile(UNIT_Z, (8, 8, 1)))
+        write_pfm(gt_path, np.zeros_like(gt))
+    else:
+        assert case == "missing"
+
+
+def _prediction_cases(tmp_path, out):
+    """A manifest of one image per PREDICTION_CASES entry, each a copy of one
+    of the toy build's views in one of two categories, and the predictions
+    directory.  Returns (manifest, pred_dir, {image id: expected reason})."""
+    meta, records = read_manifest(out / "manifest.tsv")
+    k = meta["normal_codebook"].K
+    rng = np.random.default_rng(11)
+    pred_dir = tmp_path / "cases_pred"
+    rows, expected = [], {}
+    for i, (case, reason) in enumerate(PREDICTION_CASES.items()):
+        src = records[i % len(records)]
+        category = ("airplane", "chair")[i % 2]
+        rel = f"{category}/{case}/v000"
+        (out / category / case).mkdir(parents=True)
+        (pred_dir / category / case).mkdir(parents=True)
+        gt_path = out / f"{rel}_normal.pfm"
+        shutil.copy(out / src.normal_map_path, gt_path)
+        shutil.copy(out / src.label_map_path, out / f"{rel}_labels.pgm")
+        rows.append(dataclasses.replace(src, model_id=case, category=category,
+                                        normal_map_path=f"{rel}_normal.pfm",
+                                        label_map_path=f"{rel}_labels.pgm"))
+        _case_files(case, pred_dir / rel, gt_path, read_pgm16(out / src.label_map_path), k, rng)
+        if case == "missing":
+            reason += f"{rel} under {pred_dir}"
+        if reason is not None:
+            expected[rel] = reason
+    manifest = out / "cases.tsv"
+    write_manifest(manifest, rows, meta["codebook"], meta["normal_codebook"], meta["view_setting"])
+    return manifest, pred_dir, expected
+
+
+def test_eval_normals_matches_the_full_frame_oracle(tmp_path, toy_build, monkeypatch):
+    """Reports, curves and exit code are those of the full-frame composition
+    in tests/normal_eval_oracle.py, byte for byte, over label and normal map
+    predictions and one image for each reason to skip one, in the oracle's
+    order of checks."""
+    _, _, out = toy_build
+    manifest, pred_dir, expected = _prediction_cases(tmp_path, out)
+    rc, files = _eval_normals(manifest, pred_dir, tmp_path / "fast")
+    assert rc == 2
+    assert sorted(files) == ["airplane_gp_curve.csv", "chair_gp_curve.csv", "report.tsv",
+                             "report.txt"]
+    assert _skip_reasons(files["report.txt"]) == expected
+    # under a full-sphere codebook, half of the label directions face away
+    meta, rows = read_manifest(manifest)
+    sphere = out / "sphere.tsv"
+    write_manifest(sphere, rows, meta["codebook"], OrientationCodebook(meta["normal_codebook"].K,
+                   FULL_SPHERE), meta["view_setting"])
+    _, sphere_files = _eval_normals(sphere, pred_dir, tmp_path / "sphere_fast")
+    assert _skip_reasons(sphere_files["report.txt"])["airplane/labels/v000"] == \
+        "masked normals must face the viewer (z > 0)"
+    monkeypatch.setattr(cli, "_image_errors", normal_eval_oracle.image_errors)
+    assert _eval_normals(manifest, pred_dir, tmp_path / "oracle") == (rc, files)
+    assert _eval_normals(sphere, pred_dir, tmp_path / "sphere_oracle") == (2, sphere_files)
+
+
+def test_eval_normals_label_maps_take_precedence_and_background_scores_180(tmp_path, toy_build):
+    """A label map that predicts background (label K) on every pixel scores
+    180 degrees on each foreground pixel; a normal map beside it is ignored,
+    even a perfect one."""
+    _, _, out = toy_build
+    meta, records = read_manifest(out / "manifest.tsv")
+    k = meta["normal_codebook"].K
+    pred_dir = tmp_path / "pred"
+    for r in records:
+        prefix = pred_dir / record_image_id(r)
+        prefix.parent.mkdir(parents=True, exist_ok=True)
+        write_pgm16(f"{prefix}_labels.pgm", np.full(read_pgm16(out / r.label_map_path).shape, k))
+    rc, labels_only = _eval_normals(out / "manifest.tsv", pred_dir, tmp_path / "labels")
+    assert rc == 0
+    macro = [l for l in labels_only["report.tsv"].decode().splitlines()
+             if l.startswith("macro\t")][0].split("\t")
+    assert [float(v) for v in macro[1:]] == [180.0, 180.0, 0.0, 0.0, 0.0, 0.0]
+    for r in records:
+        shutil.copy(out / r.normal_map_path, pred_dir / (record_image_id(r) + "_normal.pfm"))
+    assert _eval_normals(out / "manifest.tsv", pred_dir, tmp_path / "both") == (0, labels_only)
+
+
+REPLAY_PIXEL_SPANS = """
+import importlib.util, json, sys
+replay_path, manifest, maps, out = sys.argv[1:]
+spec = importlib.util.spec_from_file_location("replay", replay_path)
+replay = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(replay)
+tracer = replay.Tracer()
+rc = replay.install(tracer).main(["eval-normals", manifest, maps, "--out-dir", out])
+spans = [s for s in tracer.spans if s[1] == "evaluation.pixel_errors_deg"]
+print(json.dumps({"rc": rc, "calls": len(spans), "pixels": sum(s[5]["pixels"] for s in spans)}))
+"""
+
+
+def test_traced_replay_sees_one_pixel_error_span_per_scored_image(tmp_path, toy_build):
+    """The benchmark's traced replay (perfbench/replay.py) counts scoring
+    through its wrapper of `evaluation.pixel_errors_deg`: one span per scored
+    image, whose `pixels` add up to the ground-truth foreground.  `install`
+    patches modules for good, so it runs in a child process."""
+    _, _, out = toy_build
+    manifest = out / "manifest.tsv"
+    records = read_manifest(manifest)[1]
+    maps = tmp_path / "maps"
+    for r in records[1:]:  # the first image has no prediction and is skipped
+        dst = maps / (record_image_id(r) + "_labels.pgm")
+        dst.parent.mkdir(parents=True, exist_ok=True)
+        shutil.copy(out / r.label_map_path, dst)
+    foreground = sum(int(np.any(read_pfm(out / r.normal_map_path) != 0.0, axis=2).sum())
+                     for r in records[1:])
+    root = Path(__file__).resolve().parents[1]
+    done = subprocess.run(
+        [sys.executable, "-c", REPLAY_PIXEL_SPANS, str(root / "perfbench" / "replay.py"),
+         str(manifest), str(maps), str(tmp_path / "rep")],
+        env={**os.environ, "PYTHONPATH": str(root / "src")}, capture_output=True, text=True,
+        timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout.splitlines()[-1]) == \
+        {"rc": 2, "calls": len(records) - 1, "pixels": foreground}
 
 
 EVAL_WITHOUT_SCIPY = """

@@ -233,7 +233,7 @@ def test_predicted_background_counts_as_180():
     gt = flat_map([[0.0, 0.0, 1.0], [0.0, 0.0, 1.0]], mask)
     pred_mask = np.array([[True, False]])
     pred = flat_map([[0.0, 0.0, 1.0]], pred_mask)
-    errors = pixel_errors_deg(gt, pred)
+    errors = pixel_errors_deg(gt.normals[gt.mask], pred.normals[gt.mask])
     assert sorted(errors.tolist()) == [0.0, 180.0]
     assert normal_metrics(gt, pred).mean_err_deg == 90.0
 
@@ -242,12 +242,15 @@ def test_metrics_dimension_mismatch_and_empty():
     mask = np.array([[True]])
     nm = flat_map([[0.0, 0.0, 1.0]], mask)
     bigger = flat_map(np.tile([0.0, 0.0, 1.0], (4, 1)), np.ones((2, 2), dtype=bool))
-    with pytest.raises(ValueError):
-        pixel_errors_deg(nm, bigger)
+    with pytest.raises(ValueError, match="dimensions disagree"):
+        normal_metrics(nm, bigger)
     empty = NormalMap(np.zeros((1, 1, 3)), np.zeros((1, 1), dtype=bool),
                       np.full((1, 1), BACKGROUND_DEPTH))
     with pytest.raises(NoForegroundError):
-        pixel_errors_deg(empty, empty)
+        normal_metrics(empty, empty)
+    # the sizes are checked before the foreground
+    with pytest.raises(ValueError, match="dimensions disagree"):
+        normal_metrics(empty, bigger)
 
 
 def test_view_axis_rotation_against_per_pixel_oracle():
@@ -307,6 +310,20 @@ def test_metrics_permutation_invariance():
     ap2 = ap_symmetry([gt_sets[i] for i in order], [pred_sets[i] for i in order],
                       theta_deg=10.0).ap
     assert ap1 == pytest.approx(ap2, abs=1e-12)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 1000, 300_001])
+def test_good_pixel_fractions_match_the_threshold_means(n):
+    """The fractions within 11.25, 22.5 and 30 degrees have the bits of
+    `(errors <= t).mean()`, errors landing exactly on each threshold and at
+    180 degrees included."""
+    rng = np.random.default_rng(n)
+    ties = np.array([11.25, 22.5, 30.0, 180.0])
+    errors = np.where(rng.random(n) < 0.3, ties[rng.integers(0, 4, n)],
+                      rng.uniform(0.0, 180.0, n))
+    m = metrics_from_errors(errors)
+    want = [float((errors <= t).mean()) for t in (11.25, 22.5, 30.0)]
+    assert [m.gp_11_25, m.gp_22_5, m.gp_30] == want
 
 
 def test_gp_curve_consistency():

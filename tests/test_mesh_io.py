@@ -4,7 +4,7 @@ from scipy.spatial import cKDTree
 from scipy.stats import chisquare
 
 import shapes
-from symnorm.errors import EmptyMeshError, MeshParseError, NoSamplableAreaError
+from symnorm.errors import EmptyMeshError, GeometryError, MeshParseError, NoSamplableAreaError
 from symnorm.mesh_io import (
     TriangleMesh,
     face_areas,
@@ -67,6 +67,13 @@ def test_non_finite_coordinate_reports_line(token):
     with pytest.raises(MeshParseError) as info:
         parse_obj(f"v 0 0 0\nv 1 {token} 0\nv 0 1 0\nf 1 2 3\n")
     assert info.value.line == 2
+
+
+@pytest.mark.parametrize("value", [np.inf, np.nan])
+def test_mesh_rejects_non_finite_vertices(value):
+    verts = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, value, 0.0]])
+    with pytest.raises(GeometryError, match="vertices must be finite"):
+        TriangleMesh(verts, np.array([(0, 1, 2)]))
 
 
 def test_face_index_out_of_range():
