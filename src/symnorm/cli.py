@@ -19,7 +19,7 @@ import numpy as np
 from . import evaluation, imgfmt, util
 from .config import RunConfig
 from .dataset import build_manifest, read_manifest, record_image_id
-from .errors import GeometryError, InputError, SymnormError
+from .errors import GeometryError, InputError, NoForegroundError, SymnormError
 from .mesh_io import parse_obj_file
 from .orientation import VIEW_DISTRIBUTIONS, OrientationCodebook, ViewPose, unit_rows
 from .render import (
@@ -197,19 +197,30 @@ def cmd_eval_normals(args, cfg: RunConfig) -> int:
     codebook = meta["normal_codebook"]
     manifest_dir = Path(args.gt_manifest).parent
     pred_dir = Path(args.pred_dir)
-    errors_by_category = defaultdict(list)
-    skipped = []
-    for r in records:
-        image_id = record_image_id(r)
-        try:
-            errors = _image_errors(manifest_dir / r.normal_map_path, pred_dir, image_id, codebook)
-        except (SymnormError, ValueError) as exc:
-            skipped.append((image_id, str(exc)))
-            continue
-        errors_by_category[r.category].append(errors)
-    if not errors_by_category:
-        raise InputError("no evaluable images")
-    per_category, macro = evaluation.aggregate_by_category(errors_by_category)
+    rows_by_category = defaultdict(list)
+    for row, r in enumerate(records):
+        rows_by_category[r.category].append(row)
+    skipped = []  # (manifest row, image id, reason)
+
+    def scored_errors(rows):
+        """Each scored image's errors in turn; a skipped image is noted instead."""
+        for row in rows:
+            r = records[row]
+            image_id = record_image_id(r)
+            try:
+                errors = _image_errors(manifest_dir / r.normal_map_path, pred_dir, image_id, codebook)
+            except (SymnormError, ValueError) as exc:
+                skipped.append((row, image_id, str(exc)))
+                continue
+            yield errors
+
+    # aggregation draws one category's images at a time, so only that
+    # category's errors are held
+    try:
+        per_category, macro = evaluation.aggregate_by_category(
+            {category: scored_errors(rows) for category, rows in rows_by_category.items()})
+    except NoForegroundError:
+        raise InputError("no evaluable images") from None
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     header = "category\tmean_err_deg\tmedian_err_deg\tgp_11_25\tgp_22_5\tgp_30\tauc_30"
@@ -225,7 +236,7 @@ def cmd_eval_normals(args, cfg: RunConfig) -> int:
             csv = "threshold_deg,fraction\n" + "".join(
                 f"{float(t)!r},{float(f)!r}\n" for t, f in per_category[category].curve)
             util.atomic_write_text(out_dir / f"{category}_gp_curve.csv", csv)
-    for image_id, reason in skipped:
+    for _, image_id, reason in sorted(skipped):
         txt.append(f"  skipped {image_id}: {reason}")
     util.atomic_write_text(out_dir / "report.tsv", "\n".join(tsv) + "\n")
     util.atomic_write_text(out_dir / "report.txt", "\n".join(txt) + "\n")

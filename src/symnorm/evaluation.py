@@ -154,7 +154,11 @@ class NormalMetrics:
 
 def metrics_from_errors(errors_deg) -> NormalMetrics:
     """Five-number normal metrics from a flat vector of per-pixel errors."""
-    errors = np.sort(np.asarray(errors_deg, dtype=np.float64).reshape(-1))
+    return _sorted_metrics(np.sort(np.asarray(errors_deg, dtype=np.float64).reshape(-1)))
+
+
+def _sorted_metrics(errors) -> NormalMetrics:
+    """metrics_from_errors of a flat float64 vector already sorted ascending."""
     n = len(errors)
     if n == 0:
         raise NoForegroundError("no pixel errors to aggregate")
@@ -175,13 +179,30 @@ def normal_metrics(gt: NormalMap, pred: NormalMap) -> NormalMetrics:
 
 
 def aggregate_by_category(errors_by_category):
-    """Pixel-pooled metrics per category plus the unweighted macro average, from
-    a dict mapping each category to its per-image foreground pixel errors."""
-    if not errors_by_category:
-        raise ValueError("no errors to aggregate")
-    per_category = {c: metrics_from_errors(np.concatenate(
-                        [np.asarray(e, dtype=np.float64).reshape(-1) for e in chunks]))
-                    for c, chunks in sorted(errors_by_category.items())}
+    """Pixel-pooled metrics per category, in sorted order, plus the unweighted
+    macro average, from a mapping of each category to an iterable of its
+    per-image foreground pixel errors.
+
+    The iterables may be lazy: one category is drawn, pooled and scored before
+    the next is touched, so at most two copies of one category's errors, the
+    per-image arrays and their concatenation, are held at once.  A category
+    that yields no image, an empty list or an exhausted iterator alike, is
+    left out of the result and of the macro average; when none yields an
+    image, NoForegroundError is raised."""
+    per_category = {}
+    for category in sorted(errors_by_category):
+        chunks = [np.asarray(e, dtype=np.float64).reshape(-1) for e in errors_by_category[category]]
+        if not chunks:
+            continue
+        pooled = np.concatenate(chunks)
+        del chunks
+        # in place: a sorted copy would be a third allocation wherever malloc
+        # keeps the freed per-image arrays
+        pooled.sort()
+        per_category[category] = _sorted_metrics(pooled)
+        del pooled  # before the next category is drawn
+    if not per_category:
+        raise NoForegroundError("no pixel errors to aggregate")
     metrics = list(per_category.values())
     curve = np.mean([m.curve for m in metrics], axis=0)
     macro = NormalMetrics(

@@ -46,8 +46,10 @@ def row_norms(vectors) -> np.ndarray:
 
 
 def unit_mask(vectors) -> np.ndarray:
-    """Per row of an (n, 3) array: unit length within 1e-6.  NaN and inf fail."""
-    return np.abs(row_norms(vectors) - 1.0) <= 1e-6
+    """Per row of an (n, 3) array: unit length within 1e-6.  NaN, inf and rows
+    whose squared length overflows fail, without a numpy warning."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.abs(row_norms(vectors) - 1.0) <= 1e-6
 
 
 def unit_rows(vectors) -> np.ndarray:

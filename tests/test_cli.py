@@ -5,6 +5,7 @@ import os
 import shutil
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -573,6 +574,130 @@ def test_eval_normals_label_maps_take_precedence_and_background_scores_180(tmp_p
     for r in records:
         shutil.copy(out / r.normal_map_path, pred_dir / (record_image_id(r) + "_normal.pfm"))
     assert _eval_normals(out / "manifest.tsv", pred_dir, tmp_path / "both") == (0, labels_only)
+
+
+def _recategorized(out, records, categories, name):
+    """A manifest at `out/name` holding `records` with the given categories, in
+    that order; image ids and maps stay those of the records."""
+    meta, _ = read_manifest(out / "manifest.tsv")
+    rows = [dataclasses.replace(r, category=c) for r, c in zip(records, categories)]
+    write_manifest(out / name, rows, meta["codebook"], meta["normal_codebook"],
+                   meta["view_setting"])
+    return out / name
+
+
+def test_eval_normals_scores_one_category_at_a_time(tmp_path, toy_build, monkeypatch):
+    """Images are scored category by category in sorted order, each category's
+    in manifest order, so the same rows interleaved or grouped by category give
+    the same report and curve bytes; skipped images are still listed in
+    manifest order."""
+    _, _, out = toy_build
+    _, records = read_manifest(out / "manifest.tsv")
+    rng = np.random.default_rng(5)
+    pred_dir = tmp_path / "pred"
+    for r in records:
+        dst = pred_dir / (record_image_id(r) + "_normal.pfm")
+        dst.parent.mkdir(parents=True, exist_ok=True)
+        write_pfm(dst, _unit_noise(read_pfm(out / r.normal_map_path), rng))
+    categories = [("chair", "airplane", "bench")[i % 3] for i in range(len(records))]
+    # one skipped image per category, whose manifest order is not their scoring order
+    for r in records[3:6]:
+        (pred_dir / (record_image_id(r) + "_normal.pfm")).unlink()
+    interleaved = _recategorized(out, records, categories, "interleaved.tsv")
+    order = sorted(range(len(records)), key=lambda i: categories[i])
+    grouped = _recategorized(out, [records[i] for i in order], [categories[i] for i in order],
+                             "grouped.tsv")
+    scored, image_errors = [], cli._image_errors
+
+    def recording(gt_path, pred_dir, image_id, codebook):
+        scored.append(image_id)
+        return image_errors(gt_path, pred_dir, image_id, codebook)
+
+    monkeypatch.setattr(cli, "_image_errors", recording)
+    rc, files = _eval_normals(interleaved, pred_dir, tmp_path / "interleaved")
+    assert scored == [record_image_id(records[i]) for i in order]
+    assert rc == 2
+    assert _eval_normals(grouped, pred_dir, tmp_path / "grouped")[0] == 2
+    grouped_files = {p.name: p.read_bytes() for p in (tmp_path / "grouped").iterdir()}
+    assert sorted(files) == sorted(grouped_files) == [
+        "airplane_gp_curve.csv", "bench_gp_curve.csv", "chair_gp_curve.csv", "report.tsv",
+        "report.txt"]
+    for name in files:
+        if name != "report.txt":
+            assert files[name] == grouped_files[name]
+
+    def skips(report):
+        lines = report.decode().splitlines()
+        return [l for l in lines if l.startswith("  skipped ")], \
+            [l for l in lines if not l.startswith("  skipped ")]
+
+    skipped, rest = skips(files["report.txt"])
+    assert [l.split()[1].rstrip(":") for l in skipped] == \
+        [record_image_id(r) for r in records[3:6]]
+    grouped_skipped, grouped_rest = skips(grouped_files["report.txt"])
+    assert rest == grouped_rest
+    assert [l.split()[1].rstrip(":") for l in grouped_skipped] == \
+        [record_image_id(records[i]) for i in order if 3 <= i < 6]
+
+
+def _traced_peak(argv):
+    """Peak traced Python allocation over one CLI run, in bytes."""
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_eval_normals_peak_memory_is_bounded_by_the_largest_category(tmp_path, toy_build):
+    """Four categories of N images each peak below 1.4 times one category of
+    N images: only one category's errors are held at a time.  Holding every
+    category's errors while one is pooled and sorted peaks at (4 + 2) / (1 + 2)
+    = 2 times as much."""
+    _, _, out = toy_build
+    _, records = read_manifest(out / "manifest.tsv")
+    write_pfm(out / "flat_normal.pfm", np.tile(np.array([0.0, 0.0, 1.0], dtype=np.float32),
+                                               (64, 64, 1)))
+    pred_dir = tmp_path / "pred"
+    pred_dir.mkdir()
+    tilted = np.tile(np.array([0.0, 0.6, 0.8], dtype=np.float32), (64, 64, 1))
+    n, categories = 16, ("a", "b", "c", "d")
+    rows = []
+    for i in range(n * len(categories)):
+        rows.append(dataclasses.replace(records[0], model_id=f"m{i}",
+                                        normal_map_path="flat_normal.pfm",
+                                        label_map_path=f"m{i}_labels.pgm"))
+        write_pfm(pred_dir / f"m{i}_normal.pfm", tilted)
+    one = _recategorized(out, rows[:n], ["a"] * n, "one.tsv")
+    four = _recategorized(out, rows, categories * n, "four.tsv")
+
+    def argv(manifest, name):
+        return ["eval-normals", str(manifest), str(pred_dir), "--out-dir", str(tmp_path / name)]
+
+    assert main(argv(one, "warm-up")) == 0
+    one_peak = _traced_peak(argv(one, "one"))
+    four_peak = _traced_peak(argv(four, "four"))
+    assert four_peak < 1.4 * one_peak, (one_peak, four_peak)
+
+
+def test_eval_sym_huge_coordinate_is_one_error_line(tmp_path, toy_build):
+    """A predicted orientation whose squared length overflows is rejected with
+    the exit code and the one error line of any non-unit orientation, and no
+    numpy warning."""
+    _, _, out = toy_build
+    _, records = read_manifest(out / "manifest.tsv")
+    pred_file = tmp_path / "huge.tsv"
+    pred_file.write_text(f"{record_image_id(records[0])}\t1e200\t0\t0\t0.5\n")
+    src = str(Path(symnorm.__file__).parents[1])
+    done = subprocess.run([sys.executable, "-m", "symnorm.cli", "eval-sym",
+                           str(out / "manifest.tsv"), str(pred_file), "--out-dir",
+                           str(tmp_path / "rep")],
+                          env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True,
+                          timeout=120)
+    assert done.returncode == 2
+    assert done.stderr.splitlines() == [
+        f"error: {pred_file}: line 1: orientation must be finite and unit length"]
 
 
 REPLAY_PIXEL_SPANS = """

@@ -294,6 +294,29 @@ def test_aggregate_pools_pixels_for_median():
     assert per_cat["cat"].mean_err_deg == pytest.approx(pooled.mean(), abs=1e-12)
 
 
+def test_aggregate_draws_lazy_categories_in_turn_and_leaves_out_empty_ones():
+    drawn = []
+
+    def images(category, chunks):
+        for chunk in chunks:
+            drawn.append(category)
+            yield np.asarray(chunk)
+
+    per_cat, macro = aggregate_by_category({"b": images("b", [[10.0], [30.0]]),
+                                            "c": images("c", []),
+                                            "a": images("a", [[5.0, 15.0]])})
+    assert drawn == ["a", "b", "b"]
+    assert list(per_cat) == ["a", "b"]
+    assert (per_cat["b"].mean_err_deg, per_cat["b"].median_err_deg) == (20.0, 10.0)
+    assert macro.mean_err_deg == 15.0
+    per_cat, macro = aggregate_by_category({"a": [[5.0, 15.0]], "b": []})
+    assert list(per_cat) == ["a"]
+    assert macro.mean_err_deg == per_cat["a"].mean_err_deg == 10.0  # "b" is not averaged in
+    for empty in ({}, {"a": [], "b": iter([])}):
+        with pytest.raises(NoForegroundError):
+            aggregate_by_category(empty)
+
+
 def test_metrics_permutation_invariance():
     rng = np.random.default_rng(4)
     errors = rng.uniform(0.0, 60.0, size=101)

@@ -1,4 +1,5 @@
 import hashlib
+import warnings
 
 import numpy as np
 import pytest
@@ -130,6 +131,33 @@ def test_unit_mask_tolerance_and_non_finite():
             [np.nan, 0.0, 0.0], [0.0, np.inf, 0.0], [np.nan] * 3]
     assert unit_mask(rows).tolist() == [True, True, False, False, False, False, False]
     assert unit_mask(np.empty((0, 3))).tolist() == []
+
+
+def test_unit_mask_decides_boundary_and_overflowing_rows_without_a_warning():
+    """On rows within 8 ulps of 1 +- 1e-6 and on special rows, in float64 and
+    float32, unit_mask decides as row_norms does, and a row whose squared
+    length overflows fails without a numpy warning."""
+    rng = np.random.default_rng(12)
+    n = 40000
+    directions = unit_rows(rng.normal(size=(n, 3)))
+    lengths = np.where(rng.random(n) < 0.5, 1.0 + 1e-6, 1.0 - 1e-6)
+    steps = rng.integers(-8, 9, n)
+    for i in range(8):
+        lengths = np.where(steps > i, np.nextafter(lengths, 2.0), lengths)
+        lengths = np.where(steps < -i, np.nextafter(lengths, 0.0), lengths)
+    special = [[np.nan, 0.0, 0.0], [np.inf, 0.0, 0.0], [0.0, -np.inf, 0.0], [0.0, 0.0, 0.0],
+               [1e200, 0.0, 0.0], [1e-200, 0.0, 0.0], [1e200, -1e200, 1e200], [0.0, 0.0, 1.0]]
+    rows = np.vstack([directions * lengths[:, None], special])
+    with np.errstate(over="ignore"):
+        single = rows.astype(np.float32)
+        want = np.abs(row_norms(rows) - 1.0) <= 1e-6
+        want_single = np.abs(row_norms(single) - 1.0) <= 1e-6
+    assert 0 < want.sum() < n
+    assert want[n:].tolist() == want_single[n:].tolist() == [False] * 7 + [True]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # an overflowing row fails without a warning
+        assert unit_mask(rows).tolist() == want.tolist()
+        assert unit_mask(single).tolist() == want_single.tolist()
 
 
 def _reject_plane(v):
