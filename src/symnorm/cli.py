@@ -61,8 +61,11 @@ def cmd_detect(args, cfg: RunConfig) -> int:
 
 
 def cmd_render(args, cfg: RunConfig) -> int:
+    try:
+        pose = ViewPose(args.az, args.el, args.cyclo)
+    except ValueError as exc:
+        raise InputError(f"bad pose: {exc}") from None
     mesh = parse_obj_file(args.obj)
-    pose = ViewPose(args.az, args.el, args.cyclo)
     nm = rasterize(mesh, pose, cfg)
     lm = discretize_normal_map(nm, cfg.normal_codebook())
     normal_path, depth_path = save_normal_map(args.out, nm)

@@ -40,6 +40,8 @@ class RunConfig(DetectorConfig, CameraIntrinsics):
             raise ValueError("seed must be nonnegative")
         if self.codebook_k < 1 or self.normal_codebook_k < 1:
             raise ValueError("codebook sizes must be at least 1")
+        if self.normal_codebook_k > 65535:  # K labels the background of a 16-bit label map
+            raise ValueError("normal_codebook_k must be at most 65535")
         if self.codebook_support not in SIGN_INVARIANT_SUPPORTS:
             raise ValueError(f"codebook_support must be one of {', '.join(SIGN_INVARIANT_SUPPORTS)}")
         view_distribution(self.view_setting)

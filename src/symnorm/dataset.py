@@ -1,6 +1,6 @@
-"""Corpus manifests: the 57-category registry with its induction splits and
-shape groups, per-sample records, and the ground-truth generation pipeline
-that ties meshes, poses, rendered maps and symmetry labels together.
+"""Corpus manifests: the 57 categories with their induction splits and shape
+groups, per-sample records, and the ground-truth generation pipeline that
+ties meshes, poses, rendered maps and symmetry labels together.
 
 Corpus layout: ``<corpus_root>/<category>/<model_id>.obj``.  Manifest rows
 are tab-separated in SampleRecord field order; the pose field packs
@@ -77,44 +77,14 @@ SHAPE_GROUPS = {
 }
 
 
-@dataclass(frozen=True)
-class CategoryRegistry:
-    """The corpus categories with their induction splits and shape groups."""
-
-    categories: tuple
-    split_a: frozenset
-    split_b: frozenset
-    groups: dict
-
-    def __post_init__(self):
-        if len(self.categories) != len(set(self.categories)):
-            raise ValueError("duplicate category names")
-        if self.split_a & self.split_b:
-            raise ValueError("induction splits must be disjoint")
-        if self.split_a | self.split_b != set(self.categories):
-            raise ValueError("induction splits must cover every category")
-        if set(self.groups) != set(self.categories):
-            raise ValueError("every category needs a shape group")
+CATEGORIES = tuple(sorted(SPLIT_A + SPLIT_B))
 
 
-def default_registry() -> CategoryRegistry:
-    groups = {}
-    for group, members in SHAPE_GROUPS.items():
-        for name in members:
-            groups[name] = group
-    return CategoryRegistry(
-        categories=tuple(sorted(SPLIT_A + SPLIT_B)),
-        split_a=frozenset(SPLIT_A),
-        split_b=frozenset(SPLIT_B),
-        groups=groups,
-    )
-
-
-def induction_view(registry: CategoryRegistry, category: str) -> str:
+def induction_view(category: str) -> str:
     """Which trained split evaluates this category: the one NOT containing it."""
-    if category in registry.split_a:
+    if category in SPLIT_A:
         return "train_on_B"
-    if category in registry.split_b:
+    if category in SPLIT_B:
         return "train_on_A"
     raise ValueError(f"unknown category {category!r}")
 
@@ -239,14 +209,15 @@ def build_manifest(corpus_root, out_dir, config: RunConfig = RunConfig()):
     render the normal/depth/label maps, rotate the symmetry orientations
     into the view and discretize them into the multilabel target.  A model
     that fails to parse or to detect is skipped with a warning and leaves no
-    files.  Returns (records, manifest_path).
+    files.  A corpus root that is not a directory is an InputError, raised
+    before `out_dir` is made.  Returns (records, manifest_path).
 
     Models are independent, so they are built in a pool of
     min(models, util.usable_cpu_count()) worker processes, or in this
     process when that is below 2; each worker still pools its own ICP
     refinements (see `detect_symmetries`).  The workers are forked, which
     spares each of them the numpy import; this process has started no
-    thread of its own when it forks.  Results are read in registry order,
+    thread of its own when it forks.  Results are read in job order,
     and only this process logs, counts and writes the manifest, so the
     files, the manifest and the warnings are the same for any worker count.
     No worker outlives the call, and an error other than a skip propagates
@@ -254,14 +225,13 @@ def build_manifest(corpus_root, out_dir, config: RunConfig = RunConfig()):
     """
     corpus_root = Path(corpus_root)
     out_dir = Path(out_dir)
-    registry = default_registry()
-    codebook = config.symmetry_codebook()
-    normal_codebook = config.normal_codebook()
+    if not corpus_root.is_dir():
+        raise InputError(f"corpus root {corpus_root} is not a directory")
     out_dir.mkdir(parents=True, exist_ok=True)
     jobs = []
     missing = []
     usable = {}
-    for category in registry.categories:
+    for category in CATEGORIES:
         cat_dir = corpus_root / category
         if not cat_dir.is_dir():
             missing.append(category)
@@ -270,8 +240,7 @@ def build_manifest(corpus_root, out_dir, config: RunConfig = RunConfig()):
         model_ids = [p.stem for p in cat_dir.glob("*.obj")]
         split_of = _split_models(model_ids, config.seed, category, config.max_models_per_category)
         jobs += [(category, cat_dir / f"{mid}.obj", split_of[mid]) for mid in sorted(split_of)]
-    build = functools.partial(_model_outcome, out_dir=out_dir, config=config,
-                              codebook=codebook, normal_codebook=normal_codebook)
+    build = functools.partial(_model_outcome, out_dir=out_dir, config=config)
     workers = min(len(jobs), util.usable_cpu_count())
     records = []
     with contextlib.ExitStack() as stack:
@@ -294,16 +263,16 @@ def build_manifest(corpus_root, out_dir, config: RunConfig = RunConfig()):
                 records.extend(outcome)
                 usable[category] += 1
     unusable = [category for category, n in usable.items() if n == 0]
-    total = len(registry.categories)
     if missing:
         logger.warning("category has no directory under %s (%d of %d): %s",
-                       corpus_root, len(missing), total, ", ".join(missing))
+                       corpus_root, len(missing), len(CATEGORIES), ", ".join(missing))
     if unusable:
         logger.warning("category holds no usable models (%d of %d): %s",
-                       len(unusable), total, ", ".join(unusable))
+                       len(unusable), len(CATEGORIES), ", ".join(unusable))
     records.sort(key=lambda r: (r.category, r.model_id, r.label_map_path))
     manifest_path = out_dir / "manifest.tsv"
-    write_manifest(manifest_path, records, codebook, normal_codebook, config.view_setting)
+    write_manifest(manifest_path, records, config.symmetry_codebook(), config.normal_codebook(),
+                   config.view_setting)
     return records, manifest_path
 
 
@@ -318,8 +287,10 @@ def _model_outcome(job, **context):
         return str(exc)
 
 
-def _model_records(obj_path, category, split, out_dir, config, codebook, normal_codebook):
+def _model_records(obj_path, category, split, out_dir, config):
     """Detect one model's planes, then render and label each of its views."""
+    codebook = config.symmetry_codebook()
+    normal_codebook = config.normal_codebook()
     model_id = obj_path.stem
     mesh = parse_obj_file(obj_path)
     planes = detect_symmetries(mesh, config)

@@ -64,7 +64,6 @@ class SurfaceSamples:
     points: np.ndarray       # (k, 3)
     normals: np.ndarray      # (k, 3), unit, from the source face winding
     source_face: np.ndarray  # (k,)
-    seed: int
     bbox_diagonal: float     # carried over from the sampled mesh
 
     def __post_init__(self):
@@ -184,7 +183,7 @@ def sample_surface(mesh: TriangleMesh, count: int, seed: int) -> SurfaceSamples:
         raise NoSamplableAreaError("all faces are degenerate")
     if count == 0:
         empty = np.empty((0, 3))
-        return SurfaceSamples(empty, empty, np.empty(0, dtype=np.int64), seed, mesh.bbox_diagonal)
+        return SurfaceSamples(empty, empty, np.empty(0, dtype=np.int64), mesh.bbox_diagonal)
     rng = np.random.default_rng(seed)
     probs = areas[usable] / areas[usable].sum()
     chosen = usable[rng.choice(usable.size, size=count, p=probs)]
@@ -196,4 +195,4 @@ def sample_surface(mesh: TriangleMesh, count: int, seed: int) -> SurfaceSamples:
     a, b, c = face_corners(mesh)
     pts = a[chosen] + u[:, None] * (b[chosen] - a[chosen]) + v[:, None] * (c[chosen] - a[chosen])
     normals = face_normals(mesh)[chosen]
-    return SurfaceSamples(pts, normals, chosen, seed, mesh.bbox_diagonal)
+    return SurfaceSamples(pts, normals, chosen, mesh.bbox_diagonal)

@@ -148,12 +148,11 @@ def euler_to_rotation(azimuth_deg: float, elevation_deg: float, cyclo_deg: float
 
 @dataclass(frozen=True)
 class ViewPose:
-    """Azimuth/elevation/cyclo-rotation triple with its cached rotation."""
+    """Azimuth/elevation/cyclo-rotation triple; poses compare by these angles."""
 
     azimuth_deg: float
     elevation_deg: float
     cyclo_deg: float
-    rotation: np.ndarray = field(init=False)
 
     def __post_init__(self):
         if not -180.0 < self.azimuth_deg <= 180.0:
@@ -162,13 +161,11 @@ class ViewPose:
             raise ValueError("elevation must be finite")
         if not -90.0 < self.cyclo_deg <= 90.0:
             raise ValueError("cyclo-rotation must lie in (-90, 90]")
-        rot = euler_to_rotation(self.azimuth_deg, self.elevation_deg, self.cyclo_deg)
-        object.__setattr__(self, "rotation", util.readonly(rot))
 
-    def __reduce__(self):
-        # rebuilt from the angles, so an unpickled pose's rotation is
-        # read-only too (with the same bits)
-        return ViewPose, (self.azimuth_deg, self.elevation_deg, self.cyclo_deg)
+    @property
+    def rotation(self) -> np.ndarray:
+        """The read-only world-to-camera rotation (see euler_to_rotation)."""
+        return util.readonly(euler_to_rotation(self.azimuth_deg, self.elevation_deg, self.cyclo_deg))
 
 
 @dataclass(frozen=True)

@@ -107,10 +107,6 @@ class LabelMap:
     def width(self) -> int:
         return self.labels.shape[1]
 
-    @property
-    def background(self) -> int:
-        return self.K
-
 
 def foreground_mask(normals) -> np.ndarray:
     """Per pixel of a (..., 3) normal array: True unless it is the exact zero

@@ -11,7 +11,7 @@ from scipy.stats import chisquare, qmc
 import shapes
 from ap_oracle import oracle_ap
 from symnorm.cli import main
-from symnorm.dataset import default_registry, induction_view, read_manifest, record_image_id
+from symnorm.dataset import induction_view, read_manifest, record_image_id
 from symnorm.evaluation import ap_symmetry, normal_metrics
 from symnorm.mesh_io import SurfaceSamples, TriangleMesh, serialize_obj
 from symnorm.orientation import (
@@ -84,7 +84,7 @@ def test_criterion_2_icp_convergence():
         rng = np.random.default_rng(1000 + case)
         points, n_true, b_true = shapes.mirrored_cloud(rng, n=600)
         samples = SurfaceSamples(points, np.tile([0.0, 0.0, 1.0], (len(points), 1)),
-                                 np.zeros(len(points), dtype=np.int64), 0,
+                                 np.zeros(len(points), dtype=np.int64),
                                  float(np.linalg.norm(points.max(0) - points.min(0))))
         angle = np.radians(rng.uniform(4.0, 8.0))
         axis = np.cross(n_true, rng.normal(size=3))
@@ -287,9 +287,8 @@ def test_criterion_7_paper_constant_conformance():
     az = np.degrees(np.arctan2(codebook.directions[:, 1], codebook.directions[:, 0]))
     assert np.allclose(az, np.arange(10) * 18.0, atol=1e-12)
 
-    registry = default_registry()
-    assert induction_view(registry, "airplane") == "train_on_B"
-    assert induction_view(registry, "car") == "train_on_A"
+    assert induction_view("airplane") == "train_on_B"
+    assert induction_view("car") == "train_on_A"
     report(7, "V_N/V_D boxes hold over 1e5 draws, azimuth uniform, "
               "10 horizontal directions, induction splits verified")
 

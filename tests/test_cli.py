@@ -152,6 +152,45 @@ def test_render_missing_file(tmp_path):
     assert main(["render", str(tmp_path / "nope.obj"), "--out", str(tmp_path / "x")]) == 2
 
 
+@pytest.mark.parametrize("flag, value", [("--az", "200"), ("--el", "nan"), ("--cyclo", "95")])
+def test_render_out_of_range_pose_exits_2(tmp_path, cuboid_obj, capsys, flag, value):
+    assert main(["render", str(cuboid_obj), "--out", str(tmp_path / "view"), flag, value]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: bad pose: ") and err.count("\n") == 1
+    assert [p.name for p in tmp_path.iterdir()] == ["cuboid.obj"]
+
+
+def test_build_missing_corpus_root_exits_2_and_makes_no_out_dir(tmp_path, capsys):
+    corpus = tmp_path / "no-such-corpus"
+    out = tmp_path / "out"
+    assert main(["build", str(corpus), str(out), "--seed", "0"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(corpus) in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["render", "build"])
+def test_normal_codebook_above_16_bits_exits_2_before_any_file(tmp_path, cuboid_obj, capsys, command):
+    from symnorm.config import RunConfig
+    if command == "render":
+        argv = [command, str(cuboid_obj), "--out", str(tmp_path / "view"), "--codebook-k", "70000"]
+    else:
+        corpus = tmp_path / "corpus"
+        (corpus / "airplane").mkdir(parents=True)
+        shutil.copy(cuboid_obj, corpus / "airplane" / "m.obj")
+        cfg = tmp_path / "k.cfg"
+        cfg.write_text("normal_codebook_k = 70000\n")
+        argv = [command, str(corpus), str(tmp_path / "out"), "--config", str(cfg)]
+    before = sorted(tmp_path.rglob("*"))
+    assert main(argv) == 2
+    assert "normal_codebook_k must be at most 65535" in capsys.readouterr().err
+    assert sorted(tmp_path.rglob("*")) == before
+    # label K, the background, is the largest 16-bit sample
+    assert RunConfig(normal_codebook_k=65535).normal_codebook().K == 65535
+    with pytest.raises(ValueError):
+        RunConfig(normal_codebook_k=65536)
+
+
 def test_build_split_and_rerun_identical(tmp_path, toy_build):
     corpus, cfg, out = toy_build
     meta, records = read_manifest(out / "manifest.tsv")

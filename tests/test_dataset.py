@@ -13,9 +13,11 @@ from symnorm import dataset, util
 from symnorm.cli import main
 from symnorm.config import RunConfig
 from symnorm.dataset import (
-    CategoryRegistry,
+    CATEGORIES,
+    SHAPE_GROUPS,
+    SPLIT_A,
+    SPLIT_B,
     build_manifest,
-    default_registry,
     induction_view,
     read_manifest,
     record_image_id,
@@ -79,33 +81,27 @@ def make_corpus(root, categories=("airplane",), models=4):
 
 
 def test_registry_counts_and_golden_lists():
-    reg = default_registry()
-    assert len(reg.categories) == 57
-    assert len(reg.split_a) == 28
-    assert len(reg.split_b) == 29
-    assert reg.split_a == GOLDEN_A
-    assert reg.split_b == GOLDEN_B
-    assert not (reg.split_a & reg.split_b)
-    assert reg.split_a | reg.split_b == set(reg.categories)
-    for group, members in GOLDEN_GROUPS.items():
-        assert {c for c, g in reg.groups.items() if g == group} == members
-
-
-def test_registry_validation():
-    with pytest.raises(ValueError):
-        CategoryRegistry(("a", "b"), frozenset({"a"}), frozenset({"a", "b"}),
-                         {"a": "misc", "b": "misc"})  # overlapping splits
-    with pytest.raises(ValueError):
-        CategoryRegistry(("a", "b"), frozenset({"a"}), frozenset(),
-                         {"a": "misc", "b": "misc"})  # not exhaustive
+    assert len(CATEGORIES) == 57
+    assert len(SPLIT_A) == 28
+    assert len(SPLIT_B) == 29
+    assert set(SPLIT_A) == GOLDEN_A
+    assert set(SPLIT_B) == GOLDEN_B
+    assert {group: set(members) for group, members in SHAPE_GROUPS.items()} == GOLDEN_GROUPS
+    # no duplicate names, in the halves or in the groups
+    grouped = [c for members in SHAPE_GROUPS.values() for c in members]
+    assert len(set(CATEGORIES)) == len(CATEGORIES) == len(SPLIT_A + SPLIT_B) == len(grouped)
+    # the two halves are disjoint and together cover every category
+    assert not set(SPLIT_A) & set(SPLIT_B)
+    assert set(SPLIT_A) | set(SPLIT_B) == set(CATEGORIES)
+    # every category has a shape group
+    assert set(grouped) == set(CATEGORIES)
 
 
 def test_induction_view():
-    reg = default_registry()
-    assert induction_view(reg, "airplane") == "train_on_B"
-    assert induction_view(reg, "car") == "train_on_A"
+    assert all(induction_view(c) == "train_on_B" for c in SPLIT_A)
+    assert all(induction_view(c) == "train_on_A" for c in SPLIT_B)
     with pytest.raises(ValueError):
-        induction_view(reg, "zeppelin")
+        induction_view("zeppelin")
 
 
 def test_build_manifest_split_and_integrity(tmp_path, caplog):
@@ -118,7 +114,7 @@ def test_build_manifest_split_and_integrity(tmp_path, caplog):
     splits = {r.model_id: r.split for r in records}
     assert sorted(splits.values()).count("train") == 3
     assert sorted(splits.values()).count("test") == 1
-    # missing registry categories warn but do not fail
+    # missing categories warn but do not fail
     assert any("has no directory" in m for m in caplog.messages)
     # referential integrity: every path resolves and parses
     meta, again = read_manifest(manifest_path)

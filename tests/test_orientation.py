@@ -1,4 +1,6 @@
+import dataclasses
 import hashlib
+import pickle
 import warnings
 
 import numpy as np
@@ -283,14 +285,36 @@ def test_euler_rotation_orthonormal_many():
         assert np.abs(R @ R.T - np.eye(3)).max() < 1e-12
 
 
-def test_view_pose_caches_rotation_and_validates():
+def test_view_pose_rotation_and_validation():
     pose = ViewPose(90.0, 0.0, 0.0)
     assert np.allclose(pose.rotation @ pose.rotation.T, np.eye(3), atol=1e-12)
     assert np.allclose(pose.rotation, euler_to_rotation(90.0, 0.0, 0.0))
+    assert not pose.rotation.flags.writeable
     with pytest.raises(ValueError):
         ViewPose(181.0, 0.0, 0.0)
     with pytest.raises(ValueError):
         ViewPose(0.0, 0.0, 95.0)
+
+
+def test_view_pose_is_its_three_angles():
+    assert [f.name for f in dataclasses.fields(ViewPose)] == [
+        "azimuth_deg", "elevation_deg", "cyclo_deg"]
+    pose = ViewPose(10.0, 5.0, 0.0)
+    assert pose == ViewPose(10.0, 5.0, 0.0)
+    assert hash(pose) == hash(ViewPose(10.0, 5.0, 0.0))
+    assert pose != ViewPose(10.0, 5.0, 1.0)
+    again = pickle.loads(pickle.dumps(pose))
+    assert again == pose
+    assert not again.rotation.flags.writeable
+    assert again.rotation.tobytes() == pose.rotation.tobytes()
+
+
+@pytest.mark.parametrize("dist", [V_N, V_D], ids=lambda d: d.name)
+def test_view_pose_rotation_has_the_bits_of_euler_to_rotation(dist):
+    for seed in range(200):
+        pose = sample_view(dist, seed)
+        want = euler_to_rotation(pose.azimuth_deg, pose.elevation_deg, pose.cyclo_deg)
+        assert pose.rotation.tobytes() == want.tobytes()
 
 
 def test_view_distribution_registry():

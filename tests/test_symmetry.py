@@ -38,7 +38,7 @@ def cloud_samples(points, diag=None):
     if diag is None:
         diag = float(np.linalg.norm(pts.max(axis=0) - pts.min(axis=0)))
     return SurfaceSamples(pts, np.tile([0.0, 0.0, 1.0], (len(pts), 1)),
-                          np.zeros(len(pts), dtype=np.int64), 0, diag)
+                          np.zeros(len(pts), dtype=np.int64), diag)
 
 
 def perturbed(normal, angle_deg, rng):
@@ -94,7 +94,7 @@ def test_two_point_hypothesis():
     # normals perpendicular to the pair axis are reflection-compatible
     samples = SurfaceSamples(np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]]),
                              np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 1.0]]),
-                             np.zeros(2, dtype=np.int64), 0, 1.0)
+                             np.zeros(2, dtype=np.int64), 1.0)
     planes = generate_hypotheses(samples, DetectorConfig(pair_count=64))
     assert len(planes) == 1
     assert np.allclose(planes[0].normal, [1.0, 0.0, 0.0])
