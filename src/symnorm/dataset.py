@@ -10,6 +10,7 @@ prefix of a row's map files, ``<category>/<model_id>/v###``.
 
 from __future__ import annotations
 
+import collections
 import contextlib
 import functools
 import logging
@@ -23,7 +24,7 @@ import numpy as np
 from . import util
 from .config import RunConfig
 from .errors import InputError, SymnormError
-from .mesh_io import parse_obj_file
+from .mesh_io import TriangleMesh, parse_obj_file
 from .orientation import (
     OrientationCodebook,
     ViewPose,
@@ -209,15 +210,19 @@ def build_manifest(corpus_root, out_dir, config: RunConfig = RunConfig()):
     render the normal/depth/label maps, rotate the symmetry orientations
     into the view and discretize them into the multilabel target.  A model
     that fails to parse or to detect is skipped with a warning and leaves no
-    files.  A corpus root that is not a directory is an InputError, raised
+    files; one that fails while rendering is skipped with the same warning.
+    A corpus root that is not a directory is an InputError, raised
     before `out_dir` is made.  Returns (records, manifest_path).
 
-    Models are independent, so they are built in a pool of
+    Each model is one detect job (`_detect_outcome`) and, once its planes
+    are read, one render job per worker (`_render_outcome`), each over a
+    contiguous slice of its views, so renders fill any worker that detection
+    leaves idle.  The jobs run in a pool of
     min(models, util.usable_cpu_count()) worker processes, or in this
     process when that is below 2; each worker still pools its own ICP
     refinements (see `detect_symmetries`).  The workers are forked, which
     spares each of them the numpy import; this process has started no
-    thread of its own when it forks.  Results are read in job order,
+    thread of its own when it forks.  Outcomes are read in job order,
     and only this process logs, counts and writes the manifest, so the
     files, the manifest and the warnings are the same for any worker count.
     No worker outlives the call, and an error other than a skip propagates
@@ -240,12 +245,16 @@ def build_manifest(corpus_root, out_dir, config: RunConfig = RunConfig()):
         model_ids = [p.stem for p in cat_dir.glob("*.obj")]
         split_of = _split_models(model_ids, config.seed, category, config.max_models_per_category)
         jobs += [(category, cat_dir / f"{mid}.obj", split_of[mid]) for mid in sorted(split_of)]
-    build = functools.partial(_model_outcome, out_dir=out_dir, config=config)
+    detect = functools.partial(_detect_outcome, out_dir=out_dir, config=config)
+    render = functools.partial(_render_outcome, out_dir=out_dir, config=config)
     workers = min(len(jobs), util.usable_cpu_count())
+    views = config.per_model_views
+    slices = [range(views * i // workers, views * (i + 1) // workers) for i in range(workers)]
+    slices = [s for s in slices if s]  # fewer views than workers leave some empty
     records = []
     with contextlib.ExitStack() as stack:
         if workers < 2:
-            outcomes = map(build, jobs)
+            outcomes = (_serial_outcome(job, detect, render, slices) for job in jobs)
         else:
             # imported here: the eval commands never need them, and they add
             # to every start-up of the CLI
@@ -254,8 +263,7 @@ def build_manifest(corpus_root, out_dir, config: RunConfig = RunConfig()):
 
             pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
             stack.callback(pool.shutdown, cancel_futures=True)
-            futures = [pool.submit(build, job) for job in jobs]
-            outcomes = (future.result() for future in futures)
+            outcomes = _pooled_outcomes(pool, jobs, detect, render, slices, window=2 * workers)
         for (category, obj_path, _), outcome in zip(jobs, outcomes):
             if isinstance(outcome, str):
                 logger.warning("skipping %s: %s", obj_path, outcome)
@@ -276,51 +284,112 @@ def build_manifest(corpus_root, out_dir, config: RunConfig = RunConfig()):
     return records, manifest_path
 
 
-def _model_outcome(job, **context):
-    """One (category, obj_path, split) job's records, or the message of the
-    SymnormError that skips the model: a plain string, so a worker never has
-    to pickle the error itself."""
-    category, obj_path, split = job
+def _pooled_outcomes(pool, jobs, detect, render, slices, window):
+    """Each job's outcome, in job order, from detect and render jobs in `pool`.
+
+    At most `window` models are in flight, from their detect job's submission
+    to the reading of their last render.  A model's render jobs are submitted
+    as soon as its planes are read, whichever model that is, and every
+    future is dropped once read.
+    """
+    from concurrent.futures import FIRST_COMPLETED, wait
+
+    waiting = iter(jobs)
+    flight = collections.deque()  # jobs in flight, in job order
+    detecting = {}  # job -> its detect future
+    rendering = {}  # job -> its render futures, or the message that skips it
+    while True:
+        while len(flight) < window and (job := next(waiting, None)) is not None:
+            flight.append(job)
+            detecting[job] = pool.submit(detect, job)
+        if not flight:
+            return
+        for job in [job for job, future in detecting.items() if future.done()]:
+            model = detecting.pop(job).result()
+            rendering[job] = model if isinstance(model, str) else [
+                pool.submit(render, job, model, views) for views in slices]
+        head = rendering.get(flight[0])
+        running = [] if head is None or isinstance(head, str) else \
+            [future for future in head if not future.done()]
+        if head is not None and not running:
+            del rendering[flight.popleft()]
+            yield head if isinstance(head, str) else \
+                _model_outcome([future.result() for future in head])
+        else:
+            wait([*detecting.values(), *running], return_when=FIRST_COMPLETED)
+
+
+def _serial_outcome(job, detect, render, slices):
+    """One job's outcome from its detect and render jobs, run in this process."""
+    model = detect(job)
+    if isinstance(model, str):
+        return model
+    return _model_outcome([render(job, model, views) for views in slices])
+
+
+def _model_outcome(outcomes):
+    """A model's records from its render outcomes in view order, or the first
+    of their skip messages."""
+    skips = [outcome for outcome in outcomes if isinstance(outcome, str)]
+    return skips[0] if skips else [record for outcome in outcomes for record in outcome]
+
+
+def _detect_outcome(job, out_dir, config):
+    """Parse one (category, obj_path, split) job's model, detect its planes
+    and write its planes.txt; return the mesh's vertex and face arrays and
+    the (n, 3) plane normals, or the message of the SymnormError that skips
+    the model: a plain string, so a worker never has to pickle the error
+    itself."""
+    category, obj_path, _ = job
     try:
-        return _model_records(obj_path, category, split, **context)
+        mesh = parse_obj_file(obj_path)
+        planes = detect_symmetries(mesh, config)
     except SymnormError as exc:
         return str(exc)
-
-
-def _model_records(obj_path, category, split, out_dir, config):
-    """Detect one model's planes, then render and label each of its views."""
-    codebook = config.symmetry_codebook()
-    normal_codebook = config.normal_codebook()
-    model_id = obj_path.stem
-    mesh = parse_obj_file(obj_path)
-    planes = detect_symmetries(mesh, config)
-    plane_normals = np.array([p.normal for p in planes]).reshape(-1, 3)
-    model_dir = out_dir / category / model_id
+    model_dir = out_dir / category / obj_path.stem
     model_dir.mkdir(parents=True, exist_ok=True)
     write_planes(model_dir / "planes.txt", planes,
                  comments=[f"accept_residual {config.accept_residual}",
                            "columns: nx ny nz offset residual"])
+    return mesh.vertices, mesh.faces, np.array([p.normal for p in planes]).reshape(-1, 3)
+
+
+def _render_outcome(job, model, views, out_dir, config):
+    """Render, label and record the `views` (a range) of one job's model,
+    `model` being what `_detect_outcome` returned for it; return the
+    records, or the message of the SymnormError that skips the model.  The
+    mesh is rebuilt from its arrays here, since a mesh sent between
+    processes would come back writeable."""
+    category, obj_path, split = job
+    vertices, faces, plane_normals = model
+    codebook = config.symmetry_codebook()
+    normal_codebook = config.normal_codebook()
+    model_id = obj_path.stem
     dist = view_distribution(config.view_setting)
     records = []
-    for view in range(config.per_model_views):
-        view_seed = util.derive_seed(config.seed, "view", category, model_id, view)
-        pose = sample_view(dist, view_seed)
-        nm = rasterize(mesh, pose, config)
-        lm = discretize_normal_map(nm, normal_codebook)
-        rotated = rotate_orientations(plane_normals, pose.rotation)
-        label = make_symmetry_label(rotated, codebook)
-        rel = f"{category}/{model_id}/v{view:03d}"
-        save_normal_map(out_dir / rel, nm)
-        save_label_map(out_dir / f"{rel}{LABEL_MAP_SUFFIX}", lm)
-        records.append(SampleRecord(
-            model_id=model_id,
-            category=category,
-            obj_path=os.path.relpath(obj_path, out_dir),
-            pose=pose,
-            normal_map_path=f"{rel}{NORMAL_MAP_SUFFIX}",
-            label_map_path=f"{rel}{LABEL_MAP_SUFFIX}",
-            symmetry_label=label,
-            view_setting=config.view_setting,
-            split=split,
-        ))
+    try:
+        mesh = TriangleMesh(vertices, faces)
+        for view in views:
+            view_seed = util.derive_seed(config.seed, "view", category, model_id, view)
+            pose = sample_view(dist, view_seed)
+            nm = rasterize(mesh, pose, config)
+            lm = discretize_normal_map(nm, normal_codebook)
+            rotated = rotate_orientations(plane_normals, pose.rotation)
+            label = make_symmetry_label(rotated, codebook)
+            rel = f"{category}/{model_id}/v{view:03d}"
+            save_normal_map(out_dir / rel, nm)
+            save_label_map(out_dir / f"{rel}{LABEL_MAP_SUFFIX}", lm)
+            records.append(SampleRecord(
+                model_id=model_id,
+                category=category,
+                obj_path=os.path.relpath(obj_path, out_dir),
+                pose=pose,
+                normal_map_path=f"{rel}{NORMAL_MAP_SUFFIX}",
+                label_map_path=f"{rel}{LABEL_MAP_SUFFIX}",
+                symmetry_label=label,
+                view_setting=config.view_setting,
+                split=split,
+            ))
+    except SymnormError as exc:
+        return str(exc)
     return records

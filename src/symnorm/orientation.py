@@ -16,7 +16,7 @@ SUPPORTS = (FULL_SPHERE, HEMISPHERE, HORIZONTAL_CIRCLE)
 SIGN_INVARIANT_SUPPORTS = (HORIZONTAL_CIRCLE, FULL_SPHERE)
 
 GOLDEN_CONJUGATE = (np.sqrt(5.0) - 1.0) / 2.0
-BIN_ROWS = 4096  # rows scored at once: a whole normal map's scores would be rows x K floats
+BIN_SCORES = 1 << 20  # scores held at once: rows x K floats, whatever K is
 
 
 def canonical_sign(vectors):
@@ -46,10 +46,26 @@ def row_norms(vectors) -> np.ndarray:
 
 
 def unit_mask(vectors) -> np.ndarray:
-    """Per row of an (n, 3) array: unit length within 1e-6.  NaN, inf and rows
-    whose squared length overflows fail, without a numpy warning."""
+    """Per row of an (n, 3) array: unit length within 1e-6, as row_norms
+    decides it.  NaN, inf and rows whose squared length overflows fail,
+    without a numpy warning.
+
+    An `einsum` norm is within a few ulps of row_norms', so it decides every
+    row but those within 1e-12 of the bound, which row_norms re-checks.
+    """
+    v = np.asarray(vectors, dtype=np.float64).reshape(-1, 3)
     with np.errstate(over="ignore", invalid="ignore"):
-        return np.abs(row_norms(vectors) - 1.0) <= 1e-6
+        # in place: a fresh array per step costs more than the step
+        off = np.einsum("ij,ij->i", v, v)
+        np.sqrt(off, out=off)
+        off -= 1.0
+        np.abs(off, out=off)
+        unit = off <= 1e-6
+        off -= 1e-6
+        np.abs(off, out=off)
+        near = np.flatnonzero(off <= 1e-12)
+        unit[near] = np.abs(row_norms(v[near]) - 1.0) <= 1e-6
+    return unit
 
 
 def unit_rows(vectors) -> np.ndarray:
@@ -121,12 +137,13 @@ def bin_orientations(codebook: OrientationCodebook, vectors, sign_invariant: boo
     if not unit_mask(arr).all():
         raise ValueError("directions must be unit length")
     labels = np.empty(len(arr), dtype=np.int32)
-    for start in range(0, len(arr), BIN_ROWS):
-        scores = arr[start:start + BIN_ROWS] @ codebook.directions.T
+    rows = max(1, BIN_SCORES // codebook.K)
+    for start in range(0, len(arr), rows):
+        scores = arr[start:start + rows] @ codebook.directions.T
         if sign_invariant:
             scores = np.abs(scores)
         # np.argmax returns the first maximum: ties break to the lowest index
-        labels[start:start + BIN_ROWS] = np.argmax(scores, axis=1)
+        labels[start:start + rows] = np.argmax(scores, axis=1)
     return labels
 
 

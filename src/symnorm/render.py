@@ -55,11 +55,13 @@ class CameraFrame:
 
 @dataclass(frozen=True)
 class NormalMap:
-    """Per-pixel camera-frame unit normals with mask and depth channels."""
+    """Per-pixel camera-frame unit normals with mask and depth channels, and
+    for a rendered map the index of the mesh face each pixel shows."""
 
     normals: np.ndarray  # (h, w, 3), zero on background
     mask: np.ndarray     # (h, w) bool
     depth: np.ndarray    # (h, w), BACKGROUND_DEPTH on background
+    face_ids: np.ndarray | None = None  # (h, w) int32, -1 on background; None unless rendered
 
     def __post_init__(self):
         normals = np.ascontiguousarray(np.asarray(self.normals, dtype=np.float64))
@@ -68,10 +70,17 @@ class NormalMap:
         if normals.ndim != 3 or normals.shape[2] != 3 or normals.shape[:2] != mask.shape \
                 or depth.shape != mask.shape:
             raise ValueError("normals, mask and depth shapes disagree")
-        check_foreground_normals(normals[mask])
-        if (~mask).any():
-            if np.any(normals[~mask] != 0.0) or not np.all(depth[~mask] == BACKGROUND_DEPTH):
-                raise ValueError("background pixels must have zero normal and sentinel depth")
+        check_foreground_normals(pixels_at(normals, mask))
+        # foreground normals are unit, so a non-zero one off the mask is on background
+        if not np.array_equal(foreground_mask(normals), mask) \
+                or not np.all((depth == BACKGROUND_DEPTH) | mask):
+            raise ValueError("background pixels must have zero normal and sentinel depth")
+        if self.face_ids is not None:
+            face_ids = np.ascontiguousarray(np.asarray(self.face_ids, dtype=np.int32))
+            if face_ids.shape != mask.shape or not np.array_equal(face_ids >= 0, mask) \
+                    or (face_ids < -1).any():
+                raise ValueError("face indices must be -1 on background and >= 0 elsewhere")
+            object.__setattr__(self, "face_ids", util.readonly(face_ids))
         object.__setattr__(self, "normals", util.readonly(normals))
         object.__setattr__(self, "mask", util.readonly(mask))
         object.__setattr__(self, "depth", util.readonly(depth))
@@ -150,13 +159,15 @@ def frame_camera(mesh: TriangleMesh, pose: ViewPose, cam: CameraIntrinsics) -> C
 
 
 def _face_setup(verts, faces, us, vs, w, h):
-    """Per-face normals, plane constants, screen edges and clipped bboxes.
+    """Per-face mesh indices, normals, plane constants, screen edges and
+    clipped bboxes, in block order (see `_blocks`).
 
     Drops faces with a zero normal, edge-on faces (n_z == 0 after flipping
     the normal towards the viewer), zero screen area and bboxes that hold
     no pixel center.  The stacked matmul gives the same bits as the 1-d
     `n @ v`, which `einsum` does not always do.  Edge arrays are
-    (edge, x|y, face).
+    (edge, x|y, face); a pixel center lies inside an edge when its edge
+    function exceeds that edge's `floor`.  Bbox arrays are (x|y, face).
     """
     va, vb, vc = verts[faces[:, 0]], verts[faces[:, 1]], verts[faces[:, 2]]
     n = np.cross(vb - va, vc - va)
@@ -171,18 +182,57 @@ def _face_setup(verts, faces, us, vs, w, h):
     area = (tri[:, 1, 0] - tri[:, 0, 0]) * (tri[:, 2, 1] - tri[:, 0, 1]) \
         - (tri[:, 1, 1] - tri[:, 0, 1]) * (tri[:, 2, 0] - tri[:, 0, 0])
     tri[area < 0.0] = tri[area < 0.0][:, [0, 2, 1]]
-    lo = np.maximum(np.ceil(tri.min(axis=1) - 0.5), 0.0)
-    hi = np.minimum(np.floor(tri.max(axis=1) - 0.5), [w - 1, h - 1])
+    corners = tri[:, 0], tri[:, 1], tri[:, 2]
+    lo = np.maximum(np.ceil(np.minimum(np.minimum(*corners[:2]), corners[2]) - 0.5), 0.0)
+    hi = np.minimum(np.floor(np.maximum(np.maximum(*corners[:2]), corners[2]) - 0.5),
+                    np.array([w - 1, h - 1]))
     good = (area != 0.0) & np.all(lo <= hi, axis=1)
+    ids = np.flatnonzero(keep)[good]
     n, tri, lo, hi = n[good], tri[good], lo[good].astype(np.int64), hi[good].astype(np.int64)
-    plane = (n[:, None, :] @ verts[faces[keep][good, 0]][:, :, None])[:, 0, 0]
-    start = np.ascontiguousarray(tri.transpose(1, 2, 0))
+    plane = (n[:, None, :] @ verts[faces[ids, 0]][:, :, None])[:, 0, 0]
+    start = tri.transpose(1, 2, 0)
     edge = start[[1, 2, 0]] - start
     # top-left rule for a triangle wound so the interior is on the positive
     # side of every edge function: horizontal edges going right are "top",
-    # edges going up in screen coordinates (dy < 0) are "left"
+    # edges going up in screen coordinates (dy < 0) are "left"; those take
+    # wv >= 0, which is wv > -0x1p-1074, and the others wv > 0
     inclusive = ((edge[:, 1] == 0.0) & (edge[:, 0] > 0.0)) | (edge[:, 1] < 0.0)
-    return n, plane, start, edge, inclusive, lo.T, (hi - lo + 1).T
+    floor = np.where(inclusive, -np.nextafter(0.0, 1.0), 0.0)
+    size = hi - lo + 1
+    order = np.argsort(_shape_class(size), kind="stable")
+    return (ids[order], n[order], plane[order], start[..., order], edge[..., order],
+            floor[:, order], lo[order].T, hi[order].T)
+
+
+def _shape_class(size):
+    """Each (width, height) row's power-of-two classes, as one key."""
+    return np.frexp(size[:, 0] - 1)[1] * 64 + np.frexp(size[:, 1] - 1)[1]
+
+
+def _blocks(lo, hi):
+    """(first, last, top, left, rows, cols) blocks of (face, pixel)
+    candidates, each at most RASTER_CHUNK long, that together hold every
+    bbox: faces first to last, rows and columns from top and left of each
+    bbox.
+
+    The faces come sorted by shape class, and faces whose bbox width and
+    height fall in the same power-of-two classes share blocks, padded to
+    the largest bbox of their class; a bbox larger than the chunk is cut
+    into bands of rows, and a row longer than the chunk into runs.
+    """
+    size = (hi - lo + 1).T
+    key = _shape_class(size)
+    starts = np.flatnonzero(np.diff(key, prepend=-1))  # none when no face is drawn
+    for begin, end in zip(starts, [*starts[1:], len(key)]):
+        width, height = (int(v) for v in size[begin:end].max(axis=0))
+        cols = min(width, RASTER_CHUNK)
+        rows = min(height, max(1, RASTER_CHUNK // cols))
+        per = max(1, RASTER_CHUNK // (rows * cols))
+        for first in range(begin, end, per):
+            for top in range(0, height, rows):
+                for left in range(0, width, cols):
+                    yield (first, min(first + per, end), top, left,
+                           min(rows, height - top), min(cols, width - left))
 
 
 def rasterize(mesh: TriangleMesh, pose: ViewPose, cam: CameraIntrinsics | None = None) -> NormalMap:
@@ -192,9 +242,12 @@ def rasterize(mesh: TriangleMesh, pose: ViewPose, cam: CameraIntrinsics | None =
     intersecting the pixel-center ray with the face plane; the auto-framing
     guarantees the whole mesh sits strictly in front of the camera.  Each
     pixel takes the nearest face at positive depth and, among faces at the
-    same depth, the lowest face index.  The whole mesh is drawn at once:
-    the (face, pixel) pairs of every face's clipped bbox are tested in runs
-    of RASTER_CHUNK, so memory stays bounded whatever the faces cover.
+    same depth, the lowest face index; the map records that face's index.
+    The whole mesh is drawn at once, in blocks of at most RASTER_CHUNK
+    (face, pixel) candidates (see `_blocks`), so memory stays bounded
+    whatever the faces cover.  In a block, each edge function is the
+    difference of a per-row and a per-column term, the same two products
+    as per pixel, and depth is found only for covered candidates.
     """
     cam = cam if cam is not None else CameraIntrinsics()
     frame = frame_camera(mesh, pose, cam)
@@ -204,57 +257,72 @@ def rasterize(mesh: TriangleMesh, pose: ViewPose, cam: CameraIntrinsics | None =
     inv_z = -1.0 / verts[:, 2]
     us = frame.cx + frame.focal_px * verts[:, 0] * inv_z
     vs = frame.cy - frame.focal_px * verts[:, 1] * inv_z
-    n, plane, start, edge, inclusive, lo, size = _face_setup(verts, mesh.faces, us, vs, w, h)
-    count = size[0] * size[1]
-    ends = np.cumsum(count)
-    begins = ends - count
+    ids, n, plane, start, edge, floor, lo, hi = _face_setup(verts, mesh.faces, us, vs, w, h)
+    # each pixel center's ray direction, by flat pixel index
+    ray_x = np.tile((np.arange(w) + 0.5 - frame.cx) / frame.focal_px, h)
+    ray_y = np.repeat((frame.cy - (np.arange(h) + 0.5)) / frame.focal_px, w)
+    nx, ny, nz = n.T.copy()
     depth = np.full(h * w, BACKGROUND_DEPTH)
-    winner = np.zeros(h * w, dtype=np.int64)
-    total = int(ends[-1]) if len(ends) else 0
-    for first in range(0, total, RASTER_CHUNK):
-        # candidates run in face order, so earlier chunks hold lower faces
-        last = min(first + RASTER_CHUNK, total)
-        fa, fb = np.searchsorted(ends, [first, last - 1], side="right")
-        span = np.arange(fa, fb + 1)
-        f = np.repeat(span, np.minimum(ends[span], last) - np.maximum(begins[span], first))
-        row, col = np.divmod(np.arange(first, last) - begins[f], size[0][f])
-        xi = lo[0][f] + col
-        yi = lo[1][f] + row
-        X = xi + 0.5
-        Y = yi + 0.5
-        cover = np.ones(len(f), dtype=bool)
-        for e in range(3):
-            wv = edge[e, 0][f] * (Y - start[e, 1][f]) - edge[e, 1][f] * (X - start[e, 0][f])
-            cover &= (wv > 0.0) | ((wv == 0.0) & inclusive[e][f])
-        f, xi, yi, X, Y = f[cover], xi[cover], yi[cover], X[cover], Y[cover]
-        dx = (X - frame.cx) / frame.focal_px
-        dy = (frame.cy - Y) / frame.focal_px
-        nf = n[f]
-        denom = nf[:, 0] * dx + nf[:, 1] * dy - nf[:, 2]
+    # the mesh index of each pixel's face, or len(mesh.faces) on background
+    winner = np.full(h * w, len(mesh.faces))
+    for first, last, top, left, rows, cols in _blocks(lo, hi):
+        span = slice(first, last)
+        # (row, face) and (column, face) pixel coordinates; faces vary fastest
+        yi = np.arange(top, top + rows)[:, None] + lo[1, span]
+        xi = np.arange(left, left + cols)[:, None] + lo[0, span]
+        # (edge, row, face) and (edge, column, face) terms of the edge functions
+        across = edge[:, 0, None, span] * (yi + 0.5 - start[:, 1, None, span])
+        along = edge[:, 1, None, span] * (xi + 0.5 - start[:, 0, None, span])
+        across[:, yi > hi[1, span]] = -np.inf  # past a bbox never covers
+        along[:, xi > hi[0, span]] = np.inf
+        inside = across[:, :, None, :] - along[:, None, :, :] > floor[:, None, None, span]
+        hit = np.flatnonzero(inside[0] & inside[1] & inside[2])
+        pix = (yi[:, None, :] * w + xi[None, :, :]).reshape(-1)[hit]
+        f = first + hit % (last - first)
+        denom = nx[f] * ray_x[pix] + ny[f] * ray_y[pix] - nz[f]
         with np.errstate(divide="ignore", invalid="ignore"):
             t = plane[f] / denom
         front = (t > 0.0) & (t < BACKGROUND_DEPTH)
-        f, t, pix = f[front], t[front], yi[front] * w + xi[front]
+        f, t, pix = f[front], t[front], pix[front]
         before = depth[pix]
         np.minimum.at(depth, pix, t)
-        # strictly nearer than every earlier chunk; the lowest face wins ties
-        won = (t < before) & (t == depth[pix])
-        winner[pix[won]] = len(plane)  # above every face index
-        np.minimum.at(winner, pix[won], f[won])
-    mask = np.isfinite(depth)
-    normals = np.zeros((h * w, 3))
-    normals[mask] = n[winner[mask]]
-    return NormalMap(normals.reshape(h, w, 3), mask.reshape(h, w), depth.reshape(h, w))
+        now = depth[pix]
+        # a pixel whose depth fell forgets its earlier faces, and the lowest
+        # face at its depth wins, whatever order the blocks come in
+        winner[pix[now < before]] = len(mesh.faces)  # above every face index
+        at = t == now
+        np.minimum.at(winner, pix[at], ids[f[at]])
+    normal_of = np.zeros((len(mesh.faces) + 1, 3))  # the last row is background's
+    normal_of[ids] = n
+    face_ids = winner.astype(np.int32)
+    face_ids[winner == len(mesh.faces)] = -1
+    return NormalMap(normal_of.take(winner, axis=0).reshape(h, w, 3),
+                     np.isfinite(depth).reshape(h, w), depth.reshape(h, w), face_ids.reshape(h, w))
 
 
 def discretize_normal_map(nm: NormalMap, codebook: OrientationCodebook) -> LabelMap:
-    """Bin masked normals into the hemisphere codebook; background becomes K."""
+    """Bin a rendered map into the hemisphere codebook; background becomes K.
+
+    Every pixel of a face shows that face's normal, so each face shown is
+    binned once and its pixels take its label.  A map without face indices
+    (one read from a file, or lifted from labels) is a ValueError.
+    """
     if codebook.support != HEMISPHERE:
         raise ValueError("label maps require a hemisphere codebook")
-    labels = np.full((nm.height, nm.width), codebook.K, dtype=np.int32)
-    if nm.mask.any():
-        labels[nm.mask] = bin_orientations(codebook, nm.normals[nm.mask], sign_invariant=False)
-    return LabelMap(labels, codebook.K)
+    if nm.face_ids is None:
+        raise ValueError("label maps are made from rendered maps, which carry face indices")
+    labels = np.full(nm.face_ids.size, codebook.K, dtype=np.int32)
+    pixels = np.flatnonzero(nm.mask)
+    if len(pixels):
+        faces = nm.face_ids.reshape(-1)[pixels]
+        some_pixel = np.full(int(faces.max()) + 1, -1, dtype=np.int64)
+        some_pixel[faces] = pixels
+        shown = np.flatnonzero(some_pixel >= 0)
+        face_label = np.zeros(len(some_pixel), dtype=np.int32)
+        face_label[shown] = bin_orientations(
+            codebook, nm.normals.reshape(-1, 3)[some_pixel[shown]], sign_invariant=False)
+        labels[pixels] = face_label[faces]
+    return LabelMap(labels.reshape(nm.face_ids.shape), codebook.K)
 
 
 def labels_to_normals(lm: LabelMap, codebook: OrientationCodebook) -> NormalMap:

@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import label_oracle
 import normal_eval_oracle
 import shapes
 import symnorm
@@ -19,7 +20,8 @@ from symnorm.cli import main, read_predictions, write_predictions
 from symnorm.dataset import read_manifest, record_image_id, write_manifest
 from symnorm.imgfmt import read_pfm, read_pgm16, write_pfm, write_pgm16
 from symnorm.mesh_io import serialize_obj
-from symnorm.orientation import FULL_SPHERE, OrientationCodebook
+from symnorm.orientation import FULL_SPHERE, HEMISPHERE, OrientationCodebook, ViewPose
+from symnorm.render import CameraIntrinsics, rasterize
 from symnorm.symmetry import read_planes
 
 SUITE_KEYS = ("sample_count = 8000\naccept_residual = 0.0088\n"
@@ -146,6 +148,26 @@ def test_render_frontal_square(tmp_path):
     assert main(["render", str(obj), "--out", str(prefix), "--az", "0", "--el", "0",
                  "--cyclo", "0", "--width", "32", "--height", "32"]) == 0
     assert open(f"{prefix}_normal.pfm", "rb").read() == first
+
+
+def test_render_at_the_largest_codebook_stays_small_and_matches_the_oracle(tmp_path, cuboid_obj):
+    """Each face shown is binned once, in blocks of rows sized from K: the
+    per-pixel binning of this 224x224 view in blocks of 4096 rows held
+    2.1 GB of scores at K = 65535."""
+    prefix = tmp_path / "view"
+    tracemalloc.start()
+    try:
+        assert main(["render", str(cuboid_obj), "--out", str(prefix), "--az", "30", "--el", "20",
+                     "--cyclo", "5", "--codebook-k", "65535"]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2 ** 20
+    labels = read_pgm16(f"{prefix}_labels.pgm")
+    nm = rasterize(symnorm.parse_obj_file(cuboid_obj), ViewPose(30.0, 20.0, 5.0), CameraIntrinsics())
+    codebook = OrientationCodebook(65535, HEMISPHERE)
+    assert nm.mask.sum() > 10000 and len(np.unique(labels)) > 2
+    assert np.array_equal(labels, label_oracle.discretize_normal_map(nm, codebook).labels)
 
 
 def test_render_missing_file(tmp_path):

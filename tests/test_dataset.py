@@ -2,6 +2,7 @@ import hashlib
 import logging
 import multiprocessing
 import os
+from concurrent.futures import Future
 from concurrent.futures.process import ProcessPoolExecutor
 from dataclasses import replace
 
@@ -193,10 +194,11 @@ def test_pooled_build_matches_in_process_build(tmp_path, monkeypatch, caplog):
     (corpus / "airplane" / "broken.obj").write_text(BROKEN_OBJ)
     (corpus / "bathtub").mkdir()
     (corpus / "bathtub" / "collinear.obj").write_text(COLLINEAR_OBJ)
-    config = toy(per_model_views=2, seed=0)
+    # five views on three workers: render jobs over uneven slices of views
+    config = toy(per_model_views=5, seed=0)
     forks = count_forks(monkeypatch)
     runs = {}
-    for cpus in (2, 1):
+    for cpus in (3, 1):
         monkeypatch.setattr(util, "usable_cpu_count", lambda: cpus)
         out = tmp_path / f"out{cpus}"
         caplog.clear()
@@ -206,9 +208,9 @@ def test_pooled_build_matches_in_process_build(tmp_path, monkeypatch, caplog):
         for model in ("airplane/broken", "bathtub/collinear"):
             assert not (out / model).exists()
         assert all(not r.pose.rotation.flags.writeable for r in records)
-        assert len(forks) == 2  # the pooled build forked one worker per CPU, the other none
-    (pooled, pooled_log, pooled_records), (alone, alone_log, alone_records) = runs[2], runs[1]
-    assert len(pooled) == 1 + 4 * (1 + 2 * 3)  # manifest; per model planes and 2 views of 3 maps
+        assert len(forks) == 3  # the pooled build forked one worker per CPU, the other none
+    (pooled, pooled_log, pooled_records), (alone, alone_log, alone_records) = runs[3], runs[1]
+    assert len(pooled) == 1 + 4 * (1 + 5 * 3)  # manifest; per model planes and 5 views of 3 maps
     assert pooled == alone
     assert pooled_log == alone_log
     skips = [m for m in pooled_log if m.startswith("skipping ")]
@@ -224,6 +226,33 @@ def test_pooled_build_matches_in_process_build(tmp_path, monkeypatch, caplog):
                 r.pose.rotation.tobytes(), r.symmetry_label.tobytes())
 
     assert [fields(r) for r in pooled_records] == [fields(r) for r in alone_records]
+
+
+def test_pooled_build_keeps_at_most_two_models_per_worker_in_flight(tmp_path, monkeypatch):
+    monkeypatch.setattr(util, "usable_cpu_count", lambda: 2)
+    corpus = tmp_path / "corpus"
+    make_corpus(corpus, models=12)
+    model_of = {}  # every submitted future not yet read -> the OBJ path of its model
+    in_flight = []
+    real_submit, real_result = ProcessPoolExecutor.submit, Future.result
+
+    def submit(self, fn, job, *args):
+        future = real_submit(self, fn, job, *args)
+        model_of[future] = job[1]
+        in_flight.append(len(set(model_of.values())))
+        return future
+
+    def result(self, timeout=None):
+        model_of.pop(self, None)
+        return real_result(self, timeout)
+
+    monkeypatch.setattr(ProcessPoolExecutor, "submit", submit)
+    monkeypatch.setattr(Future, "result", result)
+    records, _ = build_manifest(corpus, tmp_path / "out", toy(per_model_views=2, seed=0))
+    assert len(records) == 24
+    assert len(in_flight) == 12 * 3  # per model one detect job and a render job per worker
+    assert max(in_flight) == 4
+    assert model_of == {}
 
 
 def test_empty_corpus_and_one_model_build_start_no_child(tmp_path, monkeypatch, capsys):

@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import pickle
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 from scipy.stats import chisquare
 
 from symnorm.orientation import (
-    BIN_ROWS,
+    BIN_SCORES,
     FULL_SPHERE,
     HEMISPHERE,
     HORIZONTAL_CIRCLE,
@@ -162,6 +163,35 @@ def test_unit_mask_decides_boundary_and_overflowing_rows_without_a_warning():
         assert unit_mask(single).tolist() == want_single.tolist()
 
 
+def test_unit_mask_fast_path_decides_as_the_per_row_norm():
+    """unit_mask's einsum norm decides every row but those near the bound,
+    which row_norms re-checks: on rows within 8 ulps of 1 +- 1e-6, each
+    step equally often, and on special rows it decides as each row's 1-d
+    np.linalg.norm."""
+    rng = np.random.default_rng(13)
+    per_step = 1000
+    lengths = []
+    for bound in (1.0 - 1e-6, 1.0 + 1e-6):
+        for step in range(-8, 9):
+            length = bound
+            for _ in range(abs(step)):
+                length = np.nextafter(length, 2.0 if step > 0 else 0.0)
+            lengths.append(np.full(per_step, length))
+    lengths = np.concatenate(lengths)
+    rows = unit_rows(rng.normal(size=(len(lengths), 3))) * lengths[:, None]
+    special = np.array([[np.nan, 0.0, 0.0], [np.inf, 0.0, 0.0], [0.0, -np.inf, 0.0],
+                        [0.0, 0.0, 0.0], [0.0, 0.0, 1e200], [0.0, -1e-200, 0.0], [0.0, 1.0, 0.0]])
+    rows = np.vstack([rows, special])
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = np.abs(per_row_norms(rows) - 1.0) <= 1e-6
+        # the einsum norm alone decides some of these rows the other way
+        fast = np.abs(np.sqrt(np.einsum("ij,ij->i", rows, rows)) - 1.0) <= 1e-6
+    assert 0.3 < want[:-len(special)].mean() < 0.7
+    assert want[-len(special):].tolist() == [False] * 6 + [True]
+    assert (fast != want).any()
+    assert unit_mask(rows).tolist() == want.tolist()
+
+
 def _reject_plane(v):
     from symnorm.symmetry import SymmetryPlane
     SymmetryPlane(v, 0.0)
@@ -257,7 +287,7 @@ def test_bin_orientations_matches_scalar():
 def test_bin_orientations_blocks_match_whole_product(k, support):
     cb = fibonacci_codebook(k, support)
     rng = np.random.default_rng(k)
-    vs = rng.normal(size=(3 * BIN_ROWS + 5, 3))
+    vs = rng.normal(size=(3 * (BIN_SCORES // k) + 5, 3))
     vs /= np.linalg.norm(vs, axis=1, keepdims=True)
     # tied rows in every block: codebook members (a tie with their negation
     # when sign-invariant) and +z, which scores exactly 0 against every
@@ -269,6 +299,20 @@ def test_bin_orientations_blocks_match_whole_product(k, support):
         if sign_invariant:
             scores = np.abs(scores)
         assert np.array_equal(bin_orientations(cb, vs, sign_invariant), np.argmax(scores, axis=1))
+
+
+def test_bin_orientations_block_is_sized_from_K():
+    # 200 rows against 65535 directions: 105 MB of scores in one block
+    cb = fibonacci_codebook(65535, HEMISPHERE)
+    vs = cb.directions[::331][:200]
+    tracemalloc.start()
+    try:
+        labels = bin_orientations(cb, vs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert labels.tolist() == list(range(0, 65535, 331))
+    assert peak < 24 * 2 ** 20
 
 
 def test_euler_identity_and_y_flip():

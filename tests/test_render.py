@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import label_oracle
 import raster_oracle
 import shapes
 from symnorm.errors import GeometryError
@@ -188,8 +189,11 @@ def test_labels_to_normals_constant_roundtrip():
     assert np.all(nm.normals[1:, 1:] == codebook.directions[17])
     assert not nm.mask[0, 0]
     assert np.all(nm.depth == BACKGROUND_DEPTH)
-    lm2 = discretize_normal_map(nm, codebook)
+    assert nm.face_ids is None
+    lm2 = label_oracle.discretize_normal_map(nm, codebook)
     assert np.array_equal(lm2.labels, labels)
+    with pytest.raises(ValueError, match="face indices"):
+        discretize_normal_map(nm, codebook)
 
 
 def test_labels_to_normals_codebook_mismatch():
@@ -214,6 +218,48 @@ def test_roundtrip_quantization_bound():
     dots = np.einsum("ij,ij->i", nm.normals[nm.mask], back.normals[nm.mask])
     worst = np.degrees(np.arccos(np.clip(dots, -1.0, 1.0))).max()
     assert worst <= 1.5 * np.degrees(np.arccos(1.0 - 2.0 / 60.0))
+
+
+@pytest.mark.parametrize("K", [1, 7, 60, 300])
+def test_face_labels_match_the_per_pixel_oracle(K):
+    codebook = fibonacci_codebook(K, HEMISPHERE)
+    rng = np.random.default_rng(K)
+    cams = [CameraIntrinsics(width=64, height=64), CameraIntrinsics(width=37, height=23)]
+    meshes = [shapes.cuboid(), shapes.square_plate(), shapes.asymmetric_tetrahedron(),
+              shapes.icosphere(2), shapes.icosphere(3), degenerate_soup(), doubled_icosphere()]
+    for mesh in meshes:
+        for cam in cams:
+            for _ in range(6):
+                nm = rasterize(mesh, random_pose(rng), cam)
+                got = discretize_normal_map(nm, codebook)
+                assert got.labels.tobytes() == label_oracle.discretize_normal_map(
+                    nm, codebook).labels.tobytes()
+    nm = rasterize(shapes.icosphere(3), ViewPose(12.0, 30.0, -20.0), CameraIntrinsics())
+    assert discretize_normal_map(nm, codebook).labels.tobytes() == \
+        label_oracle.discretize_normal_map(nm, codebook).labels.tobytes()
+
+
+def test_face_labels_match_the_oracle_at_the_largest_codebook():
+    codebook = fibonacci_codebook(65535, HEMISPHERE)
+    rng = np.random.default_rng(65535)
+    for mesh in (shapes.cuboid(), shapes.icosphere(2)):
+        for _ in range(3):
+            nm = rasterize(mesh, random_pose(rng), CameraIntrinsics(width=24, height=24))
+            assert discretize_normal_map(nm, codebook).labels.tobytes() == \
+                label_oracle.discretize_normal_map(nm, codebook).labels.tobytes()
+
+
+def test_rendered_face_indices_name_the_face_each_pixel_shows():
+    mesh = shapes.icosphere(2)
+    nm = rasterize(mesh, ViewPose(33.0, 12.0, -7.0), CameraIntrinsics(width=96, height=96))
+    assert np.array_equal(nm.face_ids >= 0, nm.mask) and not nm.face_ids.flags.writeable
+    va, vb, vc = (mesh.vertices @ ViewPose(33.0, 12.0, -7.0).rotation.T)[mesh.faces].transpose(1, 0, 2)
+    n = np.cross(vb - va, vc - va)
+    n /= np.linalg.norm(n, axis=1, keepdims=True)
+    shown = np.abs(n[nm.face_ids[nm.mask]])
+    assert np.abs(shown - np.abs(nm.normals[nm.mask])).max() < 1e-12
+    with pytest.raises(ValueError, match="face indices"):
+        NormalMap(nm.normals, nm.mask, nm.depth, np.zeros(nm.mask.shape, dtype=np.int32))
 
 
 def test_normal_map_validation():
@@ -296,6 +342,29 @@ def test_rasterize_matches_per_face_oracle():
                 assert_matches_oracle(mesh, random_pose(rng), cam)
 
 
+def degenerate_soup(faces=slice(None)):
+    """The faces of test_rasterize_matches_oracle_on_degenerate_faces: good,
+    collinear, repeated-vertex and edge-on (at FRONTAL) ones."""
+    verts = np.array([
+        [-1.0, -1.0, 0.0], [1.0, -1.0, 0.1], [0.0, 1.0, -0.1],   # good
+        [-0.5, 0.2, 0.3], [0.0, 0.4, 0.3], [0.5, 0.6, 0.3],     # collinear
+        [-0.8, -0.5, -0.4], [0.8, -0.5, -0.4], [0.0, -0.5, 0.6],  # edge-on at FRONTAL
+        [0.2, -0.9, 0.5], [0.9, 0.3, 0.45], [-0.6, 0.7, 0.2],   # good, in front
+    ])
+    all_faces = np.array([(0, 1, 2), (3, 3, 4), (3, 4, 5), (6, 7, 8), (9, 10, 11), (0, 0, 0),
+                          (9, 11, 10)])
+    return TriangleMesh(verts, all_faces[faces])
+
+
+def doubled_icosphere():
+    """The mesh of test_rasterize_matches_oracle_on_duplicated_faces: every
+    face of icosphere(1) four times, copied, rolled and reversed."""
+    base = shapes.icosphere(1)
+    a, b, c = base.faces.T
+    return TriangleMesh(base.vertices, np.concatenate(
+        [base.faces, base.faces, np.column_stack([b, c, a]), np.column_stack([a, c, b])]))
+
+
 def test_rasterize_matches_oracle_on_degenerate_faces():
     # FRONTAL is the identity rotation, so the face in the plane y = -0.5 is
     # exactly edge-on (n_z == 0) there
@@ -326,6 +395,13 @@ def test_rasterize_matches_oracle_on_duplicated_faces():
     for cam in (CameraIntrinsics(width=64, height=64), CameraIntrinsics(width=61, height=97)):
         for _ in range(6):
             assert_matches_oracle(mesh, random_pose(rng), cam)
+
+
+def test_rasterize_matches_oracle_when_no_face_is_drawable():
+    # only the collinear, repeated-vertex and edge-on faces of the soup
+    for cam in (CameraIntrinsics(width=32, height=32), CameraIntrinsics(width=97, height=61)):
+        nm = assert_matches_oracle(degenerate_soup([1, 2, 3, 5]), FRONTAL, cam)
+        assert not nm.mask.any() and np.all(nm.face_ids == -1)
 
 
 def test_rasterize_matches_oracle_when_a_bbox_covers_the_image():
