@@ -68,6 +68,8 @@ class RunConfig(DetectorConfig, CameraIntrinsics):
                 value = value.strip()
                 if key not in types:
                     raise InputError(f"{path}: line {lineno}: unknown key {key!r}")
+                if key in values:
+                    raise InputError(f"{path}: line {lineno}: repeated key {key!r}")
                 try:
                     values[key] = casts[types[key]](value)
                 except ValueError:

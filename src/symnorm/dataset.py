@@ -209,8 +209,9 @@ def build_manifest(corpus_root, out_dir, config: RunConfig = RunConfig()):
     Per model: detect symmetry planes once, then per view sample a pose,
     render the normal/depth/label maps, rotate the symmetry orientations
     into the view and discretize them into the multilabel target.  A model
-    that fails to parse or to detect is skipped with a warning and leaves no
-    files; one that fails while rendering is skipped with the same warning.
+    whose file cannot be read or parsed, or whose detection fails, is
+    skipped with a warning and leaves no files; one that fails while
+    rendering is skipped with the same warning.
     A corpus root that is not a directory is an InputError, raised
     before `out_dir` is made.  Returns (records, manifest_path).
 
@@ -337,14 +338,14 @@ def _model_outcome(outcomes):
 def _detect_outcome(job, out_dir, config):
     """Parse one (category, obj_path, split) job's model, detect its planes
     and write its planes.txt; return the mesh's vertex and face arrays and
-    the (n, 3) plane normals, or the message of the SymnormError that skips
-    the model: a plain string, so a worker never has to pickle the error
-    itself."""
+    the (n, 3) plane normals, or the message of the SymnormError, or of the
+    OSError of an OBJ file that cannot be read, that skips the model: a
+    plain string, so a worker never has to pickle the error itself."""
     category, obj_path, _ = job
     try:
         mesh = parse_obj_file(obj_path)
         planes = detect_symmetries(mesh, config)
-    except SymnormError as exc:
+    except (SymnormError, OSError) as exc:
         return str(exc)
     model_dir = out_dir / category / obj_path.stem
     model_dir.mkdir(parents=True, exist_ok=True)

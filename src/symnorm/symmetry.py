@@ -422,15 +422,10 @@ def detect_symmetries(mesh: TriangleMesh, config: DetectorConfig | None = None) 
     full-length refinements (`tests/icp_oracle.py`) unless a stopped
     refinement would have ended accepted and been kept by dedupe.
 
-    Hypothesis refinements are independent and their results are collected
-    in hypothesis order, so output is identical to the sequential pipeline.
-    They run on this thread while each converges at its first iteration
-    (two KD-tree queries, about 20 ms): a whole pass of those takes well
-    under a second, a second thread saves little of it, and that little
-    comes and goes with the load on the other core.  From the first
-    refinement that iterates on, the rest run on a thread pool (the KD-tree
-    queries release the GIL), where each can take up to icp_max_iters
-    queries.
+    Hypothesis refinements are independent: they share one thread pool of
+    min(hypotheses, usable CPUs) workers (the KD-tree queries release the
+    GIL) and are collected in hypothesis order, so output is identical to
+    the sequential pipeline.
     """
     cfg = config if config is not None else DetectorConfig()
     samples = sample_surface(mesh, cfg.sample_count, cfg.seed)
@@ -438,23 +433,13 @@ def detect_symmetries(mesh: TriangleMesh, config: DetectorConfig | None = None) 
     tree = _kd_tree(samples.points)
 
     def refine(hypothesis):
-        """(refined plane or None, ICP iterations run)."""
         try:
-            plane, history = refine_plane_icp(samples, hypothesis, cfg, return_history=True, tree=tree)
+            return refine_plane_icp(samples, hypothesis, cfg, tree=tree)
         except (RefinementDivergedError, DegenerateCorrespondencesError):
-            return None, 0
-        return plane, len(history) - 1  # one entry per iteration, plus the final rescoring
+            return None
 
-    refined = []
-    for k, hypothesis in enumerate(hypotheses):
-        plane, iterations = refine(hypothesis)
-        refined.append(plane)
-        rest = hypotheses[k + 1:]
-        workers = min(len(rest), util.usable_cpu_count())
-        if iterations > 1 and workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                refined += [result for result, _ in pool.map(refine, rest)]
-            break
+    with ThreadPoolExecutor(max_workers=min(len(hypotheses), util.usable_cpu_count())) as pool:
+        refined = list(pool.map(refine, hypotheses))
     accepted = [p for p in refined if p is not None and p.residual <= cfg.accept_residual]
     return dedupe_planes(accepted, cfg.dedupe_angle_deg)
 

@@ -877,13 +877,14 @@ def test_config_unknown_key_rejected(tmp_path, cuboid_obj):
 @pytest.mark.parametrize("command, config, flags", [
     ("detect", "sample_count = 100\nwat = 7\n", []),
     ("detect", "sample_count = 0\n", []),
+    ("detect", "seed = 1\nseed = 2\n", []),
     ("render", "width = 0\n", []),
     ("render", "", ["--width", "0"]),
     ("build", "view_setting = V_X\n", []),
     ("build", "codebook_support = hemisphere\n", []),
     ("eval-normals", "wat = 7\n", []),
-], ids=["unknown-key", "zero-samples", "zero-width", "zero-width-flag", "unknown-view-setting",
-        "hemisphere-support", "eval-normals-unknown-key"])
+], ids=["unknown-key", "zero-samples", "repeated-key", "zero-width", "zero-width-flag",
+        "unknown-view-setting", "hemisphere-support", "eval-normals-unknown-key"])
 def test_config_rejected_before_any_output(tmp_path, cuboid_obj, capsys, request, command, config, flags):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(config)
@@ -910,6 +911,7 @@ QUICK_DETECT_KEYS = "sample_count = 1000\npair_count = 4000\nmax_hypotheses = 8\
 
 @pytest.mark.parametrize("case", ["config-dir", "config-0xff", "predictions-0xff",
                                   "manifest-dir", "manifest-0xff", "detect-out-dir",
+                                  "detect-obj-dir", "render-obj-dangling",
                                   "eval-sym-no-codebook", "eval-sym-malformed-codebook",
                                   "eval-sym-late-codebook", "eval-normals-no-normal-codebook",
                                   "eval-sym-bad-label-path", "eval-normals-bad-label-path",
@@ -946,6 +948,12 @@ def test_unreadable_input_exits_2(tmp_path, cuboid_obj, capsys, case):
     elif case == "manifest-0xff":
         manifest.write_bytes(manifest.read_bytes() + b"\xff\n")
         argv, named = eval_sym, manifest
+    elif case == "detect-obj-dir":
+        argv = ["detect", str(tmp_path), "--out", str(tmp_path / "o.txt")]
+    elif case == "render-obj-dangling":
+        named = tmp_path / "dangling.obj"
+        named.symlink_to(tmp_path / "no-such-file")
+        argv = ["render", str(named), "--out", str(tmp_path / "view")]
     elif case == "eval-sym-no-codebook":
         manifest.write_text(fields_line)
         argv, named, header = eval_sym, manifest, "#codebook:"

@@ -69,8 +69,16 @@ def toy(**values):
 
 
 BROKEN_OBJ = "v 0 0 zero\nf 1 2 3\n"
+
 # parses, but every face is collinear: detection fails on zero area
 COLLINEAR_OBJ = "v 0 0 0\nv 1 0 0\nv 2 0 0\nf 1 2 3\n"
+
+
+def add_unreadable_objs(cat_dir):
+    """A directory named like a model and a dangling symlink: opening
+    either raises OSError, not a parse error."""
+    (cat_dir / "directory.obj").mkdir()
+    (cat_dir / "dangling.obj").symlink_to(cat_dir / "no-such-file")
 
 
 def make_corpus(root, categories=("airplane",), models=4):
@@ -162,12 +170,27 @@ def test_unreadable_obj_skipped_with_reason(tmp_path, caplog):
     make_corpus(corpus, models=2)
     (corpus / "airplane" / "broken.obj").write_text(BROKEN_OBJ)
     (corpus / "airplane" / "collinear.obj").write_text(COLLINEAR_OBJ)
+    add_unreadable_objs(corpus / "airplane")
     with caplog.at_level(logging.WARNING):
-        records, _ = build_manifest(corpus, tmp_path / "out", toy(per_model_views=1, seed=0))
+        records, manifest = build_manifest(corpus, tmp_path / "out", toy(per_model_views=1, seed=0))
     assert {r.model_id for r in records} == {"model0", "model1"}
-    assert any("broken.obj" in m for m in caplog.messages)
-    assert any("collinear.obj" in m for m in caplog.messages)
-    assert not (tmp_path / "out" / "airplane" / "collinear").exists()
+    assert manifest.is_file()
+    for name, reason in (("broken", ""), ("collinear", ""),
+                         ("directory", "Is a directory"), ("dangling", "No such file")):
+        assert any(m.startswith(f"skipping {corpus / 'airplane' / name}.obj: ") and reason in m
+                   for m in caplog.messages)
+        assert not (tmp_path / "out" / "airplane" / name).exists()
+
+
+def test_build_write_failure_aborts(tmp_path):
+    corpus = tmp_path / "corpus"
+    make_corpus(corpus, models=1)
+    out = tmp_path / "out"
+    (out / "airplane").mkdir(parents=True)
+    (out / "airplane" / "model0").write_text("")  # a file where the model's directory goes
+    with pytest.raises(FileExistsError):
+        build_manifest(corpus, out, toy(per_model_views=1, seed=0))
+    assert not (out / "manifest.tsv").exists()
 
 
 def tree_digests(root):
@@ -192,6 +215,7 @@ def test_pooled_build_matches_in_process_build(tmp_path, monkeypatch, caplog):
     corpus = tmp_path / "corpus"
     make_corpus(corpus, categories=("airplane", "car"), models=2)
     (corpus / "airplane" / "broken.obj").write_text(BROKEN_OBJ)
+    add_unreadable_objs(corpus / "airplane")
     (corpus / "bathtub").mkdir()
     (corpus / "bathtub" / "collinear.obj").write_text(COLLINEAR_OBJ)
     # five views on three workers: render jobs over uneven slices of views
@@ -205,7 +229,8 @@ def test_pooled_build_matches_in_process_build(tmp_path, monkeypatch, caplog):
         with caplog.at_level(logging.WARNING):
             records, _ = build_manifest(corpus, out, config)
         runs[cpus] = (tree_digests(out), list(caplog.messages), records)
-        for model in ("airplane/broken", "bathtub/collinear"):
+        for model in ("airplane/broken", "airplane/dangling", "airplane/directory",
+                      "bathtub/collinear"):
             assert not (out / model).exists()
         assert all(not r.pose.rotation.flags.writeable for r in records)
         assert len(forks) == 3  # the pooled build forked one worker per CPU, the other none
@@ -216,6 +241,8 @@ def test_pooled_build_matches_in_process_build(tmp_path, monkeypatch, caplog):
     skips = [m for m in pooled_log if m.startswith("skipping ")]
     assert [m.split(":")[0] for m in skips] == [
         f"skipping {corpus / 'airplane' / 'broken.obj'}",
+        f"skipping {corpus / 'airplane' / 'dangling.obj'}",
+        f"skipping {corpus / 'airplane' / 'directory.obj'}",
         f"skipping {corpus / 'bathtub' / 'collinear.obj'}",
     ]
     assert pooled_log.index(skips[-1]) < pooled_log.index(

@@ -561,9 +561,10 @@ def test_detect_output_canonical_and_deterministic():
         assert first > 0
 
 
-def test_detect_pools_refinements_only_after_one_iterates(monkeypatch):
-    """Hypotheses are refined on the calling thread until one needs a second
-    ICP iteration; the rest then share a pool, with the same planes."""
+def test_detect_refines_every_hypothesis_on_one_pool(monkeypatch):
+    """Detection opens one pool of min(hypotheses, usable CPUs) threads, also
+    at one CPU and when every refinement converges at its first iteration,
+    and its planes do not depend on the CPU count."""
     pools = []
 
     class CountingPool(symmetry.ThreadPoolExecutor):
@@ -572,18 +573,21 @@ def test_detect_pools_refinements_only_after_one_iterates(monkeypatch):
             super().__init__(**kwargs)
 
     monkeypatch.setattr(symmetry, "ThreadPoolExecutor", CountingPool)
-    monkeypatch.setattr(symmetry.util, "usable_cpu_count", lambda: 2)
+
+    def planes(mesh, config, cpus):
+        monkeypatch.setattr(symmetry.util, "usable_cpu_count", lambda: cpus)
+        pools.clear()
+        found = detect_symmetries(mesh, config)
+        assert pools == [{"max_workers": cpus}]
+        return [(p.normal.tobytes(), p.offset, p.residual) for p in found]
+
     # every suite-config refinement on the sphere converges at its first iteration
-    assert detect_symmetries(shapes.icosphere(), shapes.SUITE_CONFIG)
-    assert pools == []
-    config = DetectorConfig(sample_count=2000, pair_count=5000)
-    pooled = detect_symmetries(shapes.cuboid(), config)
-    assert pools == [{"max_workers": 2}]
-    monkeypatch.setattr(symmetry.util, "usable_cpu_count", lambda: 1)
-    alone = detect_symmetries(shapes.cuboid(), config)
-    assert len(pools) == 1
-    assert [(p.normal.tolist(), p.offset, p.residual) for p in pooled] == \
-        [(p.normal.tolist(), p.offset, p.residual) for p in alone]
+    sphere = (shapes.icosphere(), shapes.SUITE_CONFIG)
+    cuboid = (shapes.cuboid(), DetectorConfig(sample_count=2000, pair_count=5000))
+    for mesh, config in (sphere, cuboid):
+        two = planes(mesh, config, 2)
+        assert two
+        assert two == planes(mesh, config, 1)
 
 
 def test_detect_rotation_equivariance():
