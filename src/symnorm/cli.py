@@ -51,11 +51,8 @@ def _load_config(args) -> RunConfig:
 def cmd_detect(args, cfg: RunConfig) -> int:
     mesh = parse_obj_file(args.obj)
     planes = detect_symmetries(mesh, cfg)
-    write_planes(args.out, planes, comments=[
-        f"accept_residual {cfg.accept_residual}",
-        f"seed {cfg.seed}",
-        "columns: nx ny nz offset residual",
-    ])
+    write_planes(args.out, planes,
+                 comments=[f"accept_residual {cfg.accept_residual}", f"seed {cfg.seed}"])
     print(f"{len(planes)} symmetry plane(s) -> {args.out}")
     return 0
 
@@ -76,8 +73,8 @@ def cmd_render(args, cfg: RunConfig) -> int:
 
 
 def cmd_build(args, cfg: RunConfig) -> int:
-    records, manifest_path = build_manifest(args.corpus_root, args.out_dir, cfg)
-    print(f"{len(records)} records -> {manifest_path}")
+    rows, manifest_path = build_manifest(args.corpus_root, args.out_dir, cfg)
+    print(f"{rows} records -> {manifest_path}")
     return 0
 
 

@@ -16,6 +16,7 @@ import functools
 import logging
 import math
 import os
+from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -113,22 +114,25 @@ MANIFEST_FIELDS = ("model_id", "category", "obj_path", "pose", "normal_map_path"
                    "label_map_path", "symmetry_label", "view_setting", "split")
 
 
+def manifest_header(codebook, normal_codebook, view_setting: str) -> str:
+    return (f"#codebook:\t{codebook.header()}\n"
+            f"#normal_codebook:\t{normal_codebook.header()}\n"
+            f"#view_setting:\t{view_setting}\n"
+            "#fields:\t" + "\t".join(MANIFEST_FIELDS) + "\n")
+
+
+def manifest_row(r: SampleRecord) -> str:
+    pose = ",".join(repr(float(v)) for v in
+                    (r.pose.azimuth_deg, r.pose.elevation_deg, r.pose.cyclo_deg))
+    bits = "".join("1" if b else "0" for b in r.symmetry_label)
+    return "\t".join([r.model_id, r.category, r.obj_path, pose, r.normal_map_path,
+                      r.label_map_path, bits, r.view_setting, r.split]) + "\n"
+
+
 def write_manifest(path, records, codebook: OrientationCodebook,
                    normal_codebook: OrientationCodebook, view_setting: str) -> None:
-    lines = [
-        f"#codebook:\t{codebook.header()}",
-        f"#normal_codebook:\t{normal_codebook.header()}",
-        f"#view_setting:\t{view_setting}",
-        "#fields:\t" + "\t".join(MANIFEST_FIELDS),
-    ]
-    for r in records:
-        pose = ",".join(repr(float(v)) for v in
-                        (r.pose.azimuth_deg, r.pose.elevation_deg, r.pose.cyclo_deg))
-        bits = "".join("1" if b else "0" for b in r.symmetry_label)
-        lines.append("\t".join([r.model_id, r.category, r.obj_path, pose,
-                                r.normal_map_path, r.label_map_path, bits,
-                                r.view_setting, r.split]))
-    util.atomic_write_text(path, "\n".join(lines) + "\n")
+    util.atomic_write_text(path, manifest_header(codebook, normal_codebook, view_setting)
+                           + "".join(map(manifest_row, records)))
 
 
 def read_manifest(path):
@@ -166,6 +170,10 @@ def read_manifest(path):
                 raise InputError(f"{path}: line {lineno}: expected "
                                  f"{len(MANIFEST_FIELDS)} fields, found {len(parts)}")
             model_id, category, obj_path, pose_s, nm_path, lm_path, bits, view_setting, split = parts
+            # the evals name report files after it
+            if category in ("", ".", "..") or any(c in category for c in "/\\\0"):
+                raise InputError(f"{path}: line {lineno}: category {category!r} is not a "
+                                 "plain file name")
             try:
                 az, el, cy = (float(v) for v in pose_s.split(","))
                 pose = ViewPose(az, el, cy)
@@ -213,21 +221,21 @@ def build_manifest(corpus_root, out_dir, config: RunConfig = RunConfig()):
     skipped with a warning and leaves no files; one that fails while
     rendering is skipped with the same warning.
     A corpus root that is not a directory is an InputError, raised
-    before `out_dir` is made.  Returns (records, manifest_path).
+    before `out_dir` is made.  Returns (row count, manifest_path).
 
     Each model is one detect job (`_detect_outcome`) and, once its planes
-    are read, one render job per worker (`_render_outcome`), each over a
-    contiguous slice of its views, so renders fill any worker that detection
-    leaves idle.  The jobs run in a pool of
-    min(models, util.usable_cpu_count()) worker processes, or in this
-    process when that is below 2; each worker still pools its own ICP
-    refinements (see `detect_symmetries`).  The workers are forked, which
-    spares each of them the numpy import; this process has started no
-    thread of its own when it forks.  Outcomes are read in job order,
-    and only this process logs, counts and writes the manifest, so the
-    files, the manifest and the warnings are the same for any worker count.
-    No worker outlives the call, and an error other than a skip propagates
-    once the pool has shut down.
+    are read, one render job per worker (`_render_outcome`) over a slice of
+    its views, contiguous in manifest order, so renders fill any worker
+    that detection leaves idle.  The jobs run in a pool of
+    min(models, util.usable_cpu_count()) worker processes, forked to spare
+    each the numpy import, or on one thread of this process when that is
+    below 2.  When it forks, this process has started no thread and has
+    flushed the manifest's header.  Outcomes are read in job order, the
+    manifest's (category, model_id) order, and each model's rows, formatted
+    by its render jobs, are appended to the manifest's temp file as they
+    are read: no record is held, and the output and the warnings are the
+    same for any worker count.  No worker outlives the call; an error other
+    than a skip propagates once the pool has shut down, leaving no manifest.
     """
     corpus_root = Path(corpus_root)
     out_dir = Path(out_dir)
@@ -248,14 +256,20 @@ def build_manifest(corpus_root, out_dir, config: RunConfig = RunConfig()):
         jobs += [(category, cat_dir / f"{mid}.obj", split_of[mid]) for mid in sorted(split_of)]
     detect = functools.partial(_detect_outcome, out_dir=out_dir, config=config)
     render = functools.partial(_render_outcome, out_dir=out_dir, config=config)
-    workers = min(len(jobs), util.usable_cpu_count())
-    views = config.per_model_views
-    slices = [range(views * i // workers, views * (i + 1) // workers) for i in range(workers)]
+    workers = max(1, min(len(jobs), util.usable_cpu_count()))
+    # manifest order, in which v1000_labels.pgm sorts before v101_labels.pgm
+    views = sorted(range(config.per_model_views), key=lambda v: f"v{v:03d}{LABEL_MAP_SUFFIX}")
+    slices = [views[len(views) * i // workers:len(views) * (i + 1) // workers]
+              for i in range(workers)]
     slices = [s for s in slices if s]  # fewer views than workers leave some empty
-    records = []
-    with contextlib.ExitStack() as stack:
+    manifest_path = out_dir / "manifest.tsv"
+    rows = 0
+    with util.atomic_write(manifest_path) as manifest, contextlib.ExitStack() as stack:
+        manifest.write(manifest_header(config.symmetry_codebook(), config.normal_codebook(),
+                                       config.view_setting).encode("utf-8"))
+        manifest.flush()
         if workers < 2:
-            outcomes = (_serial_outcome(job, detect, render, slices) for job in jobs)
+            pool = ThreadPoolExecutor(1)
         else:
             # imported here: the eval commands never need them, and they add
             # to every start-up of the CLI
@@ -263,13 +277,14 @@ def build_manifest(corpus_root, out_dir, config: RunConfig = RunConfig()):
             from concurrent.futures.process import ProcessPoolExecutor
 
             pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
-            stack.callback(pool.shutdown, cancel_futures=True)
-            outcomes = _pooled_outcomes(pool, jobs, detect, render, slices, window=2 * workers)
+        stack.callback(pool.shutdown, cancel_futures=True)
+        outcomes = _pooled_outcomes(pool, jobs, detect, render, slices, window=2 * workers)
         for (category, obj_path, _), outcome in zip(jobs, outcomes):
             if isinstance(outcome, str):
                 logger.warning("skipping %s: %s", obj_path, outcome)
             else:
-                records.extend(outcome)
+                manifest.write("".join(outcome).encode("utf-8"))
+                rows += len(outcome)
                 usable[category] += 1
     unusable = [category for category, n in usable.items() if n == 0]
     if missing:
@@ -278,23 +293,19 @@ def build_manifest(corpus_root, out_dir, config: RunConfig = RunConfig()):
     if unusable:
         logger.warning("category holds no usable models (%d of %d): %s",
                        len(unusable), len(CATEGORIES), ", ".join(unusable))
-    records.sort(key=lambda r: (r.category, r.model_id, r.label_map_path))
-    manifest_path = out_dir / "manifest.tsv"
-    write_manifest(manifest_path, records, config.symmetry_codebook(), config.normal_codebook(),
-                   config.view_setting)
-    return records, manifest_path
+    return rows, manifest_path
 
 
 def _pooled_outcomes(pool, jobs, detect, render, slices, window):
-    """Each job's outcome, in job order, from detect and render jobs in `pool`.
+    """Each job's outcome, in job order, from detect and render jobs in `pool`:
+    its model's manifest rows in manifest order, as a list, or the first
+    message that skips it.
 
     At most `window` models are in flight, from their detect job's submission
     to the reading of their last render.  A model's render jobs are submitted
     as soon as its planes are read, whichever model that is, and every
     future is dropped once read.
     """
-    from concurrent.futures import FIRST_COMPLETED, wait
-
     waiting = iter(jobs)
     flight = collections.deque()  # jobs in flight, in job order
     detecting = {}  # job -> its detect future
@@ -314,25 +325,11 @@ def _pooled_outcomes(pool, jobs, detect, render, slices, window):
             [future for future in head if not future.done()]
         if head is not None and not running:
             del rendering[flight.popleft()]
-            yield head if isinstance(head, str) else \
-                _model_outcome([future.result() for future in head])
+            outcomes = [head] if isinstance(head, str) else [future.result() for future in head]
+            skips = [outcome for outcome in outcomes if isinstance(outcome, str)]
+            yield skips[0] if skips else [row for outcome in outcomes for row in outcome]
         else:
             wait([*detecting.values(), *running], return_when=FIRST_COMPLETED)
-
-
-def _serial_outcome(job, detect, render, slices):
-    """One job's outcome from its detect and render jobs, run in this process."""
-    model = detect(job)
-    if isinstance(model, str):
-        return model
-    return _model_outcome([render(job, model, views) for views in slices])
-
-
-def _model_outcome(outcomes):
-    """A model's records from its render outcomes in view order, or the first
-    of their skip messages."""
-    skips = [outcome for outcome in outcomes if isinstance(outcome, str)]
-    return skips[0] if skips else [record for outcome in outcomes for record in outcome]
 
 
 def _detect_outcome(job, out_dir, config):
@@ -350,24 +347,23 @@ def _detect_outcome(job, out_dir, config):
     model_dir = out_dir / category / obj_path.stem
     model_dir.mkdir(parents=True, exist_ok=True)
     write_planes(model_dir / "planes.txt", planes,
-                 comments=[f"accept_residual {config.accept_residual}",
-                           "columns: nx ny nz offset residual"])
+                 comments=[f"accept_residual {config.accept_residual}"])
     return mesh.vertices, mesh.faces, np.array([p.normal for p in planes]).reshape(-1, 3)
 
 
 def _render_outcome(job, model, views, out_dir, config):
-    """Render, label and record the `views` (a range) of one job's model,
-    `model` being what `_detect_outcome` returned for it; return the
-    records, or the message of the SymnormError that skips the model.  The
-    mesh is rebuilt from its arrays here, since a mesh sent between
-    processes would come back writeable."""
+    """Render, label and record the `views` (view indices) of one job's
+    model, `model` being what `_detect_outcome` returned for it; return
+    their manifest rows as a list, or the message of the SymnormError that
+    skips the model.  The mesh is rebuilt from its arrays here, since a
+    mesh sent between processes would come back writeable."""
     category, obj_path, split = job
     vertices, faces, plane_normals = model
     codebook = config.symmetry_codebook()
     normal_codebook = config.normal_codebook()
     model_id = obj_path.stem
     dist = view_distribution(config.view_setting)
-    records = []
+    rows = []
     try:
         mesh = TriangleMesh(vertices, faces)
         for view in views:
@@ -380,7 +376,7 @@ def _render_outcome(job, model, views, out_dir, config):
             rel = f"{category}/{model_id}/v{view:03d}"
             save_normal_map(out_dir / rel, nm)
             save_label_map(out_dir / f"{rel}{LABEL_MAP_SUFFIX}", lm)
-            records.append(SampleRecord(
+            rows.append(manifest_row(SampleRecord(
                 model_id=model_id,
                 category=category,
                 obj_path=os.path.relpath(obj_path, out_dir),
@@ -390,7 +386,7 @@ def _render_outcome(job, model, views, out_dir, config):
                 symmetry_label=label,
                 view_setting=config.view_setting,
                 split=split,
-            ))
+            )))
     except SymnormError as exc:
         return str(exc)
-    return records
+    return rows

@@ -22,7 +22,8 @@ def write_pfm(path, image) -> None:
         raise ValueError("PFM images must be (h, w) or (h, w, 3)")
     h, w = arr.shape[:2]
     header = magic + b"\n%d %d\n-1.0\n" % (w, h)
-    util.atomic_write_bytes(path, header + np.flipud(arr).tobytes())
+    with util.atomic_write(path) as fh:
+        fh.write(header + np.flipud(arr).tobytes())
 
 
 def _tokens(buf, count):
@@ -74,7 +75,8 @@ def write_pgm16(path, image) -> None:
     h, w = arr.shape
     header = b"P5\n%d %d\n65535\n" % (w, h)
     # two-byte PGM samples are most-significant-byte first
-    util.atomic_write_bytes(path, header + arr.astype(">u2").tobytes())
+    with util.atomic_write(path) as fh:
+        fh.write(header + arr.astype(">u2").tobytes())
 
 
 def read_pgm16(path) -> np.ndarray:

@@ -445,8 +445,9 @@ def detect_symmetries(mesh: TriangleMesh, config: DetectorConfig | None = None) 
 
 
 def write_planes(path, planes, comments=()) -> None:
-    """One plane per line: nx ny nz b residual, '#' comment lines allowed."""
-    lines = [f"# {c}" for c in comments]
+    """One plane per line: nx ny nz b residual, after a '#' line for each
+    comment and one naming the columns."""
+    lines = [f"# {c}" for c in (*comments, "columns: nx ny nz offset residual")]
     for p in planes:
         nx, ny, nz = p.normal
         lines.append(f"{nx:.12e} {ny:.12e} {nz:.12e} {p.offset:.12e} {p.residual:.12e}")

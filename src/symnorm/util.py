@@ -46,29 +46,32 @@ def open_text(path):
             raise InputError(f"{path}: {exc}") from None
 
 
-def atomic_write_bytes(path, data):
-    """Write via a temp file in the same directory, then rename.
+@contextlib.contextmanager
+def atomic_write(path):
+    """Yield a binary file that replaces `path` when the block ends: the
+    bytes go to a temp file in the same directory, renamed at the end.
 
-    If the write or the rename fails, the temp file is removed and the
-    error re-raised; an OSError is raised again naming `path`, not the temp
-    file.
+    If the block, the write or the rename fails, the temp file is removed
+    and the error re-raised; an OSError that names the temp file, or no
+    file, is raised again naming `path`.
     """
     path = os.fspath(path)
     tmp = f"{path}.tmp-{os.getpid()}"
     try:
         with open(tmp, "wb") as fh:
-            fh.write(data)
+            yield fh
         os.replace(tmp, path)
     except BaseException as exc:
         with contextlib.suppress(OSError):
             os.remove(tmp)
-        if isinstance(exc, OSError) and exc.errno is not None:
+        if isinstance(exc, OSError) and exc.errno is not None and exc.filename in (None, tmp):
             raise OSError(exc.errno, exc.strerror, path) from None
         raise
 
 
 def atomic_write_text(path, text):
-    atomic_write_bytes(path, text.encode("utf-8"))
+    with atomic_write(path) as fh:
+        fh.write(text.encode("utf-8"))
 
 
 def readonly(array):

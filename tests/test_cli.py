@@ -285,6 +285,25 @@ def test_eval_sym_rejects_unknown_image_ids(tmp_path, toy_build):
     assert rc == 2
 
 
+@pytest.mark.parametrize("command", ["eval-sym", "eval-normals"])
+def test_eval_rejects_a_category_that_would_write_outside_out_dir(tmp_path, toy_build, capsys,
+                                                                  command):
+    _, _, out = toy_build
+    manifest = out / "escaping.tsv"
+    lines = (out / "manifest.tsv").read_text().splitlines(keepends=True)
+    manifest.write_text("".join(lines[:4]) + "".join(
+        line.replace("\tairplane\t", "\t../../escaped\t", 1) for line in lines[4:]))
+    preds = tmp_path / "empty.tsv"
+    preds.write_text("")
+    before = {p: p.stat().st_mtime_ns for p in tmp_path.rglob("*")}
+    argv = [command, str(manifest), str(preds if command == "eval-sym" else out),
+            "--out-dir", str(tmp_path / "rep" / "a" / "b")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {manifest}: line 5: category '../../escaped'")
+    assert {p: p.stat().st_mtime_ns for p in tmp_path.rglob("*")} == before
+
+
 def test_eval_normals_perfect_and_skip(tmp_path, toy_build):
     _, _, out = toy_build
     meta, records = read_manifest(out / "manifest.tsv")

@@ -2,6 +2,7 @@ import hashlib
 import logging
 import multiprocessing
 import os
+import tracemalloc
 from concurrent.futures import Future
 from concurrent.futures.process import ProcessPoolExecutor
 from dataclasses import replace
@@ -81,6 +82,15 @@ def add_unreadable_objs(cat_dir):
     (cat_dir / "dangling.obj").symlink_to(cat_dir / "no-such-file")
 
 
+def built_records(corpus_root, out_dir, config):
+    """Build; return the manifest's records, checked against the row count
+    that `build_manifest` returns."""
+    rows, manifest_path = build_manifest(corpus_root, out_dir, config)
+    records = read_manifest(manifest_path)[1]
+    assert rows == len(records)
+    return records
+
+
 def make_corpus(root, categories=("airplane",), models=4):
     for category in categories:
         (root / category).mkdir(parents=True)
@@ -117,22 +127,21 @@ def test_build_manifest_split_and_integrity(tmp_path, caplog):
     corpus = tmp_path / "corpus"
     make_corpus(corpus)
     with caplog.at_level(logging.WARNING):
-        records, manifest_path = build_manifest(
+        rows, manifest_path = build_manifest(
             corpus, tmp_path / "out", toy(per_model_views=2, seed=0))
-    assert len(records) == 8  # 4 models x 2 views
+    assert rows == 8  # 4 models x 2 views
+    meta, records = read_manifest(manifest_path)
     splits = {r.model_id: r.split for r in records}
     assert sorted(splits.values()).count("train") == 3
     assert sorted(splits.values()).count("test") == 1
     # missing categories warn but do not fail
     assert any("has no directory" in m for m in caplog.messages)
     # referential integrity: every path resolves and parses
-    meta, again = read_manifest(manifest_path)
-    assert len(again) == 8
     codebook = meta["codebook"]
     assert codebook == fibonacci_codebook(10, HORIZONTAL_CIRCLE)
     normal_codebook = meta["normal_codebook"]
     assert normal_codebook == fibonacci_codebook(60, HEMISPHERE)
-    for r in again:
+    for r in records:
         nm = load_normal_map(manifest_path.parent / r.normal_map_path)
         lm = load_label_map(manifest_path.parent / r.label_map_path, normal_codebook.K)
         assert nm.mask.shape == (64, 64)
@@ -157,8 +166,8 @@ def test_build_manifest_deterministic(tmp_path):
 def test_split_stable_under_view_count_change(tmp_path):
     corpus = tmp_path / "corpus"
     make_corpus(corpus)
-    rec1, _ = build_manifest(corpus, tmp_path / "o1", toy(per_model_views=1, seed=7))
-    rec3, _ = build_manifest(corpus, tmp_path / "o3", toy(per_model_views=3, seed=7))
+    rec1 = built_records(corpus, tmp_path / "o1", toy(per_model_views=1, seed=7))
+    rec3 = built_records(corpus, tmp_path / "o3", toy(per_model_views=3, seed=7))
     split1 = {r.model_id: r.split for r in rec1}
     split3 = {r.model_id: r.split for r in rec3}
     assert split1 == split3
@@ -172,9 +181,8 @@ def test_unreadable_obj_skipped_with_reason(tmp_path, caplog):
     (corpus / "airplane" / "collinear.obj").write_text(COLLINEAR_OBJ)
     add_unreadable_objs(corpus / "airplane")
     with caplog.at_level(logging.WARNING):
-        records, manifest = build_manifest(corpus, tmp_path / "out", toy(per_model_views=1, seed=0))
+        records = built_records(corpus, tmp_path / "out", toy(per_model_views=1, seed=0))
     assert {r.model_id for r in records} == {"model0", "model1"}
-    assert manifest.is_file()
     for name, reason in (("broken", ""), ("collinear", ""),
                          ("directory", "Is a directory"), ("dangling", "No such file")):
         assert any(m.startswith(f"skipping {corpus / 'airplane' / name}.obj: ") and reason in m
@@ -190,7 +198,7 @@ def test_build_write_failure_aborts(tmp_path):
     (out / "airplane" / "model0").write_text("")  # a file where the model's directory goes
     with pytest.raises(FileExistsError):
         build_manifest(corpus, out, toy(per_model_views=1, seed=0))
-    assert not (out / "manifest.tsv").exists()
+    assert [p.name for p in out.iterdir()] == ["airplane"]  # no manifest, no temp file
 
 
 def tree_digests(root):
@@ -227,7 +235,7 @@ def test_pooled_build_matches_in_process_build(tmp_path, monkeypatch, caplog):
         out = tmp_path / f"out{cpus}"
         caplog.clear()
         with caplog.at_level(logging.WARNING):
-            records, _ = build_manifest(corpus, out, config)
+            records = built_records(corpus, out, config)
         runs[cpus] = (tree_digests(out), list(caplog.messages), records)
         for model in ("airplane/broken", "airplane/dangling", "airplane/directory",
                       "bathtub/collinear"):
@@ -275,8 +283,8 @@ def test_pooled_build_keeps_at_most_two_models_per_worker_in_flight(tmp_path, mo
 
     monkeypatch.setattr(ProcessPoolExecutor, "submit", submit)
     monkeypatch.setattr(Future, "result", result)
-    records, _ = build_manifest(corpus, tmp_path / "out", toy(per_model_views=2, seed=0))
-    assert len(records) == 24
+    rows, _ = build_manifest(corpus, tmp_path / "out", toy(per_model_views=2, seed=0))
+    assert rows == 24
     assert len(in_flight) == 12 * 3  # per model one detect job and a render job per worker
     assert max(in_flight) == 4
     assert model_of == {}
@@ -293,8 +301,8 @@ def test_empty_corpus_and_one_model_build_start_no_child(tmp_path, monkeypatch, 
     assert [line.split(":")[0] for line in lines] == \
         ["#codebook", "#normal_codebook", "#view_setting", "#fields"]
     make_corpus(corpus, models=1)
-    records, _ = build_manifest(corpus, tmp_path / "one", toy(per_model_views=1, seed=0))
-    assert len(records) == 1
+    rows, _ = build_manifest(corpus, tmp_path / "one", toy(per_model_views=1, seed=0))
+    assert rows == 1
     assert forks == []
     assert multiprocessing.active_children() == []
 
@@ -313,12 +321,12 @@ def test_no_worker_outlives_a_build(tmp_path, monkeypatch):
     corpus = tmp_path / "corpus"
     make_corpus(corpus, models=3)
     config = toy(per_model_views=1, seed=0)
-    records, _ = build_manifest(corpus, tmp_path / "clean", config)
-    assert len(records) == 3
+    rows, _ = build_manifest(corpus, tmp_path / "clean", config)
+    assert rows == 3
     assert multiprocessing.active_children() == []
     (corpus / "airplane" / "broken.obj").write_text(BROKEN_OBJ)
-    records, _ = build_manifest(corpus, tmp_path / "skip", config)
-    assert len(records) == 3
+    rows, _ = build_manifest(corpus, tmp_path / "skip", config)
+    assert rows == 3
     assert multiprocessing.active_children() == []
     parse = dataset.parse_obj_file
 
@@ -339,11 +347,50 @@ def test_no_worker_outlives_a_build(tmp_path, monkeypatch):
     assert shutdowns == [{"cancel_futures": True}] * 3
 
 
+def stub_detection(monkeypatch):
+    """Detect no planes, at once: the build's other work stays as it is."""
+    monkeypatch.setattr(dataset, "detect_symmetries", lambda mesh, config: [])
+
+
+def test_build_writes_a_models_rows_in_label_map_path_order(tmp_path, monkeypatch):
+    monkeypatch.setattr(util, "usable_cpu_count", lambda: 2)
+    stub_detection(monkeypatch)
+    corpus = tmp_path / "corpus"
+    make_corpus(corpus, models=1)
+    # two render jobs, each over half of the views in manifest order
+    records = built_records(corpus, tmp_path / "out",
+                            toy(per_model_views=1001, width=2, height=2, seed=0))
+    paths = [r.label_map_path for r in records]
+    assert len(paths) == 1001 and paths == sorted(paths)
+    assert paths.index("airplane/model0/v1000_labels.pgm") < \
+        paths.index("airplane/model0/v101_labels.pgm")
+
+
+def test_build_parent_memory_stays_flat_as_the_corpus_grows(tmp_path, monkeypatch):
+    monkeypatch.setattr(util, "usable_cpu_count", lambda: 2)
+    stub_detection(monkeypatch)
+    config = toy(per_model_views=20, width=2, height=2, seed=0)
+
+    def traced_peak(run, models):
+        make_corpus(tmp_path / f"corpus{run}", models=models)
+        tracemalloc.start()
+        try:
+            build_manifest(tmp_path / f"corpus{run}", tmp_path / f"out{run}", config)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    traced_peak(0, 8)  # a process's first build also traces the imports it makes
+    small, large = traced_peak(1, 8), traced_peak(2, 32)
+    # the parent keeps a job per model, but none of the 20 rows of each
+    assert large - small < (32 - 8) * 2048
+
+
 def test_model_cap(tmp_path):
     corpus = tmp_path / "corpus"
     make_corpus(corpus, models=5)
-    records, _ = build_manifest(corpus, tmp_path / "out",
-                                toy(per_model_views=1, seed=0, max_models_per_category=3))
+    records = built_records(corpus, tmp_path / "out",
+                            toy(per_model_views=1, seed=0, max_models_per_category=3))
     assert len({r.model_id for r in records}) == 3
     splits = {r.model_id: r.split for r in records}
     assert sorted(splits.values()).count("train") == 2  # floor(0.75 * 3)
@@ -352,9 +399,14 @@ def test_model_cap(tmp_path):
 def test_manifest_roundtrip_preserves_pose_and_labels(tmp_path):
     corpus = tmp_path / "corpus"
     make_corpus(corpus, models=1)
-    records, manifest_path = build_manifest(
-        corpus, tmp_path / "out", toy(per_model_views=3, seed=0))
-    _, again = read_manifest(manifest_path)
+    _, manifest_path = build_manifest(corpus, tmp_path / "out", toy(per_model_views=3, seed=0))
+    meta, records = read_manifest(manifest_path)
+    again_path = tmp_path / "again.tsv"
+    write_manifest(again_path, records, meta["codebook"], meta["normal_codebook"],
+                   meta["view_setting"])
+    assert again_path.read_bytes() == manifest_path.read_bytes()
+    _, again = read_manifest(again_path)
+    assert len(again) == len(records) == 3
     for a, b in zip(records, again):
         assert a.pose.azimuth_deg == b.pose.azimuth_deg
         assert a.pose.elevation_deg == b.pose.elevation_deg
@@ -386,21 +438,28 @@ def test_manifest_rejects_malformed_symmetry_label(tmp_path, bits):
 
 
 LATE_CODEBOOK = "#codebook:\tsupport=horizontal_circle\tk=20"
-ROW = "\t".join(["m0", "airplane", "m0.obj", "{pose}", "airplane/m0/v000_normal.pfm",
-                 "airplane/m0/v000_labels.pgm", "1010", "V_N", "train"])
+
+
+def row(pose="0.0,0.0,0.0", category="airplane"):
+    return "\t".join(["m0", category, "m0.obj", pose, "airplane/m0/v000_normal.pfm",
+                      "airplane/m0/v000_labels.pgm", "1010", "V_N", "train"])
 
 
 @pytest.mark.parametrize("extra, lineno, reason", [
-    ([ROW.format(pose="0.0,0.0,0.0"), LATE_CODEBOOK], 6, "#codebook: header must come once"),
-    ([ROW.format(pose="0.0,0.0,0.0"), "#normal_codebook:\tsupport=hemisphere\tk=60"], 6,
+    ([row(), LATE_CODEBOOK], 6, "#codebook: header must come once"),
+    ([row(), "#normal_codebook:\tsupport=hemisphere\tk=60"], 6,
      "#normal_codebook: header must come once"),
-    ([LATE_CODEBOOK, ROW.format(pose="0.0,0.0,0.0")], 5, "#codebook: header must come once"),
-    ([ROW.format(pose="0.0,nan,0.0")], 5, "elevation must be finite"),
-    ([ROW.format(pose="0.0,inf,0.0")], 5, "elevation must be finite"),
-    ([ROW.format(pose="nan,0.0,0.0")], 5, "azimuth"),
-    ([ROW.format(pose="0.0,0.0,-inf")], 5, "cyclo"),
+    ([LATE_CODEBOOK, row()], 5, "#codebook: header must come once"),
+    ([row(pose="0.0,nan,0.0")], 5, "elevation must be finite"),
+    ([row(pose="0.0,inf,0.0")], 5, "elevation must be finite"),
+    ([row(pose="nan,0.0,0.0")], 5, "azimuth"),
+    ([row(pose="0.0,0.0,-inf")], 5, "cyclo"),
+    *(([row(), row(category=category)], 6, "is not a plain file name")
+      for category in ("", ".", "..", "../../escaped", "a/b", "a\\b", "a\0b")),
 ], ids=["late-codebook", "late-normal-codebook", "repeated-codebook", "nan-elevation",
-        "inf-elevation", "nan-azimuth", "inf-cyclo"])
+        "inf-elevation", "nan-azimuth", "inf-cyclo", "empty-category", "dot-category",
+        "dotdot-category", "escaping-category", "slash-category", "backslash-category",
+        "nul-category"])
 def test_manifest_rejects_misplaced_header_and_non_finite_pose(tmp_path, extra, lineno, reason):
     path = tmp_path / "manifest.tsv"
     write_manifest(path, [], fibonacci_codebook(4, HORIZONTAL_CIRCLE),

@@ -622,7 +622,7 @@ def test_planes_file_roundtrip(tmp_path):
     path = tmp_path / "planes.txt"
     write_planes(path, planes, comments=["fixture cuboid"])
     text = path.read_text()
-    assert text.startswith("# fixture cuboid")
+    assert text.startswith("# fixture cuboid\n# columns: nx ny nz offset residual\n")
     again = read_planes(path)
     assert len(again) == len(planes)
     for a, b in zip(planes, again):

@@ -1,3 +1,4 @@
+import errno
 import os
 import subprocess
 import sys
@@ -13,9 +14,23 @@ def test_atomic_write_removes_temp_file_on_failure(tmp_path):
     target = tmp_path / "taken"
     target.mkdir()
     with pytest.raises(IsADirectoryError):
-        util.atomic_write_bytes(target, b"data")
+        with util.atomic_write(target) as fh:
+            fh.write(b"data")
     assert [p.name for p in tmp_path.iterdir()] == ["taken"]
     assert list(target.iterdir()) == []
+
+
+def test_atomic_write_keeps_the_target_and_the_error_of_a_failed_block(tmp_path):
+    target = tmp_path / "kept"
+    target.write_bytes(b"old")
+    elsewhere = str(tmp_path / "elsewhere")
+    with pytest.raises(FileExistsError) as failed:
+        with util.atomic_write(target) as fh:
+            fh.write(b"new")
+            raise FileExistsError(errno.EEXIST, "File exists", elsewhere)
+    assert failed.value.filename == elsewhere  # an error of the block names its own file
+    assert target.read_bytes() == b"old"
+    assert [p.name for p in tmp_path.iterdir()] == ["kept"]
 
 
 def _blas_threads_after_import(**env):
