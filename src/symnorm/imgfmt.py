@@ -5,6 +5,8 @@ data.  PGM P5 at maxval 65535 stores big-endian two-byte samples, rows
 top-to-bottom.
 """
 
+import math
+
 import numpy as np
 
 from . import util
@@ -45,6 +47,14 @@ def _tokens(buf, count):
     return out, pos + 1  # skip the single whitespace byte before binary data
 
 
+def _count(token, field):
+    """A header's nonnegative decimal integer: ASCII digits only."""
+    if not token.isdigit():
+        raise InputError(f"image header {field} {token.decode('latin-1')!r} "
+                         "is not a nonnegative integer")
+    return int(token)
+
+
 def read_pfm(path) -> np.ndarray:
     """Read a PFM file into a float32 array, rows top-to-bottom."""
     with open(path, "rb") as fh:
@@ -52,12 +62,17 @@ def read_pfm(path) -> np.ndarray:
     (magic, ws, hs, ss), pos = _tokens(buf, 4)
     if magic not in (b"PF", b"Pf"):
         raise InputError(f"not a PFM file: magic {magic!r}")
-    w, h = int(ws), int(hs)
-    scale = float(ss)
+    w, h = _count(ws, "width"), _count(hs, "height")
+    try:
+        scale = float(ss)
+    except ValueError:
+        scale = math.nan
+    if not (math.isfinite(scale) and scale != 0.0):
+        raise InputError(f"image header scale {ss.decode('latin-1')!r} is not a finite nonzero number")
     channels = 3 if magic == b"PF" else 1
     dtype = "<f4" if scale < 0 else ">f4"
     payload = memoryview(buf)[pos:]
-    if not 0 <= w * h * channels * 4 <= len(payload):
+    if w * h * channels * 4 > len(payload):
         raise InputError("PFM payload shorter than header promises")
     shape = (h, w, 3) if channels == 3 else (h, w)
     arr = np.frombuffer(payload, dtype=dtype, count=w * h * channels).reshape(shape)
@@ -85,11 +100,12 @@ def read_pgm16(path) -> np.ndarray:
     (magic, ws, hs, maxs), pos = _tokens(buf, 4)
     if magic != b"P5":
         raise InputError(f"not a binary PGM file: magic {magic!r}")
-    if int(maxs) != 65535:
-        raise InputError(f"expected maxval 65535, found {int(maxs)}")
-    w, h = int(ws), int(hs)
+    maxval = _count(maxs, "maxval")
+    if maxval != 65535:
+        raise InputError(f"expected maxval 65535, found {maxval}")
+    w, h = _count(ws, "width"), _count(hs, "height")
     payload = memoryview(buf)[pos:]
-    if not 0 <= w * h * 2 <= len(payload):
+    if w * h * 2 > len(payload):
         raise InputError("PGM payload shorter than header promises")
     # the one copy: big-endian samples to native uint16
     return np.frombuffer(payload, dtype=">u2", count=w * h).reshape(h, w).astype(np.uint16)

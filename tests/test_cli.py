@@ -451,6 +451,32 @@ def test_eval_normals_skips_invalid_predicted_normals(tmp_path, toy_build, chang
     assert skipped[0].startswith(f"  skipped {victim}: ") and reason in skipped[0]
 
 
+
+@pytest.mark.parametrize("suffix, header, field", [("_normal.pfm", b"PF\n-2 -2\n-1.0\n", "width"),
+                                                   ("_normal.pfm", b"PF\n2 2\nabc\n", "scale"),
+                                                   ("_labels.pgm", b"P5\n2.5 2\n65535\n", "width"),
+                                                   ("_labels.pgm", b"P5\n2 2\nabc\n", "maxval")],
+                         ids=["pfm-width", "pfm-scale", "pgm-width", "pgm-maxval"])
+def test_eval_normals_skips_a_prediction_with_a_malformed_header(tmp_path, toy_build, suffix, header,
+                                                                 field):
+    """A prediction whose image header holds a negative or non-numeric field
+    is skipped with a reason naming that field, and the exit code is 2."""
+    _, _, out = toy_build
+    _, records = read_manifest(out / "manifest.tsv")
+    pred_dir = tmp_path / "pred"
+    for r in records:
+        dst = pred_dir / (record_image_id(r) + "_normal.pfm")
+        dst.parent.mkdir(parents=True, exist_ok=True)
+        shutil.copy(out / r.normal_map_path, dst)
+    victim = record_image_id(records[0])
+    (pred_dir / (victim + "_normal.pfm")).unlink()
+    (pred_dir / (victim + suffix)).write_bytes(header + b"\0" * 64)
+    rep = tmp_path / "rep"
+    assert main(["eval-normals", str(out / "manifest.tsv"), str(pred_dir),
+                 "--out-dir", str(rep)]) == 2
+    reasons = _skip_reasons((rep / "report.txt").read_bytes())
+    assert list(reasons) == [victim] and f"header {field} " in reasons[victim]
+
 def _eval_normals(manifest, pred_dir, out_dir):
     """(exit code, {file name: bytes}) of one eval-normals run."""
     rc = main(["eval-normals", str(manifest), str(pred_dir), "--out-dir", str(out_dir)])

@@ -78,3 +78,34 @@ def test_header_comments_tolerated(tmp_path):
     payload = np.array([[1, 2], [3, 4]], dtype=">u2").tobytes()
     path.write_bytes(b"P5\n# a comment\n2 2\n65535\n" + payload)
     assert imgfmt.read_pgm16(path).tolist() == [[1, 2], [3, 4]]
+
+
+@pytest.mark.parametrize("header, field", [
+    (b"PF\n-2 -2\n-1.0\n", "width"),
+    (b"PF\n2.5 2\n-1.0\n", "width"),
+    (b"Pf\n2 -1\n-1.0\n", "height"),
+    (b"Pf\n2 x\n-1.0\n", "height"),
+    (b"Pf\n2 2\nabc\n", "scale"),
+    (b"Pf\n2 2\nnan\n", "scale"),
+    (b"Pf\n2 2\n0\n", "scale"),
+], ids=["negative", "fractional-width", "negative-height", "word-height", "word-scale",
+        "nan-scale", "zero-scale"])
+def test_pfm_malformed_header_names_the_field(tmp_path, header, field):
+    bad = tmp_path / "bad.pfm"
+    bad.write_bytes(header + b"\0" * 48)
+    with pytest.raises(InputError, match=f"header {field} "):
+        imgfmt.read_pfm(bad)
+
+
+@pytest.mark.parametrize("header, field", [
+    (b"P5\n-2 2\n65535\n", "width"),
+    (b"P5\n2.5 2\n65535\n", "width"),
+    (b"P5\n2 -2\n65535\n", "height"),
+    (b"P5\n2 2\nabc\n", "maxval"),
+    (b"P5\n2 2\n-65535\n", "maxval"),
+], ids=["negative-width", "fractional-width", "negative-height", "word-maxval", "negative-maxval"])
+def test_pgm16_malformed_header_names_the_field(tmp_path, header, field):
+    bad = tmp_path / "bad.pgm"
+    bad.write_bytes(header + b"\0" * 16)
+    with pytest.raises(InputError, match=f"header {field} "):
+        imgfmt.read_pgm16(bad)

@@ -333,21 +333,22 @@ def test_icp_monotone_on_fixture_hypotheses():
 
 
 def counted_refinement(monkeypatch, samples, plane, config):
-    """refine_plane_icp's (plane, history), the KD queries of its loop and
-    how often it rescored a refit plane."""
+    """refine_plane_icp's (plane, history), the KD queries of its loop (on
+    all samples or on the ICP subset; each reflects the points it asks once)
+    and how often it rescored a refit plane."""
     queries, rescores = [], []
-    query, score = symmetry._query_reflected, symmetry.score_plane
+    reflect, score = symmetry.reflect_points, symmetry.score_plane
 
-    def counted_query(*args):
+    def counted_reflect(*args):
         queries.append(1)
-        return query(*args)
+        return reflect(*args)
 
     def counted_score(*args, **kwargs):
         rescores.append(1)
         return score(*args, **kwargs)
 
     with monkeypatch.context() as patch:
-        patch.setattr(symmetry, "_query_reflected", counted_query)
+        patch.setattr(symmetry, "reflect_points", counted_reflect)
         patch.setattr(symmetry, "score_plane", counted_score)
         refined, history = refine_plane_icp(samples, plane, config, return_history=True)
     return refined, history, len(queries) - len(rescores), len(rescores)
@@ -368,7 +369,9 @@ def cuboid_hypotheses():
 def test_icp_stops_only_refinements_that_end_rejected():
     """Each refinement either runs as the full-length oracle does, or stops
     early with the oracle's history up to the stop and a residual above
-    accept_residual, and the stop rule holds at the last iteration run."""
+    accept_residual, and the stop rule holds at the last iteration run.  A
+    stop on the ICP subset leaves the history flat; the subset's own rule is
+    checked by test_icp_stop_in_the_subset_phase_returns_a_full_sample_score."""
     samples, hypotheses = cuboid_hypotheses()
     cfg = CUBOID_SMALL
     stopped = 0
@@ -415,38 +418,145 @@ def test_icp_history_counts_iterations_on_every_exit(monkeypatch):
     assert 1 < exits["stopped"] < cfg.icp_max_iters
 
 
-@pytest.mark.parametrize("exit_kind", ["no_match", "degenerate"])
-def test_icp_exit_after_an_iteration_reuses_its_score(monkeypatch, exit_kind):
-    """A refinement that runs out of matches (none within the rejection radius,
-    or fewer than three displaced) after its first iteration returns the best
-    plane already scored, without querying the tree again."""
+class ObservedTree:
+    """A cKDTree that records the size and mean distance of every query and
+    can break one: `fail(sizes)` returns the index of the query to break, or
+    None."""
+
+    def __init__(self, points, fail=lambda sizes: None, kind="no_match"):
+        self.tree = cKDTree(points)
+        self.indices = self.tree.indices
+        self.sizes, self.means, self.fail, self.kind = [], [], fail, kind
+
+    def query(self, x):
+        dists, idx = self.tree.query(x)
+        self.sizes.append(len(x))
+        self.means.append(dists.mean())
+        if self.fail(self.sizes) == len(self.sizes) - 1:
+            if self.kind == "no_match":
+                dists = dists + 1e3
+            elif len(x) == len(self.indices):
+                idx = self.indices.copy()  # in leaf order: every point matched to itself
+            else:
+                dists[2:] += 1e3  # two matches left
+        return dists, idx
+
+
+def first_after_subset(sizes):
+    """The first full-sample query after a subset query."""
+    for i in range(1, len(sizes)):
+        if sizes[i] > sizes[i - 1]:
+            return i
+    return None
+
+
+def broken_refinement(exit_kind, fail):
+    """Refine an 8-degree perturbation of a mirrored cloud's plane, never
+    stopping for the trend, with the query `fail` names broken: (samples,
+    hypothesis, refined plane, history, index of the broken query)."""
     rng = np.random.default_rng(13)
     pts, n_true, b_true = shapes.mirrored_cloud(rng)
     samples = cloud_samples(pts)
     start = SymmetryPlane(perturbed(n_true, 8.0, rng), b_true)
-    cfg = replace(DetectorConfig(), accept_residual=1e3)  # never stop for the trend
-    query = symmetry._query_reflected
-    calls = []
+    cfg = replace(DetectorConfig(), accept_residual=1e3)
+    tree = ObservedTree(pts, fail, exit_kind)
+    refined, history = refine_plane_icp(samples, start, cfg, return_history=True, tree=tree)
+    broken = fail(tree.sizes)
+    # no query after the broken one, and one history entry per query plus the result
+    assert broken == len(tree.sizes) - 1 and len(history) == broken + 2
+    subset = len(symmetry._icp_subset(tree, cfg.seed))
+    assert tree.sizes == [len(pts)] + [subset] * (broken - 1) + [tree.sizes[broken]]
+    return samples, start, refined, history, broken
 
-    def failing_second_query(tree, points, plane):
-        dists, idx = query(tree, points, plane)
-        calls.append(plane)
-        if len(calls) == 2 and exit_kind == "no_match":
-            dists = dists + 1e3
-        elif len(calls) == 2:
-            idx = np.arange(len(points))  # every point matched to itself
-        return dists, idx
 
-    monkeypatch.setattr(symmetry, "_query_reflected", failing_second_query)
-    refined, history = refine_plane_icp(samples, start, cfg, return_history=True)
-    assert len(calls) == 2 and len(history) == 3
+@pytest.mark.parametrize("exit_kind", ["no_match", "degenerate"])
+def test_icp_exit_after_an_iteration_reuses_its_score(exit_kind):
+    """A refinement that runs out of matches (none within the rejection radius,
+    or fewer than three displaced) on its second iteration, the first on the
+    ICP subset, returns the best plane already scored on all samples, the
+    hypothesis, without querying the tree again."""
+    samples, start, refined, history, _ = broken_refinement(exit_kind, lambda sizes: 1)
     first = score_plane(samples, start)
-    second = float(query(cKDTree(pts), pts, calls[1])[0].mean() / samples.bbox_diagonal)
+    assert (refined.normal.tobytes(), refined.offset) == (start.normal.tobytes(), start.offset)
+    assert history == [first, first, first] and refined.residual == first
+
+
+@pytest.mark.parametrize("exit_kind", ["no_match", "degenerate"])
+def test_icp_exit_in_the_finishing_phase_reuses_its_score(exit_kind):
+    """The same exit on the first full-sample iteration after the subset phase
+    returns the better of the hypothesis and the plane that iteration scored
+    (a broken match list scores nothing), without querying the tree again."""
+    samples, start, refined, history, broken = broken_refinement(exit_kind, first_after_subset)
+    first = score_plane(samples, start)
+    assert broken >= 2 and history[:broken] == [first] * broken
     if exit_kind == "no_match":
         assert (refined.normal.tobytes(), refined.offset) == (start.normal.tobytes(), start.offset)
-        assert history == [first, first, first] and refined.residual == first
+        assert history[-2:] == [first, first] and refined.residual == first
     else:
-        assert min(first, second) == refined.residual == history[-1]
+        assert refined.residual == score_plane(samples, refined) == history[-1] < first
+
+
+def test_icp_converging_at_its_first_iteration_never_draws_the_subset(monkeypatch):
+    """A hypothesis whose first, full-sample refit converges never draws the
+    ICP subset: it returns a 2-entry history and the oracle's bytes.  Every
+    suite-config hypothesis on the icosphere converges so."""
+    samples = sample_surface(shapes.icosphere(), shapes.SUITE_CONFIG.sample_count, 0)
+    hypotheses = generate_hypotheses(samples, shapes.SUITE_CONFIG)
+    want = [icp_oracle.refine_plane_icp(samples, h, shapes.SUITE_CONFIG, return_history=True)
+            for h in hypotheses]
+
+    def no_subset(*args):
+        raise AssertionError("the ICP subset was drawn")
+
+    monkeypatch.setattr(symmetry, "_icp_subset", no_subset)
+    for hypothesis, (want_plane, want_history) in zip(hypotheses, want):
+        refined, history = refine_plane_icp(samples, hypothesis, shapes.SUITE_CONFIG, return_history=True)
+        assert len(history) == 2 and history == want_history
+        assert plane_bytes(refined) == plane_bytes(want_plane)
+
+
+def test_icp_stop_in_the_subset_phase_returns_a_full_sample_score():
+    """A refinement that the trend rule stops on the ICP subset (checked once,
+    after the subset phase's second iteration) returns the hypothesis with its
+    full-sample score, not a plane scored on the subset only."""
+    samples, hypotheses = cuboid_hypotheses()
+    cfg = CUBOID_SMALL
+    diag = samples.bbox_diagonal
+    stopped = 0
+    for hypothesis in hypotheses:
+        tree = ObservedTree(samples.points)
+        refined, history = refine_plane_icp(samples, hypothesis, cfg, return_history=True, tree=tree)
+        n, m = len(samples.points), len(symmetry._icp_subset(tree, cfg.seed))
+        if tree.sizes != [n, m, m]:
+            continue
+        stopped += 1
+        s1, s2 = (float(mean / diag) for mean in tree.means[1:])
+        assert min(s1, s2) - (cfg.icp_max_iters - 2) * (s1 - min(s1, s2)) > cfg.accept_residual
+        assert (refined.normal.tobytes(), refined.offset) == (hypothesis.normal.tobytes(), hypothesis.offset)
+        assert refined.residual == score_plane(samples, hypothesis)
+        assert history == [refined.residual] * 4
+    assert stopped >= len(hypotheses) // 4
+
+
+@pytest.mark.parametrize("mesh", [shapes.cuboid, shapes.square_plate, shapes.hexagonal_prism,
+                                  shapes.asymmetric_tetrahedron],
+                         ids=["cuboid", "plate", "prism", "tetrahedron"])
+def test_detect_with_the_icp_subset_is_the_same_at_one_and_two_cpus(monkeypatch, mesh):
+    """Refinements that continue on the ICP subset share it across the pool's
+    threads; the fixtures' planes are byte-identical at 1 and 2 usable CPUs."""
+    draws = []
+    draw = symmetry._icp_subset
+
+    def counted_draw(*args):
+        draws.append(1)
+        return draw(*args)
+
+    monkeypatch.setattr(symmetry, "_icp_subset", counted_draw)
+    found = {}
+    for cpus in (1, 2):
+        monkeypatch.setattr(symmetry.util, "usable_cpu_count", lambda: cpus)
+        found[cpus] = [plane_bytes(p) for p in detect_symmetries(mesh(), DetectorConfig())]
+    assert draws and found[1] == found[2]
 
 
 @pytest.mark.parametrize("config", [DetectorConfig(), shapes.SUITE_CONFIG], ids=["default", "suite"])
