@@ -323,26 +323,41 @@ def _query_reflected(tree, points, plane):
 
 
 # A refinement that does not converge on its first iteration continues on a
-# quarter of the samples.  A KD query costs about its number of points (a
-# quarter of them takes a third of the time, being sparser in leaf order), and
-# ICP on a uniform random subset steers towards the fixed point of the full
-# sample up to the subset's sampling error (Rusinkiewicz and Levoy, "Efficient
-# Variants of the ICP Algorithm", 3DIM 2001), which the full-sample iterations
-# that finish every such refinement remove.
-ICP_SUBSET_FRACTION = 0.25
+# third of the samples, one from each run of ICP_SUBSET_STRIDE consecutive
+# points in the tree's leaf order.  A KD query costs about its number of
+# points (on 8000 cuboid samples a third of them, asked in leaf order, took
+# 1.7 ms against 5.8 ms for all of them).  ICP on a subset steers towards the
+# fixed point of the full sample up to the subset's sampling error
+# (Rusinkiewicz and Levoy, "Efficient Variants of the ICP Algorithm", 3DIM
+# 2001), which the full-sample iterations that finish every such refinement
+# reduce.  Leaf order keeps neighbours together, so one point per run covers
+# the surface evenly, with less sampling error than a uniform random third.
+# That moved a cuboid plane so far that two detector seeds disagreed by
+# 1.13 degrees; with a quarter of the samples, or a random half, the
+# full-length loop kept a second false plane on the asymmetric tetrahedron
+# (ROADMAP, Exact dead ends).
+ICP_SUBSET_STRIDE = 3
+
+# The subset phase's trend check allows each score left twice the subset's
+# last drop: a slide along a near-symmetry can speed up.  On the asymmetric
+# tetrahedron under the default config at seed 1, one slid from 0.052 to
+# 0.0200, its subset drops growing from 0.0006 to 0.0022 per iteration;
+# judged by its plain last drop, it was stopped at its second subset
+# iteration although the full-length loop accepts it.
+ICP_SUBSET_DROP_ALLOWANCE = 2.0
 
 
 def _icp_subset(tree, seed):
     """Indices of the ICP subset of the tree's points, in the tree's leaf
-    order: ceil(ICP_SUBSET_FRACTION * n) of them from the seed's "icp-subset"
-    stream.  The draw depends only on the seed and n, so every refinement of
-    a model uses the same subset."""
+    order: from each run of ICP_SUBSET_STRIDE consecutive points of the leaf
+    order, the one at an offset drawn from the seed's "icp-subset" stream.
+    The draw depends only on the seed and the tree, so every refinement of a
+    model that draws it gets the same subset."""
     leaf_order = tree.indices
-    n = len(leaf_order)
-    chosen = np.zeros(n, dtype=bool)
+    starts = np.arange(0, len(leaf_order), ICP_SUBSET_STRIDE)
     rng = util.derive_rng(seed, "icp-subset")
-    chosen[rng.choice(n, math.ceil(ICP_SUBSET_FRACTION * n), replace=False)] = True
-    return leaf_order[chosen[leaf_order]]
+    offsets = rng.integers(0, np.minimum(ICP_SUBSET_STRIDE, len(leaf_order) - starts))
+    return leaf_order[starts + offsets]
 
 
 def refine_plane_icp(samples: SurfaceSamples, plane: SymmetryPlane, config: DetectorConfig,
@@ -356,36 +371,35 @@ def refine_plane_icp(samples: SurfaceSamples, plane: SymmetryPlane, config: Dete
     new offset places the plane through the mean midpoint.  The matching
     pass scores the plane it reflects by its mean match distance.
 
-    Iteration 0 runs on all samples, as a refinement that converges there
-    always has.  Otherwise the refinement continues on the model's ICP subset
-    (`_icp_subset`, matched against all samples) until a refit converges,
-    then on all samples again, from the subset's last plane, until a refit
-    converges.  A subset score only estimates a full-sample one, so only
-    full-sample scores pick the returned plane: the result is the best plane
-    scored on all samples, with that score.  icp_max_iters bounds the
-    iterations of both phases together; the subset phase ends by iteration
-    icp_max_iters - 2, so that at least one full-sample iteration follows
-    it.  A refinement that converges on all samples or reaches icp_max_iters
-    scores its last refit plane once more.
+    A refinement runs in up to three phases.  "first" is iteration 0, on all
+    samples, as a refinement that converges there always has.  Otherwise it
+    goes on in the "subset" phase, on the ICP subset (`_icp_subset`, each
+    refinement that gets here draws the same one, matched against all
+    samples), until a refit converges, and then in the "finish" phase, on all
+    samples again from the subset's last plane, until a refit converges.  A
+    subset score only estimates a full-sample one, so only full-sample
+    scores pick the returned plane: the result is the best plane scored on
+    all samples, with that score.  icp_max_iters bounds the iterations of all
+    phases together; the subset phase ends by iteration icp_max_iters - 2,
+    so that at least one full-sample iteration follows it.  A refinement that
+    converges on all samples or reaches icp_max_iters scores its last refit
+    plane once more.
 
-    It also stops, with no refit and no rescoring, when the residual trend
-    shows the refinement cannot be accepted.  After iteration i with best
-    residual h_i and previous best h_(i-1), at most icp_max_iters - i more
-    planes can be scored (the remaining iterations and the final rescoring),
-    so if even gaining drop = h_(i-1) - h_i on each of them leaves h_i -
+    While its best full-sample score is above accept_residual, it also stops,
+    with no refit and no rescoring, when the residual trend shows the
+    refinement cannot be accepted.  After iteration i with best score s_i
+    and previous best s_(i-1), at most icp_max_iters - i more planes can be
+    scored (the remaining iterations and the final rescoring), so if even
+    gaining drop = s_(i-1) - s_i on each of them leaves s_i -
     (icp_max_iters - i) * drop above accept_residual, it returns the best
-    full-scored plane so far.  The rule reads the best full-sample scores
-    after every full-sample iteration but the first, and the subset's own
-    scores once, after the subset phase's second iteration.  Checked once,
-    it drops the refinements that stall from the start, and a refinement
-    that keeps gaining runs its cheap subset phase out: a slide along a
-    near-symmetry can slow down and speed up again, so extrapolating from
-    one of its later drops would stop refinements that the full-length loop
-    accepts.  Any other exit after iteration 0 (no match within the rejection
-    radius, fewer than three displaced matches) also returns the best
-    full-scored plane.  The history holds the best full-sample score after
-    each iteration run (a subset iteration repeats it), plus a last entry
-    for the result.
+    full-scored plane so far.  The finish phase reads the best full-sample
+    scores after each of its iterations, the subset phase its own best
+    scores after each of its iterations from the second, allowing each score
+    left ICP_SUBSET_DROP_ALLOWANCE times their last drop.  Any other exit
+    after iteration 0 (no match within the rejection radius, fewer than
+    three displaced matches) also returns the best full-scored plane.  The
+    history holds the best full-sample score after each iteration run (a
+    subset iteration repeats it), plus a last entry for the result.
     `tree`, if given, is a cKDTree over samples.points.
     """
     pts = samples.points
@@ -401,24 +415,29 @@ def refine_plane_icp(samples: SurfaceSamples, plane: SymmetryPlane, config: Dete
     best = None
     best_residual = np.inf
     history = []
-    points = pts  # the running phase's points
-    trend = history  # the best scores the trend rule reads: full-sample, or the subset's own
+    phase, points = "first", pts
+    subset_scores = []  # the subset phase's best subset score after each of its iterations
     for iteration in range(config.icp_max_iters):
-        full = points is pts
-        if full:
+        if phase == "subset":
+            dists, idx = tree.query(reflect_points(points, current))
+            score = float(dists.mean() / diag)
+            subset_scores.append(min(score, subset_scores[-1]) if subset_scores else score)
+        else:
             dists, idx = _query_reflected(tree, pts, current)
             residual = float(dists.mean() / diag)
             if residual < best_residual:
                 best, best_residual = current, residual
-        else:
-            dists, idx = tree.query(reflect_points(points, current))
-            residual = float(dists.mean() / diag)
-            trend.append(min(residual, trend[-1]) if trend else residual)
         # one entry per iteration: the best full-sample score, nonincreasing
         history.append(best_residual)
-        if len(trend) > 1 and (full or len(trend) == 2):
-            # hopeless: gaining the last drop on each score left stays rejected
-            drop = trend[-2] - trend[-1]
+        if phase == "finish":
+            trend, allowance = history, 1.0
+        elif phase == "subset" and len(subset_scores) > 1:
+            trend, allowance = subset_scores, ICP_SUBSET_DROP_ALLOWANCE
+        else:
+            trend = None
+        if trend is not None and best_residual > config.accept_residual:
+            # hopeless: gaining the allowed drop on each score left stays rejected
+            drop = allowance * (trend[-2] - trend[-1])
             if trend[-1] - (config.icp_max_iters - iteration) * drop > config.accept_residual:
                 break
         keep = dists <= reject
@@ -440,15 +459,15 @@ def refine_plane_icp(samples: SurfaceSamples, plane: SymmetryPlane, config: Dete
         offset = float(normal @ (0.5 * (p + q)).mean(axis=0))
         converged = sym_angle_deg(normal, current.normal) < config.icp_converge_deg
         current = SymmetryPlane(normal, offset)
-        if full and (converged or iteration == last):
+        if phase != "subset" and (converged or iteration == last):
             final_residual = score_plane(samples, current, tree=tree)
             if final_residual < best_residual:
                 best, best_residual = current, final_residual
             break
-        if iteration == 0 and last >= 2:
-            points, trend = pts[_icp_subset(tree, config.seed)], []
-        elif not full and (converged or iteration == last - 1):
-            points, trend = pts, history  # finish on all samples from the subset's plane
+        if phase == "first" and last >= 2:
+            phase, points = "subset", pts[_icp_subset(tree, config.seed)]
+        elif phase == "first" or (phase == "subset" and (converged or iteration == last - 1)):
+            phase, points = "finish", pts
     history.append(best_residual)
     refined = SymmetryPlane(best.normal, best.offset, best_residual)
     return (refined, history) if return_history else refined
@@ -474,13 +493,14 @@ def detect_symmetries(mesh: TriangleMesh, config: DetectorConfig | None = None) 
     `refine_plane_icp`); every residual it is accepted or rejected by is a
     full-sample score.  A refinement whose residual trend shows it cannot
     reach accept_residual stops early and is rejected.  The kept planes are
-    those of full-length two-phase refinements (`tests/icp_oracle.py`) unless
+    those of full-length refinements (`tests/icp_oracle.py`) unless
     a stopped refinement would have ended accepted and been kept by dedupe.
 
     Hypothesis refinements are independent: they share one thread pool of
     min(hypotheses, usable CPUs) workers (the KD-tree queries release the
-    GIL), read the same subset and tree, and are collected in hypothesis
-    order, so output is identical to the sequential pipeline.
+    GIL), each one that draws the ICP subset draws the same one, all read
+    the same tree, and they are collected in hypothesis order, so output is
+    identical to the sequential pipeline.
     """
     cfg = config if config is not None else DetectorConfig()
     samples = sample_surface(mesh, cfg.sample_count, cfg.seed)

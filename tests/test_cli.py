@@ -451,7 +451,6 @@ def test_eval_normals_skips_invalid_predicted_normals(tmp_path, toy_build, chang
     assert skipped[0].startswith(f"  skipped {victim}: ") and reason in skipped[0]
 
 
-
 @pytest.mark.parametrize("suffix, header, field", [("_normal.pfm", b"PF\n-2 -2\n-1.0\n", "width"),
                                                    ("_normal.pfm", b"PF\n2 2\nabc\n", "scale"),
                                                    ("_labels.pgm", b"P5\n2.5 2\n65535\n", "width"),
@@ -476,6 +475,7 @@ def test_eval_normals_skips_a_prediction_with_a_malformed_header(tmp_path, toy_b
                  "--out-dir", str(rep)]) == 2
     reasons = _skip_reasons((rep / "report.txt").read_bytes())
     assert list(reasons) == [victim] and f"header {field} " in reasons[victim]
+
 
 def _eval_normals(manifest, pred_dir, out_dir):
     """(exit code, {file name: bytes}) of one eval-normals run."""
