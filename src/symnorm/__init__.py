@@ -15,7 +15,6 @@ from .evaluation import (
     NormalMetrics,
     PRCurve,
     aggregate_by_category,
-    angular_distance_sym,
     ap_symmetry,
     normal_metrics,
     random_baseline,
@@ -28,10 +27,10 @@ from .orientation import (
     V_D,
     V_N,
     euler_to_rotation,
-    fibonacci_codebook,
     make_symmetry_label,
     rotate_orientations,
     sample_view,
+    sym_angle_deg,
 )
 from .render import (
     CameraIntrinsics,

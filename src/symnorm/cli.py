@@ -25,7 +25,6 @@ from .orientation import VIEW_DISTRIBUTIONS, OrientationCodebook, ViewPose, unit
 from .render import (
     LABEL_MAP_SUFFIX,
     NORMAL_MAP_SUFFIX,
-    check_foreground_normals,
     check_labels,
     discretize_normal_map,
     pixels_at,
@@ -162,14 +161,11 @@ def cmd_eval_sym(args, cfg: RunConfig) -> int:
 def _prediction_map(pred_dir: Path, image_id: str, codebook):
     """An image's validated prediction: its (h, w) label map, which takes
     precedence, or else its (h, w, 3) normal map (see read_normal_pixels).
-    Each codebook row that a label map uses is checked once, as a predicted
-    normal."""
+    A label names a hemisphere direction, a valid predicted normal."""
     pgm = pred_dir / f"{image_id}{LABEL_MAP_SUFFIX}"
     if pgm.is_file():
         labels = imgfmt.read_pgm16(pgm)
         check_labels(labels, codebook.K)
-        used = np.bincount(labels.reshape(-1), minlength=codebook.K + 1)[:codebook.K] > 0
-        check_foreground_normals(codebook.directions[used])
         return labels
     pfm = pred_dir / f"{image_id}{NORMAL_MAP_SUFFIX}"
     if pfm.is_file():

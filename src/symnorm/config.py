@@ -21,6 +21,23 @@ from .render import CameraIntrinsics
 from .symmetry import DetectorConfig
 
 
+def check_symmetry_codebook(K: int, support: str) -> None:
+    """Raise ValueError unless symmetry labels can bin plane normals, which
+    have no sign, into K directions on `support`."""
+    if support not in SIGN_INVARIANT_SUPPORTS:
+        raise ValueError(f"codebook_support must be one of {', '.join(SIGN_INVARIANT_SUPPORTS)}")
+
+
+def check_normal_codebook(K: int, support: str) -> None:
+    """Raise ValueError unless label maps can use K directions on `support`:
+    the hemisphere, whose directions all face the viewer, and K <= 65535,
+    since label K, the background, is a 16-bit sample."""
+    if support != HEMISPHERE:
+        raise ValueError(f"the normal codebook's support must be {HEMISPHERE}")
+    if K > 65535:
+        raise ValueError("normal_codebook_k must be at most 65535")
+
+
 @dataclass(frozen=True)
 class RunConfig(DetectorConfig, CameraIntrinsics):
     # codebooks and views
@@ -40,10 +57,8 @@ class RunConfig(DetectorConfig, CameraIntrinsics):
             raise ValueError("seed must be nonnegative")
         if self.codebook_k < 1 or self.normal_codebook_k < 1:
             raise ValueError("codebook sizes must be at least 1")
-        if self.normal_codebook_k > 65535:  # K labels the background of a 16-bit label map
-            raise ValueError("normal_codebook_k must be at most 65535")
-        if self.codebook_support not in SIGN_INVARIANT_SUPPORTS:
-            raise ValueError(f"codebook_support must be one of {', '.join(SIGN_INVARIANT_SUPPORTS)}")
+        check_symmetry_codebook(self.codebook_k, self.codebook_support)
+        check_normal_codebook(self.normal_codebook_k, HEMISPHERE)
         view_distribution(self.view_setting)
         if self.per_model_views < 0 or self.max_models_per_category < 0:
             raise ValueError("view and model counts must be nonnegative")

@@ -1,6 +1,6 @@
-"""Corpus manifests: the 57 categories with their induction splits and shape
-groups, per-sample records, and the ground-truth generation pipeline that
-ties meshes, poses, rendered maps and symmetry labels together.
+"""Corpus manifests: the 57 categories, per-sample records, and the
+ground-truth generation pipeline that ties meshes, poses, rendered maps and
+symmetry labels together.
 
 Corpus layout: ``<corpus_root>/<category>/<model_id>.obj``.  Manifest rows
 are tab-separated in SampleRecord field order; the pose field packs
@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import util
-from .config import RunConfig
+from .config import RunConfig, check_normal_codebook, check_symmetry_codebook
 from .errors import InputError, SymnormError
 from .mesh_io import TriangleMesh, parse_obj_file
 from .orientation import (
@@ -46,49 +46,18 @@ from .symmetry import detect_symmetries, write_planes
 
 logger = logging.getLogger(__name__)
 
-SPLIT_A = (
-    "airplane", "bathtub", "bed", "bicycle", "bookshelf", "bottle", "bowl",
-    "bus", "can", "clock", "computer_keyboard", "dishwasher", "file",
-    "loudspeaker", "mailbox", "microphone", "microwave", "mug", "piano",
-    "pillow", "pistol", "pot", "printer", "skateboard", "stove", "table",
-    "telephone", "train",
+# the 57 object categories a corpus may hold, one directory each, sorted
+CATEGORIES = (
+    "airplane", "ashcan", "bag", "basket", "bathtub", "bed", "bench",
+    "bicycle", "birdhouse", "boat", "bookshelf", "bottle", "bowl", "bus",
+    "cabinet", "camera", "can", "cap", "car", "cellular_telephone", "chair",
+    "clock", "computer_keyboard", "dishwasher", "display", "earphone",
+    "faucet", "file", "guitar", "helmet", "jar", "knife", "lamp", "laptop",
+    "loudspeaker", "mailbox", "microphone", "microwave", "motorcycle", "mug",
+    "piano", "pillow", "pistol", "pot", "printer", "remote_control", "rifle",
+    "rocket", "skateboard", "sofa", "stove", "table", "telephone", "tower",
+    "train", "vessel", "washer",
 )
-
-SPLIT_B = (
-    "ashcan", "bag", "basket", "bench", "birdhouse", "boat", "cabinet",
-    "camera", "cap", "car", "cellular_telephone", "chair", "display",
-    "earphone", "faucet", "guitar", "helmet", "jar", "knife", "lamp",
-    "laptop", "motorcycle", "remote_control", "rifle", "rocket", "sofa",
-    "tower", "vessel", "washer",
-)
-
-SHAPE_GROUPS = {
-    "circular": ("ashcan", "basket", "bottle", "bowl", "can", "cap", "clock",
-                 "helmet", "jar", "lamp", "microphone", "mug", "pot", "rocket",
-                 "tower", "washer"),
-    "elongated": ("computer_keyboard", "knife", "piano", "rifle", "skateboard",
-                  "train"),
-    "planar": ("airplane", "bag", "bench", "bicycle", "bookshelf",
-               "cellular_telephone", "display", "file", "laptop", "motorcycle",
-               "pistol", "remote_control"),
-    "cuboidal": ("bathtub", "bed", "bus", "cabinet", "camera", "car", "chair",
-                 "dishwasher", "loudspeaker", "mailbox", "microwave", "pillow",
-                 "printer", "sofa", "stove", "table"),
-    "misc": ("birdhouse", "boat", "earphone", "faucet", "guitar", "telephone",
-             "vessel"),
-}
-
-
-CATEGORIES = tuple(sorted(SPLIT_A + SPLIT_B))
-
-
-def induction_view(category: str) -> str:
-    """Which trained split evaluates this category: the one NOT containing it."""
-    if category in SPLIT_A:
-        return "train_on_B"
-    if category in SPLIT_B:
-        return "train_on_A"
-    raise ValueError(f"unknown category {category!r}")
 
 
 @dataclass(frozen=True)
@@ -105,13 +74,16 @@ class SampleRecord:
 
 
 def record_image_id(record: SampleRecord) -> str:
-    if not record.label_map_path.endswith(LABEL_MAP_SUFFIX):
-        raise ValueError(f"unexpected label map path {record.label_map_path!r}")
+    """The label map path less its suffix, which read_manifest requires."""
     return record.label_map_path[: -len(LABEL_MAP_SUFFIX)]
 
 
 MANIFEST_FIELDS = ("model_id", "category", "obj_path", "pose", "normal_map_path",
                    "label_map_path", "symmetry_label", "view_setting", "split")
+
+
+# each codebook header's rule: the codebooks a build can write
+CODEBOOK_CHECKS = {"codebook": check_symmetry_codebook, "normal_codebook": check_normal_codebook}
 
 
 def manifest_header(codebook, normal_codebook, view_setting: str) -> str:
@@ -137,11 +109,15 @@ def write_manifest(path, records, codebook: OrientationCodebook,
 
 def read_manifest(path):
     """Return (metadata dict, records).  Paths stay relative to the manifest;
-    meta["codebook"] and meta["normal_codebook"] are OrientationCodebooks."""
+    meta["codebook"] and meta["normal_codebook"] are OrientationCodebooks,
+    and each must be one a build can write (see RunConfig).  A row whose
+    label_map_path, and so its image id, repeats an earlier row's is an
+    InputError."""
     meta = {}
     records = []
     saw_fields = False
     label_k = None
+    line_of = {}  # label_map_path -> the line of its row
     with util.open_text(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.rstrip("\n")
@@ -153,15 +129,20 @@ def read_manifest(path):
                     if tuple(rest.split("\t")) != MANIFEST_FIELDS:
                         raise InputError(f"{path}: unexpected manifest fields")
                     saw_fields = True
-                elif key in ("codebook", "normal_codebook"):
+                elif key in CODEBOOK_CHECKS:
                     if records or key in meta:
                         raise InputError(f"{path}: line {lineno}: #{key}: header must come "
                                          "once, before the first record")
                     try:
-                        meta[key] = OrientationCodebook.from_header(rest)
+                        codebook = OrientationCodebook.from_header(rest)
                     except ValueError:
                         raise InputError(f"{path}: line {lineno}: malformed #{key}: header "
                                          "line") from None
+                    try:
+                        CODEBOOK_CHECKS[key](codebook.K, codebook.support)
+                    except ValueError as exc:
+                        raise InputError(f"{path}: line {lineno}: #{key}: {exc}") from None
+                    meta[key] = codebook
                 else:
                     meta[key] = rest
                 continue
@@ -182,6 +163,10 @@ def read_manifest(path):
             if not lm_path.endswith(LABEL_MAP_SUFFIX):
                 raise InputError(f"{path}: line {lineno}: label_map_path {lm_path!r} does not "
                                  f"end in {LABEL_MAP_SUFFIX}")
+            first = line_of.setdefault(lm_path, lineno)
+            if first != lineno:
+                raise InputError(f"{path}: line {lineno}: label_map_path {lm_path!r} repeats "
+                                 f"line {first}'s: an image id names one row")
             if label_k is None:
                 if "codebook" not in meta:
                     raise InputError(f"{path}: line {lineno}: no #codebook: header "
@@ -195,7 +180,7 @@ def read_manifest(path):
                                         nm_path, lm_path, label, view_setting, split))
     if not saw_fields:
         raise InputError(f"{path}: missing #fields: header line")
-    for key in ("codebook", "normal_codebook"):
+    for key in CODEBOOK_CHECKS:
         if key not in meta:
             raise InputError(f"{path}: missing #{key}: header line")
     return meta, records

@@ -1,5 +1,5 @@
-"""Scoring: sign-invariant angular distance, detection-style AP for symmetry
-orientations, surface-normal error metrics and per-category aggregation."""
+"""Scoring: detection-style AP for symmetry orientations, surface-normal
+error metrics and per-category aggregation."""
 
 from __future__ import annotations
 
@@ -14,15 +14,6 @@ from .render import NormalMap, foreground_mask
 
 GP_THRESHOLDS_DEG = (11.25, 22.5, 30.0)
 CURVE_MAX_DEG = 30
-
-
-def angular_distance_sym(a, b) -> float:
-    """Angle between unoriented unit directions: arccos(|a.b|), in [0, 90]."""
-    va = np.asarray(a, dtype=np.float64).reshape(3)
-    vb = np.asarray(b, dtype=np.float64).reshape(3)
-    if not unit_mask([va, vb]).all():
-        raise ValueError("directions must be unit length")
-    return float(sym_angle_deg(va, vb))
 
 
 def bad_prediction_row(table):

@@ -125,11 +125,6 @@ class OrientationCodebook:
         return cls(int(spec.get("k", "")), spec.get("support", ""))
 
 
-def fibonacci_codebook(K: int, support: str = FULL_SPHERE) -> OrientationCodebook:
-    """The K-direction codebook on `support` (see OrientationCodebook)."""
-    return OrientationCodebook(K, support)
-
-
 def bin_orientations(codebook: OrientationCodebook, vectors, sign_invariant: bool = False) -> np.ndarray:
     """Index of the codebook direction with maximal (optionally absolute) dot,
     per row of an (n, 3) array."""

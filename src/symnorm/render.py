@@ -11,7 +11,7 @@ output is bit-exact reproducible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -55,26 +55,24 @@ class CameraFrame:
 
 @dataclass(frozen=True)
 class NormalMap:
-    """Per-pixel camera-frame unit normals with mask and depth channels, and
-    for a rendered map the index of the mesh face each pixel shows."""
+    """Per-pixel camera-frame unit normals with depth, the foreground mask
+    they imply (see foreground_mask), and for a rendered map the index of
+    the mesh face each pixel shows."""
 
     normals: np.ndarray  # (h, w, 3), zero on background
-    mask: np.ndarray     # (h, w) bool
     depth: np.ndarray    # (h, w), BACKGROUND_DEPTH on background
     face_ids: np.ndarray | None = None  # (h, w) int32, -1 on background; None unless rendered
+    mask: np.ndarray = field(init=False, repr=False, compare=False)  # (h, w) bool
 
     def __post_init__(self):
         normals = np.ascontiguousarray(np.asarray(self.normals, dtype=np.float64))
-        mask = np.ascontiguousarray(np.asarray(self.mask, dtype=bool))
         depth = np.ascontiguousarray(np.asarray(self.depth, dtype=np.float64))
-        if normals.ndim != 3 or normals.shape[2] != 3 or normals.shape[:2] != mask.shape \
-                or depth.shape != mask.shape:
-            raise ValueError("normals, mask and depth shapes disagree")
+        if normals.ndim != 3 or normals.shape[2] != 3 or normals.shape[:2] != depth.shape:
+            raise ValueError("normals and depth shapes disagree")
+        mask = foreground_mask(normals)
         check_foreground_normals(pixels_at(normals, mask))
-        # foreground normals are unit, so a non-zero one off the mask is on background
-        if not np.array_equal(foreground_mask(normals), mask) \
-                or not np.all((depth == BACKGROUND_DEPTH) | mask):
-            raise ValueError("background pixels must have zero normal and sentinel depth")
+        if not np.all((depth == BACKGROUND_DEPTH) | mask):
+            raise ValueError("background pixels must have sentinel depth")
         if self.face_ids is not None:
             face_ids = np.ascontiguousarray(np.asarray(self.face_ids, dtype=np.int32))
             if face_ids.shape != mask.shape or not np.array_equal(face_ids >= 0, mask) \
@@ -107,14 +105,6 @@ class LabelMap:
             raise ValueError("labels must be a 2-d array")
         check_labels(labels, self.K)
         object.__setattr__(self, "labels", util.readonly(labels))
-
-    @property
-    def height(self) -> int:
-        return self.labels.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.labels.shape[1]
 
 
 def foreground_mask(normals) -> np.ndarray:
@@ -296,8 +286,8 @@ def rasterize(mesh: TriangleMesh, pose: ViewPose, cam: CameraIntrinsics | None =
     normal_of[ids] = n
     face_ids = winner.astype(np.int32)
     face_ids[winner == len(mesh.faces)] = -1
-    return NormalMap(normal_of.take(winner, axis=0).reshape(h, w, 3),
-                     np.isfinite(depth).reshape(h, w), depth.reshape(h, w), face_ids.reshape(h, w))
+    return NormalMap(normal_of.take(winner, axis=0).reshape(h, w, 3), depth.reshape(h, w),
+                     face_ids.reshape(h, w))
 
 
 def discretize_normal_map(nm: NormalMap, codebook: OrientationCodebook) -> LabelMap:
@@ -329,12 +319,9 @@ def labels_to_normals(lm: LabelMap, codebook: OrientationCodebook) -> NormalMap:
     """Lift bins back to their codebook directions; depth stays unknown."""
     if codebook.K != lm.K:
         raise ValueError(f"label map has K={lm.K}, codebook has K={codebook.K}")
-    mask = lm.labels < lm.K
-    normals = np.zeros((lm.height, lm.width, 3))
-    if mask.any():
-        normals[mask] = codebook.directions[lm.labels[mask]]
-    depth = np.full(mask.shape, BACKGROUND_DEPTH)
-    return NormalMap(normals, mask, depth)
+    # the background label K looks up the zero vector
+    normals = np.vstack([codebook.directions, np.zeros((1, 3))])[lm.labels]
+    return NormalMap(normals, np.full(lm.labels.shape, BACKGROUND_DEPTH))
 
 
 # suffixes of a view's sidecar files: <prefix>_normal.pfm, <prefix>_labels.pgm
@@ -368,9 +355,7 @@ def load_normal_map(path) -> NormalMap:
     """Rebuild a NormalMap from a 3-channel PFM (see read_normal_pixels);
     depth is left unknown."""
     arr, mask = read_normal_pixels(path)
-    normals = arr.astype(np.float64)
-    normals[~mask] = 0.0
-    return NormalMap(normals, mask, np.where(mask, 1.0, BACKGROUND_DEPTH))
+    return NormalMap(np.where(mask[..., None], arr, 0.0), np.where(mask, 1.0, BACKGROUND_DEPTH))
 
 
 def save_label_map(path, lm: LabelMap) -> None:

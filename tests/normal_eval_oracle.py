@@ -30,7 +30,7 @@ def load_normal_map(path) -> NormalMap:
         raise ValueError("normal maps are 3-channel PFM files")
     mask = np.any(arr != 0.0, axis=2)
     arr[~mask] = 0.0
-    return NormalMap(arr, mask, np.where(mask, 1.0, BACKGROUND_DEPTH))
+    return NormalMap(arr, np.where(mask, 1.0, BACKGROUND_DEPTH))
 
 
 def load_prediction_map(pred_dir, image_id, codebook) -> NormalMap:

@@ -78,5 +78,4 @@ def rasterize(mesh, pose, cam=None):
         if sel.any():
             window[sel] = t[sel]
             normals[y0:y1 + 1, x0:x1 + 1][sel] = n
-    mask = np.isfinite(depth)
-    return NormalMap(normals, mask, depth)
+    return NormalMap(normals, depth)

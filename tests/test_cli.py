@@ -635,11 +635,12 @@ def _prediction_cases(tmp_path, out):
     return manifest, pred_dir, expected
 
 
-def test_eval_normals_matches_the_full_frame_oracle(tmp_path, toy_build, monkeypatch):
+def test_eval_normals_matches_the_full_frame_oracle(tmp_path, toy_build, monkeypatch, capsys):
     """Reports, curves and exit code are those of the full-frame composition
     in tests/normal_eval_oracle.py, byte for byte, over label and normal map
     predictions and one image for each reason to skip one, in the oracle's
-    order of checks."""
+    order of checks.  A manifest whose normal codebook no build can write,
+    one on the full sphere, is an input error before any image is scored."""
     _, _, out = toy_build
     manifest, pred_dir, expected = _prediction_cases(tmp_path, out)
     rc, files = _eval_normals(manifest, pred_dir, tmp_path / "fast")
@@ -647,17 +648,18 @@ def test_eval_normals_matches_the_full_frame_oracle(tmp_path, toy_build, monkeyp
     assert sorted(files) == ["airplane_gp_curve.csv", "chair_gp_curve.csv", "report.tsv",
                              "report.txt"]
     assert _skip_reasons(files["report.txt"]) == expected
-    # under a full-sphere codebook, half of the label directions face away
+    # half of a full-sphere codebook's directions face away from the viewer
     meta, rows = read_manifest(manifest)
     sphere = out / "sphere.tsv"
     write_manifest(sphere, rows, meta["codebook"], OrientationCodebook(meta["normal_codebook"].K,
                    FULL_SPHERE), meta["view_setting"])
-    _, sphere_files = _eval_normals(sphere, pred_dir, tmp_path / "sphere_fast")
-    assert _skip_reasons(sphere_files["report.txt"])["airplane/labels/v000"] == \
-        "masked normals must face the viewer (z > 0)"
+    capsys.readouterr()
+    assert main(["eval-normals", str(sphere), str(pred_dir), "--out-dir",
+                 str(tmp_path / "sphere")]) == 2
+    assert f"{sphere}: line 2: #normal_codebook:" in capsys.readouterr().err
+    assert not (tmp_path / "sphere").exists()
     monkeypatch.setattr(cli, "_image_errors", normal_eval_oracle.image_errors)
     assert _eval_normals(manifest, pred_dir, tmp_path / "oracle") == (rc, files)
-    assert _eval_normals(sphere, pred_dir, tmp_path / "sphere_oracle") == (2, sphere_files)
 
 
 def test_eval_normals_label_maps_take_precedence_and_background_scores_180(tmp_path, toy_build):
@@ -963,12 +965,12 @@ QUICK_DETECT_KEYS = "sample_count = 1000\npair_count = 4000\nmax_hypotheses = 8\
                                   "baseline-bad-label-path"])
 def test_unreadable_input_exits_2(tmp_path, cuboid_obj, capsys, case):
     from symnorm.dataset import MANIFEST_FIELDS, write_manifest
-    from symnorm.orientation import HEMISPHERE, HORIZONTAL_CIRCLE, fibonacci_codebook
+    from symnorm.orientation import HEMISPHERE, HORIZONTAL_CIRCLE
     cfg = tmp_path / "quick.cfg"
     cfg.write_text(QUICK_DETECT_KEYS)
     manifest = tmp_path / "m.tsv"
-    write_manifest(manifest, [], fibonacci_codebook(10, HORIZONTAL_CIRCLE),
-                   fibonacci_codebook(60, HEMISPHERE), "V_N")
+    write_manifest(manifest, [], OrientationCodebook(10, HORIZONTAL_CIRCLE),
+                   OrientationCodebook(60, HEMISPHERE), "V_N")
     preds = tmp_path / "preds.tsv"
     preds.write_text("")
     detect = ["detect", str(cuboid_obj), "--out", str(tmp_path / "o.txt")]
@@ -1029,6 +1031,59 @@ def test_unreadable_input_exits_2(tmp_path, cuboid_obj, capsys, case):
         assert header in err
 
 
+def _manifest_command(command, manifest, tmp_path):
+    """The argv of `command` on `manifest`; eval-sym scores baseline
+    predictions, eval-normals the ground truth beside the manifest."""
+    preds = tmp_path / "baseline.tsv"
+    if command == "eval-sym":
+        assert main(["baseline", str(manifest.parent / "manifest.tsv"), "--out", str(preds)]) == 0
+    return {"eval-sym": ["eval-sym", str(manifest), str(preds)],
+            "eval-normals": ["eval-normals", str(manifest), str(manifest.parent)],
+            "baseline": ["baseline", str(manifest)]}[command] + \
+        ["--out-dir" if command != "baseline" else "--out", str(tmp_path / "result")]
+
+
+@pytest.mark.parametrize("command", ["eval-sym", "eval-normals", "baseline"])
+@pytest.mark.parametrize("lineno, value", [
+    (1, "support=hemisphere\tk=10"),
+    (2, "support=full_sphere\tk=60"),
+    (2, "support=horizontal_circle\tk=60"),
+    (2, "support=hemisphere\tk=65536"),
+], ids=["symmetry-hemisphere", "normal-full-sphere", "normal-circle", "normal-above-16-bits"])
+def test_manifest_codebook_no_build_can_write_exits_2(tmp_path, toy_build, capsys, command,
+                                                      lineno, value):
+    """Labels looked up in a codebook no build writes would be scored in the
+    wrong directions: the header is an input error naming its line, before
+    any output is written."""
+    _, _, out = toy_build
+    lines = (out / "manifest.tsv").read_text().splitlines(keepends=True)
+    key = lines[lineno - 1].split("\t", 1)[0]
+    lines[lineno - 1] = f"{key}\t{value}\n"
+    manifest = out / "edited.tsv"
+    manifest.write_text("".join(lines))
+    argv = _manifest_command(command, manifest, tmp_path)
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert f"{manifest}: line {lineno}: {key} " in capsys.readouterr().err
+    assert not (tmp_path / "result").exists()
+
+
+@pytest.mark.parametrize("command", ["eval-sym", "eval-normals", "baseline"])
+def test_repeated_image_id_exits_2(tmp_path, toy_build, capsys, command):
+    """A row repeating an earlier row's image id would be scored, or given
+    predictions, twice: it is an input error naming both lines."""
+    _, _, out = toy_build
+    lines = (out / "manifest.tsv").read_text().splitlines(keepends=True)
+    manifest = out / "repeated.tsv"
+    manifest.write_text("".join(lines + lines[-1:] * 3))
+    argv = _manifest_command(command, manifest, tmp_path)
+    capsys.readouterr()
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert f"{manifest}: line {len(lines) + 1}: " in err and f"repeats line {len(lines)}'s" in err
+    assert not (tmp_path / "result").exists()
+
+
 def test_write_failure_names_target_path(tmp_path, cuboid_obj, capsys):
     cfg = tmp_path / "quick.cfg"
     cfg.write_text(QUICK_DETECT_KEYS)
@@ -1065,3 +1120,17 @@ def test_readme_defaults_table_matches_run_config():
             for key in filter(None, (k.strip(" `") for k in keys.split(","))):
                 documented[key] = types[key](default)
     assert documented == {f.name: f.default for f in fields(RunConfig)}
+
+
+def test_readme_library_example_runs(tmp_path, monkeypatch):
+    """The README's `## Library` block runs as written, on a cuboid saved as
+    model.obj in the working directory, so it names no missing function."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    code = readme.split("## Library", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    (tmp_path / "model.obj").write_text(serialize_obj(shapes.cuboid()))
+    monkeypatch.chdir(tmp_path)
+    namespace = {}
+    exec(compile(code, "README.md", "exec"), namespace)
+    assert len(namespace["planes"]) == 3
+    assert namespace["metrics"].mean_err_deg < 1e-5  # arccos of a dot within ulps of 1
+    assert namespace["curve"].ap == pytest.approx(1 / 3)

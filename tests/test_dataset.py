@@ -16,50 +16,28 @@ from symnorm.cli import main
 from symnorm.config import RunConfig
 from symnorm.dataset import (
     CATEGORIES,
-    SHAPE_GROUPS,
-    SPLIT_A,
-    SPLIT_B,
     build_manifest,
-    induction_view,
     read_manifest,
     record_image_id,
     write_manifest,
 )
 from symnorm.mesh_io import serialize_obj
-from symnorm.orientation import HEMISPHERE, HORIZONTAL_CIRCLE, fibonacci_codebook
+from symnorm.orientation import HEMISPHERE, HORIZONTAL_CIRCLE, OrientationCodebook
 from symnorm.render import load_label_map, load_normal_map
 
-# golden copies of the induction splits and shape groups, kept verbatim in
-# the test so any drift in the module constants is caught
-GOLDEN_A = {
-    "airplane", "bathtub", "bed", "bicycle", "bookshelf", "bottle", "bowl",
-    "bus", "can", "clock", "computer_keyboard", "dishwasher", "file",
-    "loudspeaker", "mailbox", "microphone", "microwave", "mug", "piano",
-    "pillow", "pistol", "pot", "printer", "skateboard", "stove", "table",
-    "telephone", "train",
-}
-GOLDEN_B = {
-    "ashcan", "bag", "basket", "bench", "birdhouse", "boat", "cabinet",
-    "camera", "cap", "car", "cellular_telephone", "chair", "display",
-    "earphone", "faucet", "guitar", "helmet", "jar", "knife", "lamp",
-    "laptop", "motorcycle", "remote_control", "rifle", "rocket", "sofa",
-    "tower", "vessel", "washer",
-}
-GOLDEN_GROUPS = {
-    "circular": {"ashcan", "basket", "bottle", "bowl", "can", "cap", "clock",
-                 "helmet", "jar", "lamp", "microphone", "mug", "pot",
-                 "rocket", "tower", "washer"},
-    "elongated": {"computer_keyboard", "knife", "piano", "rifle",
-                  "skateboard", "train"},
-    "planar": {"airplane", "bag", "bench", "bicycle", "bookshelf",
-               "cellular_telephone", "display", "file", "laptop",
-               "motorcycle", "pistol", "remote_control"},
-    "cuboidal": {"bathtub", "bed", "bus", "cabinet", "camera", "car",
-                 "chair", "dishwasher", "loudspeaker", "mailbox",
-                 "microwave", "pillow", "printer", "sofa", "stove", "table"},
-    "misc": {"birdhouse", "boat", "earphone", "faucet", "guitar",
-             "telephone", "vessel"},
-}
+# a golden copy of the category registry, kept verbatim in the test so any
+# drift in the module constant is caught
+GOLDEN_CATEGORIES = (
+    "airplane", "ashcan", "bag", "basket", "bathtub", "bed", "bench",
+    "bicycle", "birdhouse", "boat", "bookshelf", "bottle", "bowl", "bus",
+    "cabinet", "camera", "can", "cap", "car", "cellular_telephone", "chair",
+    "clock", "computer_keyboard", "dishwasher", "display", "earphone",
+    "faucet", "file", "guitar", "helmet", "jar", "knife", "lamp", "laptop",
+    "loudspeaker", "mailbox", "microphone", "microwave", "motorcycle", "mug",
+    "piano", "pillow", "pistol", "pot", "printer", "remote_control", "rifle",
+    "rocket", "skateboard", "sofa", "stove", "table", "telephone", "tower",
+    "train", "vessel", "washer",
+)
 
 TOY = RunConfig(sample_count=2500, pair_count=8000, max_hypotheses=16,
                 cluster_offset_frac=0.015, width=64, height=64)
@@ -100,27 +78,9 @@ def make_corpus(root, categories=("airplane",), models=4):
 
 
 def test_registry_counts_and_golden_lists():
-    assert len(CATEGORIES) == 57
-    assert len(SPLIT_A) == 28
-    assert len(SPLIT_B) == 29
-    assert set(SPLIT_A) == GOLDEN_A
-    assert set(SPLIT_B) == GOLDEN_B
-    assert {group: set(members) for group, members in SHAPE_GROUPS.items()} == GOLDEN_GROUPS
-    # no duplicate names, in the halves or in the groups
-    grouped = [c for members in SHAPE_GROUPS.values() for c in members]
-    assert len(set(CATEGORIES)) == len(CATEGORIES) == len(SPLIT_A + SPLIT_B) == len(grouped)
-    # the two halves are disjoint and together cover every category
-    assert not set(SPLIT_A) & set(SPLIT_B)
-    assert set(SPLIT_A) | set(SPLIT_B) == set(CATEGORIES)
-    # every category has a shape group
-    assert set(grouped) == set(CATEGORIES)
-
-
-def test_induction_view():
-    assert all(induction_view(c) == "train_on_B" for c in SPLIT_A)
-    assert all(induction_view(c) == "train_on_A" for c in SPLIT_B)
-    with pytest.raises(ValueError):
-        induction_view("zeppelin")
+    assert CATEGORIES == GOLDEN_CATEGORIES
+    # 57 names, sorted, as a build visits them in manifest order
+    assert len(set(CATEGORIES)) == 57 and list(CATEGORIES) == sorted(CATEGORIES)
 
 
 def test_build_manifest_split_and_integrity(tmp_path, caplog):
@@ -138,9 +98,9 @@ def test_build_manifest_split_and_integrity(tmp_path, caplog):
     assert any("has no directory" in m for m in caplog.messages)
     # referential integrity: every path resolves and parses
     codebook = meta["codebook"]
-    assert codebook == fibonacci_codebook(10, HORIZONTAL_CIRCLE)
+    assert codebook == OrientationCodebook(10, HORIZONTAL_CIRCLE)
     normal_codebook = meta["normal_codebook"]
-    assert normal_codebook == fibonacci_codebook(60, HEMISPHERE)
+    assert normal_codebook == OrientationCodebook(60, HEMISPHERE)
     for r in records:
         nm = load_normal_map(manifest_path.parent / r.normal_map_path)
         lm = load_label_map(manifest_path.parent / r.label_map_path, normal_codebook.K)
@@ -426,8 +386,8 @@ def test_manifest_rejects_malformed(tmp_path):
 @pytest.mark.parametrize("bits", ["10x0", "1010101"])
 def test_manifest_rejects_malformed_symmetry_label(tmp_path, bits):
     path = tmp_path / "manifest.tsv"
-    write_manifest(path, [], fibonacci_codebook(4, HORIZONTAL_CIRCLE),
-                   fibonacci_codebook(60, HEMISPHERE), "V_N")
+    write_manifest(path, [], OrientationCodebook(4, HORIZONTAL_CIRCLE),
+                   OrientationCodebook(60, HEMISPHERE), "V_N")
     row = ["m0", "airplane", "m0.obj", "0.0,0.0,0.0", "airplane/m0/v000_normal.pfm",
            "airplane/m0/v000_labels.pgm", bits, "V_N", "train"]
     with open(path, "a", encoding="utf-8") as fh:
@@ -462,8 +422,8 @@ def row(pose="0.0,0.0,0.0", category="airplane"):
         "nul-category"])
 def test_manifest_rejects_misplaced_header_and_non_finite_pose(tmp_path, extra, lineno, reason):
     path = tmp_path / "manifest.tsv"
-    write_manifest(path, [], fibonacci_codebook(4, HORIZONTAL_CIRCLE),
-                   fibonacci_codebook(60, HEMISPHERE), "V_N")
+    write_manifest(path, [], OrientationCodebook(4, HORIZONTAL_CIRCLE),
+                   OrientationCodebook(60, HEMISPHERE), "V_N")
     with open(path, "a", encoding="utf-8") as fh:
         fh.write("\n".join(extra) + "\n")
     from symnorm.errors import InputError
@@ -473,8 +433,8 @@ def test_manifest_rejects_misplaced_header_and_non_finite_pose(tmp_path, extra, 
 
 def test_write_manifest_header_shape(tmp_path):
     path = tmp_path / "manifest.tsv"
-    write_manifest(path, [], fibonacci_codebook(10, HORIZONTAL_CIRCLE),
-                   fibonacci_codebook(60, HEMISPHERE), "V_N")
+    write_manifest(path, [], OrientationCodebook(10, HORIZONTAL_CIRCLE),
+                   OrientationCodebook(60, HEMISPHERE), "V_N")
     lines = path.read_text().splitlines()
     assert lines[0].startswith("#codebook:\t")
     assert lines[3].startswith("#fields:\tmodel_id\tcategory\tobj_path\tpose\t")

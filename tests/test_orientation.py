@@ -22,7 +22,6 @@ from symnorm.orientation import (
     bin_orientations,
     canonical_sign,
     euler_to_rotation,
-    fibonacci_codebook,
     make_symmetry_label,
     rotate_orientations,
     row_norms,
@@ -36,25 +35,25 @@ unit_angles = st.floats(min_value=-179.9, max_value=180.0, allow_nan=False)
 
 
 def test_full_sphere_z_sequence():
-    cb = fibonacci_codebook(2, FULL_SPHERE)
+    cb = OrientationCodebook(2, FULL_SPHERE)
     assert cb.directions[:, 2].tolist() == [0.5, -0.5]
-    cb = fibonacci_codebook(7, FULL_SPHERE)
+    cb = OrientationCodebook(7, FULL_SPHERE)
     assert np.allclose(cb.directions[:, 2], 1.0 - (2.0 * np.arange(7) + 1.0) / 7.0)
 
 
 def test_hemisphere_single_direction():
-    cb = fibonacci_codebook(1, HEMISPHERE)
+    cb = OrientationCodebook(1, HEMISPHERE)
     assert cb.directions[0, 2] == 0.5
     assert np.linalg.norm(cb.directions[0]) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_hemisphere_strictly_front_facing():
-    cb = fibonacci_codebook(60, HEMISPHERE)
+    cb = OrientationCodebook(60, HEMISPHERE)
     assert cb.directions[:, 2].min() > 0.0
 
 
 def test_horizontal_circle_spacing():
-    cb = fibonacci_codebook(10, HORIZONTAL_CIRCLE)
+    cb = OrientationCodebook(10, HORIZONTAL_CIRCLE)
     assert cb.K == 10
     assert np.all(cb.directions[:, 2] == 0.0)
     az = np.degrees(np.arctan2(cb.directions[:, 1], cb.directions[:, 0]))
@@ -63,9 +62,9 @@ def test_horizontal_circle_spacing():
 
 def test_codebook_rejects_bad_input():
     with pytest.raises(ValueError):
-        fibonacci_codebook(0, FULL_SPHERE)
+        OrientationCodebook(0, FULL_SPHERE)
     with pytest.raises(ValueError):
-        fibonacci_codebook(4, "cube")
+        OrientationCodebook(4, "cube")
     with pytest.raises(ValueError):
         OrientationCodebook(-1, HEMISPHERE)
 
@@ -90,14 +89,14 @@ CODEBOOK_DIGESTS = {
 
 @pytest.mark.parametrize("support, K", sorted(CODEBOOK_DIGESTS))
 def test_codebook_directions_pinned(support, K):
-    cb = fibonacci_codebook(K, support)
+    cb = OrientationCodebook(K, support)
     assert hashlib.sha256(cb.directions.tobytes()).hexdigest() == CODEBOOK_DIGESTS[support, K]
     assert cb.directions.shape == (K, 3) and not cb.directions.flags.writeable
 
 
 @pytest.mark.parametrize("support, K", sorted(CODEBOOK_DIGESTS))
 def test_codebook_header_round_trip(support, K):
-    cb = fibonacci_codebook(K, support)
+    cb = OrientationCodebook(K, support)
     assert cb.header() == f"support={support}\tk={K}"
     again = OrientationCodebook.from_header(cb.header())
     assert again == cb and again.directions.tobytes() == cb.directions.tobytes()
@@ -198,7 +197,7 @@ def _reject_plane(v):
 
 
 def _reject_bin(v):
-    bin_orientations(fibonacci_codebook(10, FULL_SPHERE), v)
+    bin_orientations(OrientationCodebook(10, FULL_SPHERE), v)
 
 
 def _reject_normal_map(v):
@@ -206,12 +205,7 @@ def _reject_normal_map(v):
     normals = np.zeros((1, 2, 3))
     normals[0, 0] = [0.0, 0.0, 1.0]
     normals[0, 1] = v
-    NormalMap(normals, np.ones((1, 2), dtype=bool), np.ones((1, 2)))
-
-
-def _reject_angle(v):
-    from symnorm.evaluation import angular_distance_sym
-    angular_distance_sym([0.0, 0.0, 1.0], v)
+    NormalMap(normals, np.ones((1, 2)))
 
 
 def _reject_prediction(v):
@@ -223,7 +217,7 @@ def _reject_prediction(v):
 
 @pytest.mark.parametrize("value", [[np.nan, 0.0, 1.0], [0.0, 0.0, np.inf], [np.nan] * 3,
                                    [0.0, -np.inf, np.nan]], ids=["nan", "inf", "all-nan", "mixed"])
-@pytest.mark.parametrize("site", [_reject_plane, _reject_bin, _reject_normal_map, _reject_angle,
+@pytest.mark.parametrize("site", [_reject_plane, _reject_bin, _reject_normal_map,
                                   _reject_prediction], ids=lambda f: f.__name__[8:])
 def test_every_unit_check_rejects_non_finite(site, value):
     with pytest.raises(ValueError, match="unit length"):
@@ -232,12 +226,12 @@ def test_every_unit_check_rejects_non_finite(site, value):
 
 def test_codebook_directions_unit_within_1e9():
     for support, K in ((FULL_SPHERE, 60), (HEMISPHERE, 60), (HORIZONTAL_CIRCLE, 10)):
-        cb = fibonacci_codebook(K, support)
+        cb = OrientationCodebook(K, support)
         assert np.abs(np.linalg.norm(cb.directions, axis=1) - 1.0).max() <= 1e-9
 
 
 def test_bin_self_and_sign_invariance():
-    cb = fibonacci_codebook(12, FULL_SPHERE)
+    cb = OrientationCodebook(12, FULL_SPHERE)
     assert bin_orientations(cb, cb.directions[5]).tolist() == [5]
     assert bin_orientations(cb, -cb.directions[5], sign_invariant=True).tolist() == [5]
     assert bin_orientations(cb, -cb.directions[5], sign_invariant=False).tolist() != [5]
@@ -245,19 +239,19 @@ def test_bin_self_and_sign_invariance():
 
 def test_bin_idempotent_on_every_codebook_member():
     for support, K in ((FULL_SPHERE, 60), (HEMISPHERE, 60), (HORIZONTAL_CIRCLE, 10)):
-        cb = fibonacci_codebook(K, support)
+        cb = OrientationCodebook(K, support)
         assert bin_orientations(cb, cb.directions).tolist() == list(range(K))
 
 
 def test_bin_exact_tie_breaks_to_lowest_index():
-    cb = fibonacci_codebook(10, HORIZONTAL_CIRCLE)
+    cb = OrientationCodebook(10, HORIZONTAL_CIRCLE)
     # (0,0,1) is orthogonal to every horizontal direction: all scores are
     # exactly 0.0, so the argmax must return index 0
     assert bin_orientations(cb, np.array([0.0, 0.0, 1.0]), sign_invariant=True).tolist() == [0]
 
 
 def test_bin_midpoint_of_adjacent_directions():
-    cb = fibonacci_codebook(10, HORIZONTAL_CIRCLE)
+    cb = OrientationCodebook(10, HORIZONTAL_CIRCLE)
     mid = cb.directions[0] + cb.directions[1]
     mid /= np.linalg.norm(mid)
     scores = cb.directions @ mid
@@ -268,13 +262,13 @@ def test_bin_midpoint_of_adjacent_directions():
 
 
 def test_bin_rejects_non_unit():
-    cb = fibonacci_codebook(6, FULL_SPHERE)
+    cb = OrientationCodebook(6, FULL_SPHERE)
     with pytest.raises(ValueError):
         bin_orientations(cb, np.array([0.0, 0.0, 0.5]))
 
 
 def test_bin_orientations_matches_scalar():
-    cb = fibonacci_codebook(60, HEMISPHERE)
+    cb = OrientationCodebook(60, HEMISPHERE)
     rng = np.random.default_rng(0)
     vs = rng.normal(size=(64, 3))
     vs[:, 2] = np.abs(vs[:, 2])
@@ -285,7 +279,7 @@ def test_bin_orientations_matches_scalar():
 
 @pytest.mark.parametrize("k, support", [(10, HORIZONTAL_CIRCLE), (60, HEMISPHERE), (200, FULL_SPHERE)])
 def test_bin_orientations_blocks_match_whole_product(k, support):
-    cb = fibonacci_codebook(k, support)
+    cb = OrientationCodebook(k, support)
     rng = np.random.default_rng(k)
     vs = rng.normal(size=(3 * (BIN_SCORES // k) + 5, 3))
     vs /= np.linalg.norm(vs, axis=1, keepdims=True)
@@ -303,7 +297,7 @@ def test_bin_orientations_blocks_match_whole_product(k, support):
 
 def test_bin_orientations_block_is_sized_from_K():
     # 200 rows against 65535 directions: 105 MB of scores in one block
-    cb = fibonacci_codebook(65535, HEMISPHERE)
+    cb = OrientationCodebook(65535, HEMISPHERE)
     vs = cb.directions[::331][:200]
     tracemalloc.start()
     try:
@@ -398,7 +392,7 @@ def test_rotate_orientations_example():
 
 
 def test_rotate_orientations_identity_is_canonicalization():
-    cb = fibonacci_codebook(16, FULL_SPHERE)
+    cb = OrientationCodebook(16, FULL_SPHERE)
     canon = canonical_sign(cb.directions)
     out = rotate_orientations(canon, np.eye(3))
     assert np.allclose(out, canon, atol=1e-15)
@@ -429,7 +423,7 @@ def test_canonical_sign_rule():
 
 
 def test_make_symmetry_label():
-    cb = fibonacci_codebook(10, HORIZONTAL_CIRCLE)
+    cb = OrientationCodebook(10, HORIZONTAL_CIRCLE)
     assert not make_symmetry_label(np.empty((0, 3)), cb).any()
     one = make_symmetry_label(cb.directions[3:4], cb)
     assert one.sum() == 1 and one[3]
@@ -442,13 +436,13 @@ def test_make_symmetry_label():
 
 def test_make_symmetry_label_rejects_hemisphere():
     with pytest.raises(ValueError):
-        make_symmetry_label(np.array([[0.0, 0.0, 1.0]]), fibonacci_codebook(60, HEMISPHERE))
+        make_symmetry_label(np.array([[0.0, 0.0, 1.0]]), OrientationCodebook(60, HEMISPHERE))
 
 
 @given(st.integers(min_value=0, max_value=2 ** 31 - 1))
 @settings(max_examples=60, deadline=None)
 def test_binning_sign_invariance_property(seed):
-    cb = fibonacci_codebook(24, FULL_SPHERE)
+    cb = OrientationCodebook(24, FULL_SPHERE)
     v = np.random.default_rng(seed).normal(size=3)
     v /= np.linalg.norm(v)
     assert np.array_equal(bin_orientations(cb, v, sign_invariant=True),
@@ -464,7 +458,7 @@ def test_euler_inverse_is_transpose_property(az, el, cy):
 
 def test_hemisphere_near_uniformity_quick_scan():
     # the exhaustive million-vector scan lives in the acceptance suite
-    cb = fibonacci_codebook(60, HEMISPHERE)
+    cb = OrientationCodebook(60, HEMISPHERE)
     rng = np.random.default_rng(0)
     dirs = rng.normal(size=(100000, 3))
     dirs[:, 2] = np.abs(dirs[:, 2])

@@ -8,7 +8,7 @@ import raster_oracle
 import shapes
 from symnorm.errors import GeometryError
 from symnorm.mesh_io import TriangleMesh, parse_obj
-from symnorm.orientation import HEMISPHERE, ViewPose, fibonacci_codebook
+from symnorm.orientation import HEMISPHERE, OrientationCodebook, ViewPose
 from symnorm.render import (
     BACKGROUND_DEPTH,
     CameraIntrinsics,
@@ -79,7 +79,7 @@ def test_front_facing_and_consistency_many_poses():
     rng = np.random.default_rng(0)
     cam = CameraIntrinsics(width=48, height=48)
     meshes = [shapes.cuboid(), shapes.icosphere(1), shapes.asymmetric_tetrahedron()]
-    codebook = fibonacci_codebook(60, HEMISPHERE)
+    codebook = OrientationCodebook(60, HEMISPHERE)
     for i in range(1000):
         mesh = meshes[i % len(meshes)]
         pose = ViewPose(float(rng.uniform(-180.0, 180.0)), float(rng.uniform(-80.0, 80.0)),
@@ -161,11 +161,11 @@ def test_coverage_resolution_independence():
 def test_discretize_requires_hemisphere():
     nm = rasterize(frontal_square(), FRONTAL, CameraIntrinsics(width=16, height=16))
     with pytest.raises(ValueError):
-        discretize_normal_map(nm, fibonacci_codebook(10, "horizontal_circle"))
+        discretize_normal_map(nm, OrientationCodebook(10, "horizontal_circle"))
 
 
 def test_discretize_frontal_square_hits_top_bin():
-    codebook = fibonacci_codebook(60, HEMISPHERE)
+    codebook = OrientationCodebook(60, HEMISPHERE)
     nm = rasterize(frontal_square(), FRONTAL, CameraIntrinsics(width=32, height=32))
     lm = discretize_normal_map(nm, codebook)
     # bin 0 holds the largest z of the hemisphere lattice, nearest to +z
@@ -174,7 +174,7 @@ def test_discretize_frontal_square_hits_top_bin():
 
 
 def test_all_background_roundtrip():
-    codebook = fibonacci_codebook(60, HEMISPHERE)
+    codebook = OrientationCodebook(60, HEMISPHERE)
     lm = LabelMap(np.full((4, 4), codebook.K, dtype=np.int32), codebook.K)
     nm = labels_to_normals(lm, codebook)
     assert not nm.mask.any()
@@ -182,7 +182,7 @@ def test_all_background_roundtrip():
 
 
 def test_labels_to_normals_constant_roundtrip():
-    codebook = fibonacci_codebook(60, HEMISPHERE)
+    codebook = OrientationCodebook(60, HEMISPHERE)
     labels = np.full((5, 5), 17, dtype=np.int32)
     labels[0, 0] = codebook.K
     nm = labels_to_normals(LabelMap(labels, codebook.K), codebook)
@@ -197,7 +197,7 @@ def test_labels_to_normals_constant_roundtrip():
 
 
 def test_labels_to_normals_codebook_mismatch():
-    codebook = fibonacci_codebook(30, HEMISPHERE)
+    codebook = OrientationCodebook(30, HEMISPHERE)
     lm = LabelMap(np.zeros((2, 2), dtype=np.int32), 60)
     with pytest.raises(ValueError):
         labels_to_normals(lm, codebook)
@@ -211,7 +211,7 @@ def test_label_map_validation():
 
 
 def test_roundtrip_quantization_bound():
-    codebook = fibonacci_codebook(60, HEMISPHERE)
+    codebook = OrientationCodebook(60, HEMISPHERE)
     nm = rasterize(shapes.icosphere(2), ViewPose(40.0, 25.0, 10.0),
                    CameraIntrinsics(width=96, height=96))
     back = labels_to_normals(discretize_normal_map(nm, codebook), codebook)
@@ -222,7 +222,7 @@ def test_roundtrip_quantization_bound():
 
 @pytest.mark.parametrize("K", [1, 7, 60, 300])
 def test_face_labels_match_the_per_pixel_oracle(K):
-    codebook = fibonacci_codebook(K, HEMISPHERE)
+    codebook = OrientationCodebook(K, HEMISPHERE)
     rng = np.random.default_rng(K)
     cams = [CameraIntrinsics(width=64, height=64), CameraIntrinsics(width=37, height=23)]
     meshes = [shapes.cuboid(), shapes.square_plate(), shapes.asymmetric_tetrahedron(),
@@ -240,7 +240,7 @@ def test_face_labels_match_the_per_pixel_oracle(K):
 
 
 def test_face_labels_match_the_oracle_at_the_largest_codebook():
-    codebook = fibonacci_codebook(65535, HEMISPHERE)
+    codebook = OrientationCodebook(65535, HEMISPHERE)
     rng = np.random.default_rng(65535)
     for mesh in (shapes.cuboid(), shapes.icosphere(2)):
         for _ in range(3):
@@ -259,31 +259,30 @@ def test_rendered_face_indices_name_the_face_each_pixel_shows():
     shown = np.abs(n[nm.face_ids[nm.mask]])
     assert np.abs(shown - np.abs(nm.normals[nm.mask])).max() < 1e-12
     with pytest.raises(ValueError, match="face indices"):
-        NormalMap(nm.normals, nm.mask, nm.depth, np.zeros(nm.mask.shape, dtype=np.int32))
+        NormalMap(nm.normals, nm.depth, np.zeros(nm.mask.shape, dtype=np.int32))
 
 
 def test_normal_map_validation():
     good = np.zeros((2, 2, 3))
     good[0, 0] = [0.0, 0.0, 1.0]
-    mask = np.array([[True, False], [False, False]])
     depth = np.full((2, 2), BACKGROUND_DEPTH)
     depth[0, 0] = 1.0
-    NormalMap(good, mask, depth)
-    with pytest.raises(ValueError):  # masked normal not unit
-        NormalMap(good * 0.5, mask, depth)
-    with pytest.raises(ValueError):  # masked normal facing away
+    assert NormalMap(good, depth).mask.tolist() == [[True, False], [False, False]]
+    with pytest.raises(ValueError):  # foreground normal not unit
+        NormalMap(good * 0.5, depth)
+    with pytest.raises(ValueError):  # foreground normal facing away
         bad = good.copy()
         bad[0, 0] = [0.0, 0.0, -1.0]
-        NormalMap(bad, mask, depth)
+        NormalMap(bad, depth)
     with pytest.raises(ValueError):  # background depth not sentinel
-        NormalMap(good, mask, np.ones((2, 2)))
+        NormalMap(good, np.ones((2, 2)))
 
 
 def test_save_load_roundtrip(tmp_path):
     mesh = shapes.icosphere(1)
     pose = ViewPose(10.0, 5.0, 0.0)
     nm = rasterize(mesh, pose, CameraIntrinsics(width=48, height=48))
-    codebook = fibonacci_codebook(60, HEMISPHERE)
+    codebook = OrientationCodebook(60, HEMISPHERE)
     lm = discretize_normal_map(nm, codebook)
     normal_path, depth_path = save_normal_map(tmp_path / "v000", nm)
     save_label_map(tmp_path / "v000_labels.pgm", lm)
@@ -300,7 +299,8 @@ def assert_matches_oracle(mesh, pose, cam):
     want = raster_oracle.rasterize(mesh, pose, cam)
     assert got.normals.tobytes() == want.normals.tobytes()
     assert got.depth.tobytes() == want.depth.tobytes()
-    assert got.mask.tobytes() == want.mask.tobytes()
+    # the foreground the normals imply is the pixels that some face is drawn at
+    assert got.mask.tobytes() == want.mask.tobytes() == np.isfinite(want.depth).tobytes()
     return got
 
 
