@@ -11,6 +11,7 @@ import os
 # environment is kept.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
+from .config import CameraIntrinsics, DetectorConfig
 from .evaluation import (
     NormalMetrics,
     PRCurve,
@@ -33,7 +34,6 @@ from .orientation import (
     sym_angle_deg,
 )
 from .render import (
-    CameraIntrinsics,
     LabelMap,
     NormalMap,
     discretize_normal_map,
@@ -41,7 +41,6 @@ from .render import (
     rasterize,
 )
 from .symmetry import (
-    DetectorConfig,
     SymmetryPlane,
     dedupe_planes,
     detect_symmetries,

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import evaluation, imgfmt, util
-from .config import RunConfig
+from .config import RunConfig, check_codebook
 from .dataset import build_manifest, read_manifest, record_image_id
 from .errors import GeometryError, InputError, NoForegroundError, SymnormError
 from .mesh_io import parse_obj_file
@@ -178,14 +178,13 @@ def _image_errors(gt_path, pred_dir: Path, image_id: str, codebook) -> np.ndarra
     checks run in this order: the ground truth's non-zero pixels, the
     prediction's (all of them, not only those on that foreground), the map
     sizes, then the foreground's emptiness."""
-    gt, gt_mask = read_normal_pixels(gt_path)
+    gt, foreground, gt_fg = read_normal_pixels(gt_path)
     pred = _prediction_map(pred_dir, image_id, codebook)
-    evaluation.check_map_pair(gt_mask, pred.shape[:2])
-    pred_fg = pixels_at(pred, gt_mask)
+    evaluation.check_map_pair(gt.shape[:2], pred.shape[:2], len(foreground))
+    pred_fg = pixels_at(pred, foreground)
     if pred.ndim == 2:
-        # a label's direction; the background label K looks up the zero vector
-        pred_fg = np.vstack([codebook.directions, np.zeros((1, 3))])[pred_fg]
-    return evaluation.pixel_errors_deg(pixels_at(gt, gt_mask), pred_fg)
+        pred_fg = codebook.label_directions[pred_fg]
+    return evaluation.pixel_errors_deg(gt_fg, pred_fg)
 
 
 def cmd_eval_normals(args, cfg: RunConfig) -> int:
@@ -241,11 +240,13 @@ def cmd_eval_normals(args, cfg: RunConfig) -> int:
 
 
 def cmd_baseline(args, cfg: RunConfig) -> int:
-    if args.baseline_k is not None and args.baseline_k < 1:
-        raise InputError("--codebook-k must be at least 1")
     meta, records = read_manifest(args.gt_manifest)
     codebook = meta["codebook"]
     if args.baseline_k is not None:
+        try:
+            check_codebook("codebook", args.baseline_k, codebook.support)
+        except ValueError as exc:
+            raise InputError(f"--codebook-k: {exc}") from None
         codebook = OrientationCodebook(args.baseline_k, codebook.support)
     image_ids = [record_image_id(r) for r in records]
     predictions = evaluation.random_baseline(codebook, len(image_ids), cfg.seed)

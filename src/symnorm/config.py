@@ -1,4 +1,5 @@
-"""Flat key=value run configuration merging every pipeline knob.
+"""Every run setting: the detector's, the camera's and the run's keys, their
+defaults and the rules their values must keep.
 
 A RunConfig is itself the DetectorConfig and the CameraIntrinsics of a run,
 so the config file and the CLI flags share one key space.
@@ -17,25 +18,61 @@ from .orientation import (
     OrientationCodebook,
     view_distribution,
 )
-from .render import CameraIntrinsics
-from .symmetry import DetectorConfig
+
+MAX_CODEBOOK_K = 65535  # label K is a 16-bit sample; (K, 3) directions take 1.5 MB
+# plane normals have no sign, and a label map's directions all face the viewer
+CODEBOOK_SUPPORTS = {"codebook": SIGN_INVARIANT_SUPPORTS, "normal_codebook": (HEMISPHERE,)}
 
 
-def check_symmetry_codebook(K: int, support: str) -> None:
-    """Raise ValueError unless symmetry labels can bin plane normals, which
-    have no sign, into K directions on `support`."""
-    if support not in SIGN_INVARIANT_SUPPORTS:
-        raise ValueError(f"codebook_support must be one of {', '.join(SIGN_INVARIANT_SUPPORTS)}")
+def check_codebook(name: str, K: int, support: str) -> None:
+    """Raise ValueError unless a build can write codebook `name` (a key of
+    CODEBOOK_SUPPORTS) with 1 <= K <= MAX_CODEBOOK_K directions on `support`."""
+    if K < 1:
+        raise ValueError(f"{name}_k must be at least 1")
+    if K > MAX_CODEBOOK_K:
+        raise ValueError(f"{name}_k must be at most {MAX_CODEBOOK_K}")
+    if support not in CODEBOOK_SUPPORTS[name]:
+        raise ValueError(f"the {name}'s support must be one of {', '.join(CODEBOOK_SUPPORTS[name])}")
 
 
-def check_normal_codebook(K: int, support: str) -> None:
-    """Raise ValueError unless label maps can use K directions on `support`:
-    the hemisphere, whose directions all face the viewer, and K <= 65535,
-    since label K, the background, is a 16-bit sample."""
-    if support != HEMISPHERE:
-        raise ValueError(f"the normal codebook's support must be {HEMISPHERE}")
-    if K > 65535:
-        raise ValueError("normal_codebook_k must be at most 65535")
+@dataclass(frozen=True)
+class DetectorConfig:
+    """Knobs of the detection pipeline; angle thresholds are in degrees,
+    fractional thresholds are in units of the mesh bbox diagonal."""
+
+    sample_count: int = 4000
+    pair_count: int = 20000
+    cluster_angle_deg: float = 10.0
+    cluster_offset_frac: float = 0.05
+    max_hypotheses: int = 32
+    icp_max_iters: int = 30
+    icp_converge_deg: float = 0.1
+    accept_residual: float = 0.02
+    seed: int = 0
+
+    def __post_init__(self):
+        positive = (
+            self.sample_count, self.pair_count, self.cluster_angle_deg,
+            self.cluster_offset_frac, self.max_hypotheses, self.icp_max_iters,
+            self.icp_converge_deg, self.accept_residual,
+        )
+        if any(not v > 0 for v in positive):
+            raise ValueError("all detector thresholds must be strictly positive")
+        if self.cluster_angle_deg >= 90.0:
+            raise ValueError("the clustering angle must be below 90 degrees")
+
+
+@dataclass(frozen=True)
+class CameraIntrinsics:
+    width: int = 224
+    height: int = 224
+    fov_y_deg: float = 30.0
+
+    def __post_init__(self):
+        if self.width < 1 or self.height < 1:
+            raise ValueError("image dimensions must be at least 1x1")
+        if not 0.0 < self.fov_y_deg < 180.0:
+            raise ValueError("vertical field of view must lie in (0, 180)")
 
 
 @dataclass(frozen=True)
@@ -55,10 +92,8 @@ class RunConfig(DetectorConfig, CameraIntrinsics):
         CameraIntrinsics.__post_init__(self)
         if self.seed < 0:
             raise ValueError("seed must be nonnegative")
-        if self.codebook_k < 1 or self.normal_codebook_k < 1:
-            raise ValueError("codebook sizes must be at least 1")
-        check_symmetry_codebook(self.codebook_k, self.codebook_support)
-        check_normal_codebook(self.normal_codebook_k, HEMISPHERE)
+        check_codebook("codebook", self.codebook_k, self.codebook_support)
+        check_codebook("normal_codebook", self.normal_codebook_k, HEMISPHERE)
         view_distribution(self.view_setting)
         if self.per_model_views < 0 or self.max_models_per_category < 0:
             raise ValueError("view and model counts must be nonnegative")

@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import util
-from .config import RunConfig, check_normal_codebook, check_symmetry_codebook
+from .config import CODEBOOK_SUPPORTS, RunConfig, check_codebook
 from .errors import InputError, SymnormError
 from .mesh_io import TriangleMesh, parse_obj_file
 from .orientation import (
@@ -82,10 +82,6 @@ MANIFEST_FIELDS = ("model_id", "category", "obj_path", "pose", "normal_map_path"
                    "label_map_path", "symmetry_label", "view_setting", "split")
 
 
-# each codebook header's rule: the codebooks a build can write
-CODEBOOK_CHECKS = {"codebook": check_symmetry_codebook, "normal_codebook": check_normal_codebook}
-
-
 def manifest_header(codebook, normal_codebook, view_setting: str) -> str:
     return (f"#codebook:\t{codebook.header()}\n"
             f"#normal_codebook:\t{normal_codebook.header()}\n"
@@ -110,7 +106,7 @@ def write_manifest(path, records, codebook: OrientationCodebook,
 def read_manifest(path):
     """Return (metadata dict, records).  Paths stay relative to the manifest;
     meta["codebook"] and meta["normal_codebook"] are OrientationCodebooks,
-    and each must be one a build can write (see RunConfig).  A row whose
+    and each must be one a build can write (see config.check_codebook).  A row whose
     label_map_path, and so its image id, repeats an earlier row's is an
     InputError."""
     meta = {}
@@ -129,20 +125,20 @@ def read_manifest(path):
                     if tuple(rest.split("\t")) != MANIFEST_FIELDS:
                         raise InputError(f"{path}: unexpected manifest fields")
                     saw_fields = True
-                elif key in CODEBOOK_CHECKS:
+                elif key in CODEBOOK_SUPPORTS:
                     if records or key in meta:
                         raise InputError(f"{path}: line {lineno}: #{key}: header must come "
                                          "once, before the first record")
                     try:
-                        codebook = OrientationCodebook.from_header(rest)
+                        K, support = OrientationCodebook.parse_header(rest)
                     except ValueError:
                         raise InputError(f"{path}: line {lineno}: malformed #{key}: header "
                                          "line") from None
                     try:
-                        CODEBOOK_CHECKS[key](codebook.K, codebook.support)
+                        check_codebook(key, K, support)
                     except ValueError as exc:
                         raise InputError(f"{path}: line {lineno}: #{key}: {exc}") from None
-                    meta[key] = codebook
+                    meta[key] = OrientationCodebook(K, support)
                 else:
                     meta[key] = rest
                 continue
@@ -180,7 +176,7 @@ def read_manifest(path):
                                         nm_path, lm_path, label, view_setting, split))
     if not saw_fields:
         raise InputError(f"{path}: missing #fields: header line")
-    for key in CODEBOOK_CHECKS:
+    for key in CODEBOOK_SUPPORTS:
         if key not in meta:
             raise InputError(f"{path}: missing #{key}: header line")
     return meta, records

@@ -104,12 +104,12 @@ def random_baseline(codebook: OrientationCodebook, images: int, seed: int):
     return [np.column_stack([directions, rng.random(codebook.K)]) for _ in range(images)]
 
 
-def check_map_pair(gt_mask, pred_size) -> None:
-    """Raise unless a prediction's (h, w) `pred_size` matches the (h, w)
-    ground-truth foreground mask and that mask holds a pixel, in that order."""
-    if gt_mask.shape != tuple(pred_size):
+def check_map_pair(gt_size, pred_size, foreground_pixels: int) -> None:
+    """Raise unless the (h, w) sizes of a ground truth and a prediction match
+    and the ground truth's foreground holds a pixel, in that order."""
+    if tuple(gt_size) != tuple(pred_size):
         raise ValueError("normal map dimensions disagree")
-    if not gt_mask.any():
+    if not foreground_pixels:
         raise NoForegroundError("ground-truth mask is empty")
 
 
@@ -165,7 +165,7 @@ def _sorted_metrics(errors) -> NormalMetrics:
 
 
 def normal_metrics(gt: NormalMap, pred: NormalMap) -> NormalMetrics:
-    check_map_pair(gt.mask, pred.mask.shape)
+    check_map_pair(gt.mask.shape, pred.mask.shape, np.count_nonzero(gt.mask))
     return metrics_from_errors(pixel_errors_deg(gt.normals[gt.mask], pred.normals[gt.mask]))
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -114,15 +115,20 @@ class OrientationCodebook:
             dirs = np.column_stack([r * np.cos(theta), r * np.sin(theta), z])
         object.__setattr__(self, "directions", util.readonly(dirs))
 
+    @cached_property
+    def label_directions(self) -> np.ndarray:
+        """Each label's direction: directions, then background label K's zero vector."""
+        return util.readonly(np.vstack([self.directions, np.zeros((1, 3))]))
+
     def header(self) -> str:
         """The manifest header value naming this codebook: `support=...<TAB>k=...`."""
         return f"support={self.support}\tk={self.K}"
 
-    @classmethod
-    def from_header(cls, text: str) -> "OrientationCodebook":
-        """The codebook a `header()` string names; ValueError if it names none."""
+    @staticmethod
+    def parse_header(text: str) -> tuple[int, str]:
+        """The (K, support) a `header()` string names, unchecked; ValueError if K is no integer."""
         spec = dict(item.partition("=")[::2] for item in text.split("\t"))
-        return cls(int(spec.get("k", "")), spec.get("support", ""))
+        return int(spec.get("k", "")), spec.get("support", "")
 
 
 def bin_orientations(codebook: OrientationCodebook, vectors, sign_invariant: bool = False) -> np.ndarray:

@@ -16,28 +16,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import imgfmt, util
+from .config import CameraIntrinsics
 from .errors import GeometryError
 from .mesh_io import TriangleMesh
 from .orientation import HEMISPHERE, OrientationCodebook, ViewPose, bin_orientations, row_norms, unit_mask
 
 BACKGROUND_DEPTH = np.inf
 RASTER_CHUNK = 16384  # (face, pixel) candidates tested at once
-
-
-@dataclass(frozen=True)
-class CameraIntrinsics:
-    width: int = 224
-    height: int = 224
-    fov_y_deg: float = 30.0
-    auto_frame_margin: float = 1.1
-
-    def __post_init__(self):
-        if self.width < 1 or self.height < 1:
-            raise ValueError("image dimensions must be at least 1x1")
-        if not 0.0 < self.fov_y_deg < 180.0:
-            raise ValueError("vertical field of view must lie in (0, 180)")
-        if not self.auto_frame_margin >= 1.0:
-            raise ValueError("auto-frame margin must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -70,7 +55,7 @@ class NormalMap:
         if normals.ndim != 3 or normals.shape[2] != 3 or normals.shape[:2] != depth.shape:
             raise ValueError("normals and depth shapes disagree")
         mask = foreground_mask(normals)
-        check_foreground_normals(pixels_at(normals, mask))
+        check_foreground_normals(pixels_at(normals, np.flatnonzero(mask)))
         if not np.all((depth == BACKGROUND_DEPTH) | mask):
             raise ValueError("background pixels must have sentinel depth")
         if self.face_ids is not None:
@@ -113,10 +98,10 @@ def foreground_mask(normals) -> np.ndarray:
     return (normals[..., 0] != 0.0) | (normals[..., 1] != 0.0) | (normals[..., 2] != 0.0)
 
 
-def pixels_at(image, mask) -> np.ndarray:
-    """The pixels of an (h, w) or (h, w, c) image where the (h, w) mask is
-    set, in row-major order, as boolean indexing gives them, only faster."""
-    return image.reshape(mask.size, *image.shape[2:]).take(np.flatnonzero(mask), axis=0)
+def pixels_at(image, index) -> np.ndarray:
+    """The pixels of an (h, w) or (h, w, c) image at flat row-major indices:
+    at np.flatnonzero(mask), those boolean indexing by mask gives, faster."""
+    return image.reshape(image.shape[0] * image.shape[1], *image.shape[2:]).take(index, axis=0)
 
 
 def check_foreground_normals(normals) -> None:
@@ -134,6 +119,9 @@ def check_labels(labels, K: int) -> None:
         raise ValueError("labels must lie in {0..K}")
 
 
+AUTO_FRAME_MARGIN = 1.1  # camera distance over the one at which the bounding sphere fills the view
+
+
 def frame_camera(mesh: TriangleMesh, pose: ViewPose, cam: CameraIntrinsics) -> CameraFrame:
     """Auto-framing camera placement for the rotated mesh."""
     rotated = mesh.vertices @ pose.rotation.T
@@ -142,7 +130,7 @@ def frame_camera(mesh: TriangleMesh, pose: ViewPose, cam: CameraIntrinsics) -> C
     if radius <= 0.0:
         raise GeometryError("mesh bounding sphere has zero radius")
     half_fov = 0.5 * np.radians(cam.fov_y_deg)
-    distance = cam.auto_frame_margin * radius / np.sin(half_fov)
+    distance = AUTO_FRAME_MARGIN * radius / np.sin(half_fov)
     focal_px = (cam.height / 2.0) / np.tan(half_fov)
     return CameraFrame(util.readonly(center), distance, focal_px,
                        cam.width / 2.0, cam.height / 2.0, cam.width, cam.height)
@@ -319,8 +307,7 @@ def labels_to_normals(lm: LabelMap, codebook: OrientationCodebook) -> NormalMap:
     """Lift bins back to their codebook directions; depth stays unknown."""
     if codebook.K != lm.K:
         raise ValueError(f"label map has K={lm.K}, codebook has K={codebook.K}")
-    # the background label K looks up the zero vector
-    normals = np.vstack([codebook.directions, np.zeros((1, 3))])[lm.labels]
+    normals = codebook.label_directions[lm.labels]
     return NormalMap(normals, np.full(lm.labels.shape, BACKGROUND_DEPTH))
 
 
@@ -339,22 +326,24 @@ def save_normal_map(path_prefix, nm: NormalMap) -> tuple[str, str]:
 
 
 def read_normal_pixels(path):
-    """A 3-channel PFM normal map as read, a float32 (h, w, 3) array, and its
-    (h, w) foreground mask.  Only an exact zero vector is background: any
-    other pixel, a short or a NaN one included, is foreground, and ValueError
-    is raised unless every foreground pixel passes check_foreground_normals."""
+    """A 3-channel PFM normal map as read, a float32 (h, w, 3) array, the flat
+    indices of its foreground pixels and their (n, 3) normals.  Only an exact
+    zero vector is background, and ValueError is raised unless every other
+    pixel, a short or a NaN one included, passes check_foreground_normals."""
     arr = imgfmt.read_pfm(path)
     if arr.ndim != 3:
         raise ValueError("normal maps are 3-channel PFM files")
-    mask = foreground_mask(arr)
-    check_foreground_normals(pixels_at(arr, mask))
-    return arr, mask
+    foreground = np.flatnonzero(foreground_mask(arr))
+    normals = pixels_at(arr, foreground)
+    check_foreground_normals(normals)
+    return arr, foreground, normals
 
 
 def load_normal_map(path) -> NormalMap:
     """Rebuild a NormalMap from a 3-channel PFM (see read_normal_pixels);
     depth is left unknown."""
-    arr, mask = read_normal_pixels(path)
+    arr = read_normal_pixels(path)[0]
+    mask = foreground_mask(arr)
     return NormalMap(np.where(mask[..., None], arr, 0.0), np.where(mask, 1.0, BACKGROUND_DEPTH))
 
 

@@ -17,6 +17,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from . import util
+from .config import DetectorConfig
 from .errors import (
     DegenerateCorrespondencesError,
     InsufficientGeometryError,
@@ -53,36 +54,6 @@ class SymmetryPlane:
         object.__setattr__(self, "normal", util.readonly(canon))
         object.__setattr__(self, "offset", b)
         object.__setattr__(self, "residual", float(self.residual))
-
-
-@dataclass(frozen=True)
-class DetectorConfig:
-    """Knobs of the detection pipeline; angle thresholds are in degrees,
-    fractional thresholds are in units of the mesh bbox diagonal."""
-
-    sample_count: int = 4000
-    pair_count: int = 20000
-    cluster_angle_deg: float = 10.0
-    cluster_offset_frac: float = 0.05
-    max_hypotheses: int = 32
-    icp_max_iters: int = 30
-    icp_converge_deg: float = 0.1
-    icp_reject_frac: float = 0.05
-    accept_residual: float = 0.02
-    dedupe_angle_deg: float = 10.0
-    seed: int = 0
-
-    def __post_init__(self):
-        positive = (
-            self.sample_count, self.pair_count, self.cluster_angle_deg,
-            self.cluster_offset_frac, self.max_hypotheses, self.icp_max_iters,
-            self.icp_converge_deg, self.icp_reject_frac, self.accept_residual,
-            self.dedupe_angle_deg,
-        )
-        if any(not v > 0 for v in positive):
-            raise ValueError("all detector thresholds must be strictly positive")
-        if self.cluster_angle_deg >= 90.0 or self.dedupe_angle_deg >= 90.0:
-            raise ValueError("clustering and dedupe angles must be below 90 degrees")
 
 
 def reflect_points(points, plane: SymmetryPlane) -> np.ndarray:
@@ -360,12 +331,15 @@ def _icp_subset(tree, seed):
     return leaf_order[starts + offsets]
 
 
+ICP_REJECT_FRAC = 0.05  # ICP drops matches farther apart than this much of the bbox diagonal
+
+
 def refine_plane_icp(samples: SurfaceSamples, plane: SymmetryPlane, config: DetectorConfig,
                      return_history: bool = False, tree: cKDTree | None = None):
     """ICP between original and reflected samples with a closed-form refit.
 
     Per iteration: reflect the points, match each reflected point to its
-    nearest sample, reject matches beyond icp_reject_frac * diagonal, then
+    nearest sample, reject matches beyond ICP_REJECT_FRAC * diagonal, then
     refit the plane from correspondences (p, q): the new normal is the
     principal eigenvector of sum(d d^T) over displaced pairs d = p - q, the
     new offset places the plane through the mean midpoint.  The matching
@@ -408,7 +382,7 @@ def refine_plane_icp(samples: SurfaceSamples, plane: SymmetryPlane, config: Dete
     diag = samples.bbox_diagonal
     if tree is None:
         tree = _kd_tree(pts)
-    reject = config.icp_reject_frac * diag
+    reject = ICP_REJECT_FRAC * diag
     min_disp = 1e-6 * diag
     last = config.icp_max_iters - 1
     current = plane
@@ -484,6 +458,9 @@ def dedupe_planes(planes, angle_deg: float) -> list[SymmetryPlane]:
     return kept
 
 
+DEDUPE_ANGLE_DEG = 10.0  # of accepted planes this close, detection keeps the best-scored
+
+
 def detect_symmetries(mesh: TriangleMesh, config: DetectorConfig | None = None) -> list[SymmetryPlane]:
     """Full pipeline; returns deduped planes with residual <= accept_residual.
 
@@ -516,7 +493,7 @@ def detect_symmetries(mesh: TriangleMesh, config: DetectorConfig | None = None) 
     with ThreadPoolExecutor(max_workers=min(len(hypotheses), util.usable_cpu_count())) as pool:
         refined = list(pool.map(refine, hypotheses))
     accepted = [p for p in refined if p is not None and p.residual <= cfg.accept_residual]
-    return dedupe_planes(accepted, cfg.dedupe_angle_deg)
+    return dedupe_planes(accepted, DEDUPE_ANGLE_DEG)
 
 
 def write_planes(path, planes, comments=()) -> None:

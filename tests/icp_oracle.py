@@ -16,6 +16,7 @@ import numpy as np
 from symnorm.errors import DegenerateCorrespondencesError, RefinementDivergedError
 from symnorm.orientation import sym_angle_deg
 from symnorm.symmetry import (
+    ICP_REJECT_FRAC,
     SymmetryPlane,
     _icp_subset,
     _kd_tree,
@@ -32,7 +33,7 @@ def refine_plane_icp(samples, plane, config, return_history=False, tree=None):
     diag = samples.bbox_diagonal
     if tree is None:
         tree = _kd_tree(pts)
-    reject = config.icp_reject_frac * diag
+    reject = ICP_REJECT_FRAC * diag
     min_disp = 1e-6 * diag
     last = config.icp_max_iters - 1
     subset = pts[_icp_subset(tree, config.seed)]

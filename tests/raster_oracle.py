@@ -9,7 +9,8 @@ mask bytes.
 
 import numpy as np
 
-from symnorm.render import BACKGROUND_DEPTH, CameraIntrinsics, NormalMap, frame_camera
+from symnorm.config import CameraIntrinsics
+from symnorm.render import BACKGROUND_DEPTH, NormalMap, frame_camera
 
 
 def _edge_includes_boundary(a, b):

@@ -14,7 +14,7 @@ while true mirror peaks stay intact).
 import numpy as np
 
 from symnorm.mesh_io import TriangleMesh
-from symnorm.symmetry import DetectorConfig
+from symnorm.config import DetectorConfig
 
 SUITE_CONFIG = DetectorConfig(sample_count=8000, accept_residual=0.0088,
                               cluster_offset_frac=0.015)

@@ -11,6 +11,7 @@ from scipy.stats import chisquare, qmc
 import shapes
 from ap_oracle import oracle_ap
 from symnorm.cli import main
+from symnorm.config import CameraIntrinsics, DetectorConfig
 from symnorm.dataset import read_manifest, record_image_id
 from symnorm.evaluation import ap_symmetry, normal_metrics
 from symnorm.mesh_io import SurfaceSamples, TriangleMesh, serialize_obj
@@ -25,14 +26,13 @@ from symnorm.orientation import (
 )
 from symnorm.render import (
     BACKGROUND_DEPTH,
-    CameraIntrinsics,
     NormalMap,
     discretize_normal_map,
     frame_camera,
     labels_to_normals,
     rasterize,
 )
-from symnorm.symmetry import DetectorConfig, SymmetryPlane, detect_symmetries, refine_plane_icp
+from symnorm.symmetry import SymmetryPlane, detect_symmetries, refine_plane_icp
 
 # frozen regression constant: max angle of the 2^20-point Sobol hemisphere
 # scan against the K=60 codebook, measured once and pinned

@@ -15,13 +15,14 @@ import label_oracle
 import normal_eval_oracle
 import shapes
 import symnorm
-from symnorm import cli
+from symnorm import cli, render, symmetry
 from symnorm.cli import main, read_predictions, write_predictions
+from symnorm.config import CameraIntrinsics
 from symnorm.dataset import read_manifest, record_image_id, write_manifest
 from symnorm.imgfmt import read_pfm, read_pgm16, write_pfm, write_pgm16
 from symnorm.mesh_io import serialize_obj
 from symnorm.orientation import FULL_SPHERE, HEMISPHERE, OrientationCodebook, ViewPose
-from symnorm.render import CameraIntrinsics, rasterize
+from symnorm.render import rasterize
 from symnorm.symmetry import read_planes
 
 SUITE_KEYS = ("sample_count = 8000\naccept_residual = 0.0088\n"
@@ -207,10 +208,44 @@ def test_normal_codebook_above_16_bits_exits_2_before_any_file(tmp_path, cuboid_
     assert main(argv) == 2
     assert "normal_codebook_k must be at most 65535" in capsys.readouterr().err
     assert sorted(tmp_path.rglob("*")) == before
-    # label K, the background, is the largest 16-bit sample
+    # label K, the background, is the largest 16-bit sample; the symmetry
+    # codebook has the same bound
     assert RunConfig(normal_codebook_k=65535).normal_codebook().K == 65535
-    with pytest.raises(ValueError):
-        RunConfig(normal_codebook_k=65536)
+    assert RunConfig(codebook_k=65535).symmetry_codebook().K == 65535
+    for key in ("normal_codebook_k", "codebook_k"):
+        with pytest.raises(ValueError):
+            RunConfig(**{key: 65536})
+
+
+@pytest.mark.parametrize("command", ["eval-sym", "eval-normals", "baseline"])
+@pytest.mark.parametrize("lineno", [1, 2], ids=["codebook", "normal-codebook"])
+def test_manifest_codebook_size_is_checked_before_its_directions_are_built(
+        tmp_path, capsys, command, lineno):
+    """A header naming 2M directions, 48 MB of them, is an input error naming
+    its line before any direction is built."""
+    from symnorm.orientation import HORIZONTAL_CIRCLE
+    manifest = tmp_path / "m.tsv"
+    write_manifest(manifest, [], OrientationCodebook(10, HORIZONTAL_CIRCLE),
+                   OrientationCodebook(60, HEMISPHERE), "V_N")
+    lines = manifest.read_text().splitlines(keepends=True)
+    key = lines[lineno - 1].split("\t", 1)[0]
+    support = HORIZONTAL_CIRCLE if lineno == 1 else HEMISPHERE
+    lines[lineno - 1] = f"{key}\tsupport={support}\tk=2000000\n"
+    manifest.write_text("".join(lines))
+    (tmp_path / "preds.tsv").write_text("")
+    out = tmp_path / "result"
+    argv = {"eval-sym": ["eval-sym", str(manifest), str(tmp_path / "preds.tsv"), "--out-dir"],
+            "eval-normals": ["eval-normals", str(manifest), str(tmp_path), "--out-dir"],
+            "baseline": ["baseline", str(manifest), "--out"]}[command] + [str(out)]
+    tracemalloc.start()
+    try:
+        assert main(argv) == 2
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert f"{manifest}: line {lineno}: {key} " in capsys.readouterr().err
+    assert peak < 8 * 2 ** 20
+    assert not out.exists()
 
 
 def test_build_split_and_rerun_identical(tmp_path, toy_build):
@@ -373,11 +408,12 @@ def test_baseline_codebook_k_flag_resizes_and_config_key_does_not(tmp_path, toy_
         per_image[name] = {len(v) for v in preds.values()}
     # the flag resizes the manifest's codebook; the build key names the manifest's
     assert per_image == {"flag": {20}, "config": {10}, "both": {7}}
-    capsys.readouterr()
-    assert main(["baseline", manifest, "--out", str(tmp_path / "zero.tsv"),
-                 "--codebook-k", "0"]) == 2
-    assert capsys.readouterr().err.startswith("error: ")
-    assert not (tmp_path / "zero.tsv").exists()
+    for k in ("0", "65536"):
+        capsys.readouterr()
+        assert main(["baseline", manifest, "--out", str(tmp_path / "rejected.tsv"),
+                     "--codebook-k", k]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "rejected.tsv").exists()
 
 
 def test_eval_commands_score_train_and_test_rows(tmp_path, toy_build):
@@ -921,6 +957,14 @@ def test_config_unknown_key_rejected(tmp_path, cuboid_obj):
     assert rc == 2
 
 
+# former config keys, now constants named like them: a config file restating
+# one at its value is an unknown key
+REMOVED_KEYS = [(command, f"{name.lower()} = {getattr(module, name)}\n", [])
+                for command, module, name in (("detect", symmetry, "DEDUPE_ANGLE_DEG"),
+                                              ("detect", symmetry, "ICP_REJECT_FRAC"),
+                                              ("render", render, "AUTO_FRAME_MARGIN"))]
+
+
 @pytest.mark.parametrize("command, config, flags", [
     ("detect", "sample_count = 100\nwat = 7\n", []),
     ("detect", "sample_count = 0\n", []),
@@ -929,9 +973,13 @@ def test_config_unknown_key_rejected(tmp_path, cuboid_obj):
     ("render", "", ["--width", "0"]),
     ("build", "view_setting = V_X\n", []),
     ("build", "codebook_support = hemisphere\n", []),
+    ("build", "codebook_k = 65536\n", []),
     ("eval-normals", "wat = 7\n", []),
+    *REMOVED_KEYS,
 ], ids=["unknown-key", "zero-samples", "repeated-key", "zero-width", "zero-width-flag",
-        "unknown-view-setting", "hemisphere-support", "eval-normals-unknown-key"])
+        "unknown-view-setting", "hemisphere-support", "codebook-k-above-65535",
+        "eval-normals-unknown-key",
+        "removed-dedupe-angle", "removed-icp-reject-frac", "removed-auto-frame-margin"])
 def test_config_rejected_before_any_output(tmp_path, cuboid_obj, capsys, request, command, config, flags):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(config)
@@ -949,7 +997,10 @@ def test_config_rejected_before_any_output(tmp_path, cuboid_obj, capsys, request
         argv = [command, str(cuboid_obj), "--out", str(out)]
     rc = main(argv + flags + ["--config", str(cfg)])
     assert rc == 2
-    assert capsys.readouterr().err.startswith("error: ")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    if request.node.callspec.id.startswith("removed-"):
+        assert "unknown key" in err
     assert not out.exists()
 
 

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 import shapes
 from ap_oracle import oracle_ap
+from symnorm.config import CameraIntrinsics
 from symnorm.errors import NoForegroundError, UndefinedAPError
 from symnorm.evaluation import (
     aggregate_by_category,
@@ -15,7 +16,7 @@ from symnorm.evaluation import (
     random_baseline,
 )
 from symnorm.orientation import HORIZONTAL_CIRCLE, OrientationCodebook, ViewPose, sym_angle_deg
-from symnorm.render import BACKGROUND_DEPTH, CameraIntrinsics, NormalMap, rasterize
+from symnorm.render import BACKGROUND_DEPTH, NormalMap, rasterize
 
 
 def unit(v):

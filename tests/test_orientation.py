@@ -98,7 +98,7 @@ def test_codebook_directions_pinned(support, K):
 def test_codebook_header_round_trip(support, K):
     cb = OrientationCodebook(K, support)
     assert cb.header() == f"support={support}\tk={K}"
-    again = OrientationCodebook.from_header(cb.header())
+    again = OrientationCodebook(*OrientationCodebook.parse_header(cb.header()))
     assert again == cb and again.directions.tobytes() == cb.directions.tobytes()
 
 
@@ -107,7 +107,7 @@ def test_codebook_header_round_trip(support, K):
                                   "hemisphere\t10", ""])
 def test_codebook_header_rejects_malformed(text):
     with pytest.raises(ValueError):
-        OrientationCodebook.from_header(text)
+        OrientationCodebook(*OrientationCodebook.parse_header(text))
 
 
 def per_row_norms(vectors):

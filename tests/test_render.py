@@ -6,12 +6,12 @@ import pytest
 import label_oracle
 import raster_oracle
 import shapes
+from symnorm.config import CameraIntrinsics
 from symnorm.errors import GeometryError
 from symnorm.mesh_io import TriangleMesh, parse_obj
 from symnorm.orientation import HEMISPHERE, OrientationCodebook, ViewPose
 from symnorm.render import (
     BACKGROUND_DEPTH,
-    CameraIntrinsics,
     LabelMap,
     NormalMap,
     discretize_normal_map,

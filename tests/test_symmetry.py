@@ -14,8 +14,8 @@ from symnorm import symmetry
 from symnorm.errors import InputError, InsufficientGeometryError
 from symnorm.mesh_io import SurfaceSamples, TriangleMesh, sample_surface
 from symnorm.orientation import canonical_sign, euler_to_rotation
+from symnorm.config import DetectorConfig
 from symnorm.symmetry import (
-    DetectorConfig,
     SymmetryPlane,
     dedupe_planes,
     detect_symmetries,
