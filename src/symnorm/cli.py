@@ -64,10 +64,10 @@ def cmd_render(args, cfg: RunConfig) -> int:
     mesh = parse_obj_file(args.obj)
     nm = rasterize(mesh, pose, cfg)
     lm = discretize_normal_map(nm, cfg.normal_codebook())
-    normal_path, depth_path = save_normal_map(args.out, nm)
+    normal_path = save_normal_map(args.out, nm)
     label_path = f"{args.out}{LABEL_MAP_SUFFIX}"
     save_label_map(label_path, lm)
-    print(f"wrote {normal_path}, {depth_path}, {label_path}")
+    print(f"wrote {normal_path}, {label_path}")
     return 0
 
 
@@ -272,7 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.set_defaults(func=cmd_detect)
 
-    p = sub.add_parser("render", help="render normal/depth/label maps for one pose")
+    p = sub.add_parser("render", help="render the normal and label maps of one pose")
     p.add_argument("obj")
     p.add_argument("--out", required=True, help="output path prefix")
     p.add_argument("--az", type=float, default=0.0)

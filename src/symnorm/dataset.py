@@ -196,7 +196,7 @@ def build_manifest(corpus_root, out_dir, config: RunConfig = RunConfig()):
     """Generate ground truth for a corpus and write manifest plus sidecars.
 
     Per model: detect symmetry planes once, then per view sample a pose,
-    render the normal/depth/label maps, rotate the symmetry orientations
+    render the normal and label maps, rotate the symmetry orientations
     into the view and discretize them into the multilabel target.  A model
     whose file cannot be read or parsed, or whose detection fails, is
     skipped with a warning and leaves no files; one that fails while

@@ -1,4 +1,4 @@
-"""PFM and 16-bit binary PGM readers and writers.
+"""3-channel PFM and 16-bit binary PGM readers and writers.
 
 PFM scanlines are stored bottom-to-top; a negative scale marks little-endian
 data.  PGM P5 at maxval 65535 stores big-endian two-byte samples, rows
@@ -14,16 +14,12 @@ from .errors import InputError
 
 
 def write_pfm(path, image) -> None:
-    """Write a (h, w) grayscale or (h, w, 3) color float map, little-endian."""
+    """Write an (h, w, 3) color float map, little-endian."""
     arr = np.asarray(image, dtype="<f4")
-    if arr.ndim == 2:
-        magic = b"Pf"
-    elif arr.ndim == 3 and arr.shape[2] == 3:
-        magic = b"PF"
-    else:
-        raise ValueError("PFM images must be (h, w) or (h, w, 3)")
+    if arr.ndim != 3 or arr.shape[2] != 3:
+        raise ValueError("PFM images must be (h, w, 3)")
     h, w = arr.shape[:2]
-    header = magic + b"\n%d %d\n-1.0\n" % (w, h)
+    header = b"PF\n%d %d\n-1.0\n" % (w, h)
     with util.atomic_write(path) as fh:
         fh.write(header + np.flipud(arr).tobytes())
 
@@ -56,12 +52,14 @@ def _count(token, field):
 
 
 def read_pfm(path) -> np.ndarray:
-    """Read a PFM file into a float32 array, rows top-to-bottom."""
+    """Read a 3-channel PFM file into a float32 (h, w, 3) array, rows
+    top-to-bottom.  Any other magic, the one-channel "Pf" included, is an
+    InputError."""
     with open(path, "rb") as fh:
         buf = fh.read()
     (magic, ws, hs, ss), pos = _tokens(buf, 4)
-    if magic not in (b"PF", b"Pf"):
-        raise InputError(f"not a PFM file: magic {magic!r}")
+    if magic != b"PF":
+        raise InputError(f"not a 3-channel PFM file: magic {magic!r}")
     w, h = _count(ws, "width"), _count(hs, "height")
     try:
         scale = float(ss)
@@ -69,13 +67,11 @@ def read_pfm(path) -> np.ndarray:
         scale = math.nan
     if not (math.isfinite(scale) and scale != 0.0):
         raise InputError(f"image header scale {ss.decode('latin-1')!r} is not a finite nonzero number")
-    channels = 3 if magic == b"PF" else 1
     dtype = "<f4" if scale < 0 else ">f4"
     payload = memoryview(buf)[pos:]
-    if w * h * channels * 4 > len(payload):
+    if w * h * 3 * 4 > len(payload):
         raise InputError("PFM payload shorter than header promises")
-    shape = (h, w, 3) if channels == 3 else (h, w)
-    arr = np.frombuffer(payload, dtype=dtype, count=w * h * channels).reshape(shape)
+    arr = np.frombuffer(payload, dtype=dtype, count=w * h * 3).reshape(h, w, 3)
     # the one copy: native float32, rows flipped to top-to-bottom
     return arr[::-1].astype(np.float32, order="C")
 

@@ -21,7 +21,6 @@ from .errors import GeometryError
 from .mesh_io import TriangleMesh
 from .orientation import HEMISPHERE, OrientationCodebook, ViewPose, bin_orientations, row_norms, unit_mask
 
-BACKGROUND_DEPTH = np.inf
 RASTER_CHUNK = 16384  # (face, pixel) candidates tested at once
 
 
@@ -40,24 +39,20 @@ class CameraFrame:
 
 @dataclass(frozen=True)
 class NormalMap:
-    """Per-pixel camera-frame unit normals with depth, the foreground mask
-    they imply (see foreground_mask), and for a rendered map the index of
-    the mesh face each pixel shows."""
+    """Per-pixel camera-frame unit normals, the foreground mask they imply
+    (see foreground_mask), and for a rendered map the index of the mesh face
+    each pixel shows."""
 
     normals: np.ndarray  # (h, w, 3), zero on background
-    depth: np.ndarray    # (h, w), BACKGROUND_DEPTH on background
     face_ids: np.ndarray | None = None  # (h, w) int32, -1 on background; None unless rendered
     mask: np.ndarray = field(init=False, repr=False, compare=False)  # (h, w) bool
 
     def __post_init__(self):
         normals = np.ascontiguousarray(np.asarray(self.normals, dtype=np.float64))
-        depth = np.ascontiguousarray(np.asarray(self.depth, dtype=np.float64))
-        if normals.ndim != 3 or normals.shape[2] != 3 or normals.shape[:2] != depth.shape:
-            raise ValueError("normals and depth shapes disagree")
+        if normals.ndim != 3 or normals.shape[2] != 3:
+            raise ValueError("normals must be an (h, w, 3) array")
         mask = foreground_mask(normals)
         check_foreground_normals(pixels_at(normals, np.flatnonzero(mask)))
-        if not np.all((depth == BACKGROUND_DEPTH) | mask):
-            raise ValueError("background pixels must have sentinel depth")
         if self.face_ids is not None:
             face_ids = np.ascontiguousarray(np.asarray(self.face_ids, dtype=np.int32))
             if face_ids.shape != mask.shape or not np.array_equal(face_ids >= 0, mask) \
@@ -66,7 +61,6 @@ class NormalMap:
             object.__setattr__(self, "face_ids", util.readonly(face_ids))
         object.__setattr__(self, "normals", util.readonly(normals))
         object.__setattr__(self, "mask", util.readonly(mask))
-        object.__setattr__(self, "depth", util.readonly(depth))
 
     @property
     def height(self) -> int:
@@ -214,11 +208,12 @@ def _blocks(lo, hi):
 
 
 def rasterize(mesh: TriangleMesh, pose: ViewPose, cam: CameraIntrinsics | None = None) -> NormalMap:
-    """Z-buffered flat-shaded render of camera-frame normals and depth.
+    """Z-buffered flat-shaded render of camera-frame normals.
 
-    Depth is the distance along the view axis, found per pixel by
-    intersecting the pixel-center ray with the face plane; the auto-framing
-    guarantees the whole mesh sits strictly in front of the camera.  Each
+    The z-buffer holds each pixel's depth, the distance along the view
+    axis, found by intersecting the pixel-center ray with the face plane;
+    the auto-framing guarantees the whole mesh sits strictly in front of
+    the camera.  Only the normals and face indices are kept.  Each
     pixel takes the nearest face at positive depth and, among faces at the
     same depth, the lowest face index; the map records that face's index.
     The whole mesh is drawn at once, in blocks of at most RASTER_CHUNK
@@ -240,7 +235,7 @@ def rasterize(mesh: TriangleMesh, pose: ViewPose, cam: CameraIntrinsics | None =
     ray_x = np.tile((np.arange(w) + 0.5 - frame.cx) / frame.focal_px, h)
     ray_y = np.repeat((frame.cy - (np.arange(h) + 0.5)) / frame.focal_px, w)
     nx, ny, nz = n.T.copy()
-    depth = np.full(h * w, BACKGROUND_DEPTH)
+    depth = np.full(h * w, np.inf)
     # the mesh index of each pixel's face, or len(mesh.faces) on background
     winner = np.full(h * w, len(mesh.faces))
     for first, last, top, left, rows, cols in _blocks(lo, hi):
@@ -260,7 +255,7 @@ def rasterize(mesh: TriangleMesh, pose: ViewPose, cam: CameraIntrinsics | None =
         denom = nx[f] * ray_x[pix] + ny[f] * ray_y[pix] - nz[f]
         with np.errstate(divide="ignore", invalid="ignore"):
             t = plane[f] / denom
-        front = (t > 0.0) & (t < BACKGROUND_DEPTH)
+        front = (t > 0.0) & (t < np.inf)
         f, t, pix = f[front], t[front], pix[front]
         before = depth[pix]
         np.minimum.at(depth, pix, t)
@@ -274,8 +269,7 @@ def rasterize(mesh: TriangleMesh, pose: ViewPose, cam: CameraIntrinsics | None =
     normal_of[ids] = n
     face_ids = winner.astype(np.int32)
     face_ids[winner == len(mesh.faces)] = -1
-    return NormalMap(normal_of.take(winner, axis=0).reshape(h, w, 3), depth.reshape(h, w),
-                     face_ids.reshape(h, w))
+    return NormalMap(normal_of.take(winner, axis=0).reshape(h, w, 3), face_ids.reshape(h, w))
 
 
 def discretize_normal_map(nm: NormalMap, codebook: OrientationCodebook) -> LabelMap:
@@ -304,11 +298,11 @@ def discretize_normal_map(nm: NormalMap, codebook: OrientationCodebook) -> Label
 
 
 def labels_to_normals(lm: LabelMap, codebook: OrientationCodebook) -> NormalMap:
-    """Lift bins back to their codebook directions; depth stays unknown."""
+    """Lift bins back to their codebook directions."""
     if codebook.K != lm.K:
         raise ValueError(f"label map has K={lm.K}, codebook has K={codebook.K}")
     normals = codebook.label_directions[lm.labels]
-    return NormalMap(normals, np.full(lm.labels.shape, BACKGROUND_DEPTH))
+    return NormalMap(normals)
 
 
 # suffixes of a view's sidecar files: <prefix>_normal.pfm, <prefix>_labels.pgm
@@ -316,23 +310,19 @@ NORMAL_MAP_SUFFIX = "_normal.pfm"
 LABEL_MAP_SUFFIX = "_labels.pgm"
 
 
-def save_normal_map(path_prefix, nm: NormalMap) -> tuple[str, str]:
-    """Persist as <prefix>_normal.pfm (3-channel) and <prefix>_depth.pfm."""
+def save_normal_map(path_prefix, nm: NormalMap) -> str:
+    """Persist as <prefix>_normal.pfm; return that path."""
     normal_path = f"{path_prefix}{NORMAL_MAP_SUFFIX}"
-    depth_path = f"{path_prefix}_depth.pfm"
     imgfmt.write_pfm(normal_path, nm.normals.astype(np.float32))
-    imgfmt.write_pfm(depth_path, nm.depth.astype(np.float32))
-    return normal_path, depth_path
+    return normal_path
 
 
 def read_normal_pixels(path):
-    """A 3-channel PFM normal map as read, a float32 (h, w, 3) array, the flat
-    indices of its foreground pixels and their (n, 3) normals.  Only an exact
-    zero vector is background, and ValueError is raised unless every other
-    pixel, a short or a NaN one included, passes check_foreground_normals."""
+    """A PFM normal map as read, a float32 (h, w, 3) array, the flat indices
+    of its foreground pixels and their (n, 3) normals.  Only an exact zero
+    vector is background, and ValueError is raised unless every other pixel,
+    a short or a NaN one included, passes check_foreground_normals."""
     arr = imgfmt.read_pfm(path)
-    if arr.ndim != 3:
-        raise ValueError("normal maps are 3-channel PFM files")
     foreground = np.flatnonzero(foreground_mask(arr))
     normals = pixels_at(arr, foreground)
     check_foreground_normals(normals)
@@ -340,11 +330,9 @@ def read_normal_pixels(path):
 
 
 def load_normal_map(path) -> NormalMap:
-    """Rebuild a NormalMap from a 3-channel PFM (see read_normal_pixels);
-    depth is left unknown."""
+    """Rebuild a NormalMap from a PFM normal map (see read_normal_pixels)."""
     arr = read_normal_pixels(path)[0]
-    mask = foreground_mask(arr)
-    return NormalMap(np.where(mask[..., None], arr, 0.0), np.where(mask, 1.0, BACKGROUND_DEPTH))
+    return NormalMap(np.where(foreground_mask(arr)[..., None], arr, 0.0))
 
 
 def save_label_map(path, lm: LabelMap) -> None:

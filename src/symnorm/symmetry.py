@@ -20,6 +20,7 @@ from . import util
 from .config import DetectorConfig
 from .errors import (
     DegenerateCorrespondencesError,
+    InputError,
     InsufficientGeometryError,
     RefinementDivergedError,
 )
@@ -507,12 +508,17 @@ def write_planes(path, planes, comments=()) -> None:
 
 
 def read_planes(path) -> list[SymmetryPlane]:
+    """The planes of a file write_planes wrote; a line that is not five
+    numbers making a valid plane is an InputError naming the file and line."""
     planes = []
     with util.open_text(path) as fh:
-        for raw in fh:
+        for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
-            nx, ny, nz, b, residual = (float(tok) for tok in line.split())
-            planes.append(SymmetryPlane(np.array([nx, ny, nz]), b, residual))
+            try:
+                nx, ny, nz, b, residual = (float(tok) for tok in line.split())
+                planes.append(SymmetryPlane(np.array([nx, ny, nz]), b, residual))
+            except ValueError as exc:
+                raise InputError(f"{path}: line {lineno}: {exc}") from None
     return planes

@@ -13,7 +13,6 @@ import numpy as np
 from symnorm import imgfmt
 from symnorm.errors import InputError, NoForegroundError
 from symnorm.render import (
-    BACKGROUND_DEPTH,
     LABEL_MAP_SUFFIX,
     NORMAL_MAP_SUFFIX,
     NormalMap,
@@ -23,14 +22,11 @@ from symnorm.render import (
 
 
 def load_normal_map(path) -> NormalMap:
-    """A 3-channel PFM as a full-frame NormalMap: every pixel but an exact
+    """A PFM normal map as a full-frame NormalMap: every pixel but an exact
     zero vector is foreground, and NormalMap validates it."""
     arr = np.asarray(imgfmt.read_pfm(path), dtype=np.float64)
-    if arr.ndim != 3:
-        raise ValueError("normal maps are 3-channel PFM files")
-    mask = np.any(arr != 0.0, axis=2)
-    arr[~mask] = 0.0
-    return NormalMap(arr, np.where(mask, 1.0, BACKGROUND_DEPTH))
+    arr[~np.any(arr != 0.0, axis=2)] = 0.0
+    return NormalMap(arr)
 
 
 def load_prediction_map(pred_dir, image_id, codebook) -> NormalMap:

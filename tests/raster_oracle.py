@@ -3,14 +3,14 @@
 Draws one face at a time in index order into a z-buffer, writing a pixel
 only when the face covers it (top-left fill rule) and its depth is positive
 and strictly below the buffer, so the nearest face wins and the lowest face
-index wins ties.  `render.rasterize` must write the same normal, depth and
-mask bytes.
+index wins ties; each pixel records the index of the face drawn there.
+`render.rasterize` must write the same normal, face index and mask bytes.
 """
 
 import numpy as np
 
 from symnorm.config import CameraIntrinsics
-from symnorm.render import BACKGROUND_DEPTH, NormalMap, frame_camera
+from symnorm.render import NormalMap, frame_camera
 
 
 def _edge_includes_boundary(a, b):
@@ -27,12 +27,13 @@ def rasterize(mesh, pose, cam=None):
     verts = mesh.vertices @ pose.rotation.T - frame.center
     verts[:, 2] -= frame.distance
     w, h = frame.width, frame.height
-    depth = np.full((h, w), BACKGROUND_DEPTH)
+    depth = np.full((h, w), np.inf)
     normals = np.zeros((h, w, 3))
+    face_ids = np.full((h, w), -1, dtype=np.int32)
     inv_z = -1.0 / verts[:, 2]
     us = frame.cx + frame.focal_px * verts[:, 0] * inv_z
     vs = frame.cy - frame.focal_px * verts[:, 1] * inv_z
-    for ia, ib, ic in mesh.faces:
+    for index, (ia, ib, ic) in enumerate(mesh.faces):
         n = np.cross(verts[ib] - verts[ia], verts[ic] - verts[ia])
         length = np.linalg.norm(n)
         if length == 0.0:
@@ -79,4 +80,5 @@ def rasterize(mesh, pose, cam=None):
         if sel.any():
             window[sel] = t[sel]
             normals[y0:y1 + 1, x0:x1 + 1][sel] = n
-    return NormalMap(normals, depth)
+            face_ids[y0:y1 + 1, x0:x1 + 1][sel] = index
+    return NormalMap(normals, face_ids)

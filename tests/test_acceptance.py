@@ -25,7 +25,6 @@ from symnorm.orientation import (
     sample_view,
 )
 from symnorm.render import (
-    BACKGROUND_DEPTH,
     NormalMap,
     discretize_normal_map,
     frame_camera,
@@ -188,13 +187,15 @@ def test_criterion_4_rasterizer_oracles():
         for i in range(16):
             d = np.array([(i + 0.5 - frame.cx) / frame.focal_px,
                           (frame.cy - (j + 0.5)) / frame.focal_px, -1.0])
-            hits = [tt for fa, fb, fc in duo.faces
-                    for tt in [ray_hit(d, cam_verts[fa], cam_verts[fb], cam_verts[fc])]
-                    if tt is not None]
-            oracle = min(hits) if hits else np.inf
-            got = zmap.depth[j, i]
-            same = (np.isinf(oracle) and np.isinf(got)) or \
-                (np.isfinite(oracle) and np.isfinite(got) and abs(oracle - got) < 1e-9)
+            # the face the pixel shows must be one its ray hits, at the
+            # nearest hit; background must be exactly where no face is hit
+            hits = [ray_hit(d, *cam_verts[face]) for face in duo.faces]
+            drawn = [tt for tt in hits if tt is not None]
+            shown = zmap.face_ids[j, i]
+            if drawn:
+                same = shown >= 0 and hits[shown] is not None and abs(hits[shown] - min(drawn)) < 1e-9
+            else:
+                same = shown == -1
             mismatches += not same
     assert mismatches == 0
     report(4, f"icosphere {frac * 100:.2f}% within 5 deg; z-buffer 256/256 pixels exact")
@@ -227,15 +228,13 @@ def test_criterion_5_quantization_bound():
 
 
 def test_criterion_6_metric_fixtures(tmp_path):
-    mask = np.array([[True, True]])
     normals = np.zeros((1, 2, 3))
     normals[0, :, 2] = 1.0
-    depth = np.where(mask, 1.0, BACKGROUND_DEPTH)
-    gt = NormalMap(normals, depth)
+    gt = NormalMap(normals)
     a = np.radians(20.0)
     pred_normals = normals.copy()
     pred_normals[0, 1] = [np.sin(a), 0.0, np.cos(a)]
-    pred = NormalMap(pred_normals, depth)
+    pred = NormalMap(pred_normals)
     m = normal_metrics(gt, pred)
     assert m.mean_err_deg == pytest.approx(10.0, abs=1e-12)
     assert m.median_err_deg == 0.0
@@ -316,7 +315,11 @@ def test_criterion_8_toy_pipeline_determinism(tmp_path):
     for record in records:
         for rel in (record.normal_map_path, record.label_map_path):
             assert (outs[0] / rel).read_bytes() == (outs[1] / rel).read_bytes()
-        depth_rel = record.normal_map_path.replace("_normal.pfm", "_depth.pfm")
-        assert (outs[0] / depth_rel).read_bytes() == (outs[1] / depth_rel).read_bytes()
+    # each tree holds the manifest, each model's planes and each row's two
+    # named maps, and nothing else
+    expected = {"manifest.tsv"} | {f"{r.category}/{r.model_id}/planes.txt" for r in records} \
+        | {rel for r in records for rel in (r.normal_map_path, r.label_map_path)}
+    for out in outs:
+        assert {p.relative_to(out).as_posix() for p in out.rglob("*") if p.is_file()} == expected
     assert elapsed < 60.0, f"two runs took {elapsed:.1f}s"
     report(8, f"two full runs bitwise identical, {elapsed:.1f}s for both")

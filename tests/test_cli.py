@@ -133,13 +133,16 @@ def test_detect_stable_across_seeds(tmp_path, cuboid_obj, suite_cfg):
     assert (angles.min(axis=1) <= 1.0).all()
 
 
-def test_render_frontal_square(tmp_path):
+def test_render_frontal_square(tmp_path, capsys):
     obj = tmp_path / "square.obj"
     obj.write_text("v -0.5 -0.5 0\nv 0.5 -0.5 0\nv 0.5 0.5 0\nv -0.5 0.5 0\nf 1 2 3 4\n")
     prefix = tmp_path / "sq"
     rc = main(["render", str(obj), "--out", str(prefix), "--az", "0", "--el", "0",
                "--cyclo", "0", "--width", "32", "--height", "32"])
     assert rc == 0
+    # the normal map and the label map, nothing else
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["sq_labels.pgm", "sq_normal.pfm", "square.obj"]
+    assert capsys.readouterr().out == f"wrote {prefix}_normal.pfm, {prefix}_labels.pgm\n"
     normals = read_pfm(f"{prefix}_normal.pfm")
     fg = np.linalg.norm(normals, axis=2) > 0.5
     assert fg.any()
@@ -487,15 +490,19 @@ def test_eval_normals_skips_invalid_predicted_normals(tmp_path, toy_build, chang
     assert skipped[0].startswith(f"  skipped {victim}: ") and reason in skipped[0]
 
 
-@pytest.mark.parametrize("suffix, header, field", [("_normal.pfm", b"PF\n-2 -2\n-1.0\n", "width"),
-                                                   ("_normal.pfm", b"PF\n2 2\nabc\n", "scale"),
-                                                   ("_labels.pgm", b"P5\n2.5 2\n65535\n", "width"),
-                                                   ("_labels.pgm", b"P5\n2 2\nabc\n", "maxval")],
-                         ids=["pfm-width", "pfm-scale", "pgm-width", "pgm-maxval"])
+@pytest.mark.parametrize("suffix, header, reason", [
+    ("_normal.pfm", b"PF\n-2 -2\n-1.0\n", "header width "),
+    ("_normal.pfm", b"PF\n2 2\nabc\n", "header scale "),
+    ("_normal.pfm", b"Pf\n2 2\n-1.0\n", "not a 3-channel PFM file"),
+    ("_labels.pgm", b"P5\n2.5 2\n65535\n", "header width "),
+    ("_labels.pgm", b"P5\n2 2\nabc\n", "header maxval "),
+], ids=["pfm-width", "pfm-scale", "pfm-one-channel", "pgm-width", "pgm-maxval"])
 def test_eval_normals_skips_a_prediction_with_a_malformed_header(tmp_path, toy_build, suffix, header,
-                                                                 field):
+                                                                 reason):
     """A prediction whose image header holds a negative or non-numeric field
-    is skipped with a reason naming that field, and the exit code is 2."""
+    is skipped with a reason naming that field, and one whose PFM header is
+    the one-channel "Pf" with a reason naming the 3-channel requirement;
+    the exit code is 2."""
     _, _, out = toy_build
     _, records = read_manifest(out / "manifest.tsv")
     pred_dir = tmp_path / "pred"
@@ -510,7 +517,7 @@ def test_eval_normals_skips_a_prediction_with_a_malformed_header(tmp_path, toy_b
     assert main(["eval-normals", str(out / "manifest.tsv"), str(pred_dir),
                  "--out-dir", str(rep)]) == 2
     reasons = _skip_reasons((rep / "report.txt").read_bytes())
-    assert list(reasons) == [victim] and f"header {field} " in reasons[victim]
+    assert list(reasons) == [victim] and reason in reasons[victim]
 
 
 def _eval_normals(manifest, pred_dir, out_dir):

@@ -203,7 +203,7 @@ def test_pooled_build_matches_in_process_build(tmp_path, monkeypatch, caplog):
         assert all(not r.pose.rotation.flags.writeable for r in records)
         assert len(forks) == 3  # the pooled build forked one worker per CPU, the other none
     (pooled, pooled_log, pooled_records), (alone, alone_log, alone_records) = runs[3], runs[1]
-    assert len(pooled) == 1 + 4 * (1 + 5 * 3)  # manifest; per model planes and 5 views of 3 maps
+    assert len(pooled) == 1 + 4 * (1 + 5 * 2)  # manifest; per model planes and 5 views of 2 maps
     assert pooled == alone
     assert pooled_log == alone_log
     skips = [m for m in pooled_log if m.startswith("skipping ")]

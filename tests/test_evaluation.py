@@ -16,7 +16,7 @@ from symnorm.evaluation import (
     random_baseline,
 )
 from symnorm.orientation import HORIZONTAL_CIRCLE, OrientationCodebook, ViewPose, sym_angle_deg
-from symnorm.render import BACKGROUND_DEPTH, NormalMap, rasterize
+from symnorm.render import NormalMap, rasterize
 
 
 def unit(v):
@@ -49,8 +49,7 @@ def flat_map(normals_list, mask):
     h, w = mask.shape
     normals = np.zeros((h, w, 3))
     normals[mask] = normals_list
-    depth = np.where(mask, 1.0, BACKGROUND_DEPTH)
-    return NormalMap(normals, depth)
+    return NormalMap(normals)
 
 
 def test_angular_distance_examples():
@@ -240,7 +239,7 @@ def test_metrics_dimension_mismatch_and_empty():
     bigger = flat_map(np.tile([0.0, 0.0, 1.0], (4, 1)), np.ones((2, 2), dtype=bool))
     with pytest.raises(ValueError, match="dimensions disagree"):
         normal_metrics(nm, bigger)
-    empty = NormalMap(np.zeros((1, 1, 3)), np.full((1, 1), BACKGROUND_DEPTH))
+    empty = NormalMap(np.zeros((1, 1, 3)))
     with pytest.raises(NoForegroundError):
         normal_metrics(empty, empty)
     # the sizes are checked before the foreground

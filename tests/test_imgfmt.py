@@ -13,15 +13,6 @@ def test_pfm_color_roundtrip(tmp_path):
     assert np.array_equal(imgfmt.read_pfm(path), img)
 
 
-def test_pfm_gray_roundtrip_with_inf(tmp_path):
-    img = np.full((4, 6), np.inf, dtype=np.float32)
-    img[1, 2] = 3.5
-    img[0, 0] = -0.25
-    path = tmp_path / "g.pfm"
-    imgfmt.write_pfm(path, img)
-    assert np.array_equal(imgfmt.read_pfm(path), img)
-
-
 def test_pfm_header_layout(tmp_path):
     path = tmp_path / "h.pfm"
     imgfmt.write_pfm(path, np.zeros((2, 3, 3), dtype=np.float32))
@@ -32,6 +23,8 @@ def test_pfm_header_layout(tmp_path):
 def test_pfm_rejects_bad_shapes_and_scale(tmp_path):
     with pytest.raises(ValueError):
         imgfmt.write_pfm(tmp_path / "x.pfm", np.zeros((2, 2, 4)))
+    with pytest.raises(ValueError):  # one channel
+        imgfmt.write_pfm(tmp_path / "x.pfm", np.zeros((2, 2)))
 
 
 def test_pfm_read_errors(tmp_path):
@@ -40,9 +33,13 @@ def test_pfm_read_errors(tmp_path):
     with pytest.raises(InputError):
         imgfmt.read_pfm(bad)
     short = tmp_path / "short.pfm"
-    short.write_bytes(b"Pf\n4 4\n-1.0\n" + b"\0" * 8)
-    with pytest.raises(InputError):
+    short.write_bytes(b"PF\n4 4\n-1.0\n" + b"\0" * 8)
+    with pytest.raises(InputError, match="shorter"):
         imgfmt.read_pfm(short)
+    gray = tmp_path / "gray.pfm"
+    gray.write_bytes(b"Pf\n2 2\n-1.0\n" + b"\0" * 16)
+    with pytest.raises(InputError, match="not a 3-channel PFM file"):
+        imgfmt.read_pfm(gray)
 
 
 def test_pgm16_roundtrip(tmp_path):
@@ -83,11 +80,11 @@ def test_header_comments_tolerated(tmp_path):
 @pytest.mark.parametrize("header, field", [
     (b"PF\n-2 -2\n-1.0\n", "width"),
     (b"PF\n2.5 2\n-1.0\n", "width"),
-    (b"Pf\n2 -1\n-1.0\n", "height"),
-    (b"Pf\n2 x\n-1.0\n", "height"),
-    (b"Pf\n2 2\nabc\n", "scale"),
-    (b"Pf\n2 2\nnan\n", "scale"),
-    (b"Pf\n2 2\n0\n", "scale"),
+    (b"PF\n2 -1\n-1.0\n", "height"),
+    (b"PF\n2 x\n-1.0\n", "height"),
+    (b"PF\n2 2\nabc\n", "scale"),
+    (b"PF\n2 2\nnan\n", "scale"),
+    (b"PF\n2 2\n0\n", "scale"),
 ], ids=["negative", "fractional-width", "negative-height", "word-height", "word-scale",
         "nan-scale", "zero-scale"])
 def test_pfm_malformed_header_names_the_field(tmp_path, header, field):

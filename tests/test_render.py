@@ -11,7 +11,6 @@ from symnorm.errors import GeometryError
 from symnorm.mesh_io import TriangleMesh, parse_obj
 from symnorm.orientation import HEMISPHERE, OrientationCodebook, ViewPose
 from symnorm.render import (
-    BACKGROUND_DEPTH,
     LabelMap,
     NormalMap,
     discretize_normal_map,
@@ -43,16 +42,12 @@ def pixel_rays(frame, mask):
     return ys, xs, dirs
 
 
-def test_frontal_square_constant_normal_and_depth():
-    mesh = frontal_square()
-    cam = CameraIntrinsics(width=64, height=64)
-    nm = rasterize(mesh, FRONTAL, cam)
-    frame = frame_camera(mesh, FRONTAL, cam)
+def test_frontal_square_constant_normal():
+    nm = rasterize(frontal_square(), FRONTAL, CameraIntrinsics(width=64, height=64))
     assert nm.mask.any() and not nm.mask.all()
     fg = nm.normals[nm.mask]
     assert np.all(fg == np.array([0.0, 0.0, 1.0]))
-    assert np.all(nm.depth[nm.mask] == frame.distance)
-    assert np.all(nm.depth[~nm.mask] == BACKGROUND_DEPTH)
+    assert set(np.unique(nm.face_ids[nm.mask])) == {0, 1}
     assert np.all(nm.normals[~nm.mask] == 0.0)
 
 
@@ -62,7 +57,7 @@ def test_rasterize_deterministic():
     a = rasterize(mesh, pose, CameraIntrinsics(width=96, height=96))
     b = rasterize(mesh, pose, CameraIntrinsics(width=96, height=96))
     assert np.array_equal(a.normals, b.normals)
-    assert np.array_equal(a.depth, b.depth)
+    assert np.array_equal(a.face_ids, b.face_ids)
     assert np.array_equal(a.mask, b.mask)
 
 
@@ -126,15 +121,16 @@ def test_zbuffer_matches_ray_casting():
         for i in range(16):
             d = np.array([(i + 0.5 - frame.cx) / frame.focal_px,
                           (frame.cy - (j + 0.5)) / frame.focal_px, -1.0])
-            hits = [t for fa, fb, fc in mesh.faces
-                    for t in [ray_hit(d, cam_verts[fa], cam_verts[fb], cam_verts[fc])]
-                    if t is not None]
-            oracle = min(hits) if hits else np.inf
-            got = nm.depth[j, i]
-            if np.isinf(oracle):
-                assert np.isinf(got)
+            # the face the pixel shows must be one its ray hits, at the
+            # nearest hit; background must be exactly where no face is hit
+            hits = [ray_hit(d, *cam_verts[face]) for face in mesh.faces]
+            drawn = [t for t in hits if t is not None]
+            shown = nm.face_ids[j, i]
+            if drawn:
+                assert shown >= 0 and hits[shown] is not None
+                assert hits[shown] == pytest.approx(min(drawn), abs=1e-9)
             else:
-                assert got == pytest.approx(oracle, abs=1e-9)
+                assert shown == -1
 
 
 def test_no_double_coverage_on_shared_edge():
@@ -178,7 +174,6 @@ def test_all_background_roundtrip():
     lm = LabelMap(np.full((4, 4), codebook.K, dtype=np.int32), codebook.K)
     nm = labels_to_normals(lm, codebook)
     assert not nm.mask.any()
-    assert np.all(nm.depth == BACKGROUND_DEPTH)
 
 
 def test_labels_to_normals_constant_roundtrip():
@@ -188,7 +183,6 @@ def test_labels_to_normals_constant_roundtrip():
     nm = labels_to_normals(LabelMap(labels, codebook.K), codebook)
     assert np.all(nm.normals[1:, 1:] == codebook.directions[17])
     assert not nm.mask[0, 0]
-    assert np.all(nm.depth == BACKGROUND_DEPTH)
     assert nm.face_ids is None
     lm2 = label_oracle.discretize_normal_map(nm, codebook)
     assert np.array_equal(lm2.labels, labels)
@@ -259,23 +253,21 @@ def test_rendered_face_indices_name_the_face_each_pixel_shows():
     shown = np.abs(n[nm.face_ids[nm.mask]])
     assert np.abs(shown - np.abs(nm.normals[nm.mask])).max() < 1e-12
     with pytest.raises(ValueError, match="face indices"):
-        NormalMap(nm.normals, nm.depth, np.zeros(nm.mask.shape, dtype=np.int32))
+        NormalMap(nm.normals, np.zeros(nm.mask.shape, dtype=np.int32))
 
 
 def test_normal_map_validation():
     good = np.zeros((2, 2, 3))
     good[0, 0] = [0.0, 0.0, 1.0]
-    depth = np.full((2, 2), BACKGROUND_DEPTH)
-    depth[0, 0] = 1.0
-    assert NormalMap(good, depth).mask.tolist() == [[True, False], [False, False]]
+    assert NormalMap(good).mask.tolist() == [[True, False], [False, False]]
     with pytest.raises(ValueError):  # foreground normal not unit
-        NormalMap(good * 0.5, depth)
+        NormalMap(good * 0.5)
     with pytest.raises(ValueError):  # foreground normal facing away
         bad = good.copy()
         bad[0, 0] = [0.0, 0.0, -1.0]
-        NormalMap(bad, depth)
-    with pytest.raises(ValueError):  # background depth not sentinel
-        NormalMap(good, np.ones((2, 2)))
+        NormalMap(bad)
+    with pytest.raises(ValueError):  # not (h, w, 3)
+        NormalMap(good[..., :2])
 
 
 def test_save_load_roundtrip(tmp_path):
@@ -284,7 +276,8 @@ def test_save_load_roundtrip(tmp_path):
     nm = rasterize(mesh, pose, CameraIntrinsics(width=48, height=48))
     codebook = OrientationCodebook(60, HEMISPHERE)
     lm = discretize_normal_map(nm, codebook)
-    normal_path, depth_path = save_normal_map(tmp_path / "v000", nm)
+    normal_path = save_normal_map(tmp_path / "v000", nm)
+    assert normal_path == f"{tmp_path / 'v000'}_normal.pfm"
     save_label_map(tmp_path / "v000_labels.pgm", lm)
     again = load_normal_map(normal_path)
     assert np.array_equal(again.mask, nm.mask)
@@ -298,9 +291,9 @@ def assert_matches_oracle(mesh, pose, cam):
     got = rasterize(mesh, pose, cam)
     want = raster_oracle.rasterize(mesh, pose, cam)
     assert got.normals.tobytes() == want.normals.tobytes()
-    assert got.depth.tobytes() == want.depth.tobytes()
-    # the foreground the normals imply is the pixels that some face is drawn at
-    assert got.mask.tobytes() == want.mask.tobytes() == np.isfinite(want.depth).tobytes()
+    assert got.face_ids.tobytes() == want.face_ids.tobytes()
+    # NormalMap checks that the mask the normals imply is where a face is drawn
+    assert got.mask.tobytes() == want.mask.tobytes()
     return got
 
 

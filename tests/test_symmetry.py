@@ -805,8 +805,17 @@ def test_planes_file_roundtrip(tmp_path):
         assert a.residual == pytest.approx(b.residual, abs=1e-11)
 
 
-def test_read_planes_names_file_that_is_not_utf8(tmp_path):
+@pytest.mark.parametrize("text, reason", [
+    (b"# \xff\n1 0 0 0 0\n", "planes.txt: "),
+    (b"# columns\n1 0 0\n", "planes.txt: line 2: not enough values"),
+    (b"# columns\n2 0 0 0 0\n", "planes.txt: line 2: plane normal must be unit length"),
+    (b"# columns\n1 0 0 0 x\n", "planes.txt: line 2: could not convert"),
+], ids=["not-utf8", "three-fields", "non-unit-normal", "word-residual"])
+def test_read_planes_names_file_that_is_not_utf8(tmp_path, text, reason):
+    """A planes file that does not decode, or a line that is not five
+    numbers making a valid plane, is an InputError naming the file and the
+    line."""
     path = tmp_path / "planes.txt"
-    path.write_bytes(b"# \xff\n1 0 0 0 0\n")
-    with pytest.raises(InputError, match="planes.txt"):
+    path.write_bytes(text)
+    with pytest.raises(InputError, match=reason):
         read_planes(path)
