@@ -18,7 +18,7 @@ import numpy as np
 
 from . import evaluation, imgfmt, util
 from .config import RunConfig, check_codebook
-from .dataset import build_manifest, read_manifest, record_image_id
+from .dataset import build_manifest, read_manifest
 from .errors import GeometryError, InputError, NoForegroundError, SymnormError
 from .mesh_io import parse_obj_file
 from .orientation import VIEW_DISTRIBUTIONS, OrientationCodebook, ViewPose, unit_rows
@@ -116,7 +116,7 @@ def cmd_eval_sym(args, cfg: RunConfig) -> int:
     meta, records = read_manifest(args.gt_manifest)
     codebook = meta["codebook"]
     predictions = read_predictions(args.predictions)
-    known = {record_image_id(r) for r in records}
+    known = {r.image_id for r in records}
     stray = sorted(set(predictions) - known)
     if stray:
         raise InputError(f"predictions reference unknown image ids: {', '.join(stray[:5])}")
@@ -124,7 +124,7 @@ def cmd_eval_sym(args, cfg: RunConfig) -> int:
     for r in records:
         gts, preds = by_category[r.category]
         gts.append(codebook.directions[np.flatnonzero(r.symmetry_label)])
-        preds.append(predictions.get(record_image_id(r), np.empty((0, 4))))
+        preds.append(predictions.get(r.image_id, np.empty((0, 4))))
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     rows, empty = [], []
@@ -201,11 +201,11 @@ def cmd_eval_normals(args, cfg: RunConfig) -> int:
         """Each scored image's errors in turn; a skipped image is noted instead."""
         for row in rows:
             r = records[row]
-            image_id = record_image_id(r)
+            gt_path = manifest_dir / f"{r.image_id}{NORMAL_MAP_SUFFIX}"
             try:
-                errors = _image_errors(manifest_dir / r.normal_map_path, pred_dir, image_id, codebook)
+                errors = _image_errors(gt_path, pred_dir, r.image_id, codebook)
             except (SymnormError, ValueError) as exc:
-                skipped.append((row, image_id, str(exc)))
+                skipped.append((row, r.image_id, str(exc)))
                 continue
             yield errors
 
@@ -248,7 +248,7 @@ def cmd_baseline(args, cfg: RunConfig) -> int:
         except ValueError as exc:
             raise InputError(f"--codebook-k: {exc}") from None
         codebook = OrientationCodebook(args.baseline_k, codebook.support)
-    image_ids = [record_image_id(r) for r in records]
+    image_ids = [r.image_id for r in records]
     predictions = evaluation.random_baseline(codebook, len(image_ids), cfg.seed)
     write_predictions(args.out, image_ids, predictions)
     print(f"{len(image_ids) * codebook.K} baseline predictions -> {args.out}")

@@ -3,7 +3,7 @@ ground-truth generation pipeline that ties meshes, poses, rendered maps and
 symmetry labels together.
 
 Corpus layout: ``<corpus_root>/<category>/<model_id>.obj``.  Manifest rows
-are tab-separated in SampleRecord field order; the pose field packs
+are tab-separated in MANIFEST_FIELDS order; the pose field packs
 ``azimuth,elevation,cyclo`` in degrees.  An image id is the shared path
 prefix of a row's map files, ``<category>/<model_id>/v###``.
 """
@@ -66,16 +66,10 @@ class SampleRecord:
     category: str
     obj_path: str
     pose: ViewPose
-    normal_map_path: str
-    label_map_path: str
+    image_id: str  # the maps are <image_id>_normal.pfm and <image_id>_labels.pgm
     symmetry_label: np.ndarray  # (K,) bool
     view_setting: str
     split: str
-
-
-def record_image_id(record: SampleRecord) -> str:
-    """The label map path less its suffix, which read_manifest requires."""
-    return record.label_map_path[: -len(LABEL_MAP_SUFFIX)]
 
 
 MANIFEST_FIELDS = ("model_id", "category", "obj_path", "pose", "normal_map_path",
@@ -93,8 +87,8 @@ def manifest_row(r: SampleRecord) -> str:
     pose = ",".join(repr(float(v)) for v in
                     (r.pose.azimuth_deg, r.pose.elevation_deg, r.pose.cyclo_deg))
     bits = "".join("1" if b else "0" for b in r.symmetry_label)
-    return "\t".join([r.model_id, r.category, r.obj_path, pose, r.normal_map_path,
-                      r.label_map_path, bits, r.view_setting, r.split]) + "\n"
+    return "\t".join([r.model_id, r.category, r.obj_path, pose, f"{r.image_id}{NORMAL_MAP_SUFFIX}",
+                      f"{r.image_id}{LABEL_MAP_SUFFIX}", bits, r.view_setting, r.split]) + "\n"
 
 
 def write_manifest(path, records, codebook: OrientationCodebook,
@@ -106,14 +100,15 @@ def write_manifest(path, records, codebook: OrientationCodebook,
 def read_manifest(path):
     """Return (metadata dict, records).  Paths stay relative to the manifest;
     meta["codebook"] and meta["normal_codebook"] are OrientationCodebooks,
-    and each must be one a build can write (see config.check_codebook).  A row whose
-    label_map_path, and so its image id, repeats an earlier row's is an
-    InputError."""
+    and each must be one a build can write (see config.check_codebook).  A
+    row's image id is its label_map_path less _labels.pgm; a row whose
+    normal_map_path is not <image id>_normal.pfm, or whose image id repeats
+    an earlier row's, is an InputError."""
     meta = {}
     records = []
     saw_fields = False
     label_k = None
-    line_of = {}  # label_map_path -> the line of its row
+    line_of = {}  # image id -> the line of its row
     with util.open_text(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.rstrip("\n")
@@ -159,7 +154,11 @@ def read_manifest(path):
             if not lm_path.endswith(LABEL_MAP_SUFFIX):
                 raise InputError(f"{path}: line {lineno}: label_map_path {lm_path!r} does not "
                                  f"end in {LABEL_MAP_SUFFIX}")
-            first = line_of.setdefault(lm_path, lineno)
+            image_id = lm_path[: -len(LABEL_MAP_SUFFIX)]
+            if nm_path != f"{image_id}{NORMAL_MAP_SUFFIX}":
+                raise InputError(f"{path}: line {lineno}: normal_map_path {nm_path!r} is not "
+                                 f"{image_id}{NORMAL_MAP_SUFFIX}, its label map's image id's")
+            first = line_of.setdefault(image_id, lineno)
             if first != lineno:
                 raise InputError(f"{path}: line {lineno}: label_map_path {lm_path!r} repeats "
                                  f"line {first}'s: an image id names one row")
@@ -172,8 +171,8 @@ def read_manifest(path):
                 raise InputError(f"{path}: line {lineno}: symmetry_label {bits!r} is not "
                                  f"{label_k} characters of 0 and 1")
             label = np.array([c == "1" for c in bits], dtype=bool)
-            records.append(SampleRecord(model_id, category, obj_path, pose,
-                                        nm_path, lm_path, label, view_setting, split))
+            records.append(SampleRecord(model_id, category, obj_path, pose, image_id, label,
+                                        view_setting, split))
     if not saw_fields:
         raise InputError(f"{path}: missing #fields: header line")
     for key in CODEBOOK_SUPPORTS:
@@ -318,8 +317,13 @@ def _detect_outcome(job, out_dir, config):
     and write its planes.txt; return the mesh's vertex and face arrays and
     the (n, 3) plane normals, or the message of the SymnormError, or of the
     OSError of an OBJ file that cannot be read, that skips the model: a
-    plain string, so a worker never has to pickle the error itself."""
+    plain string, so a worker never has to pickle the error itself.  First,
+    a model whose id starts with '#', or whose relative OBJ path holds a tab,
+    CR or LF, is skipped: its rows would not read back."""
     category, obj_path, _ = job
+    if obj_path.stem.startswith("#") or any(c in os.path.relpath(obj_path, out_dir)
+                                            for c in "\t\r\n"):
+        return "a manifest row cannot hold an id starting with '#', or a tab, CR or LF"
     try:
         mesh = parse_obj_file(obj_path)
         planes = detect_symmetries(mesh, config)
@@ -362,8 +366,7 @@ def _render_outcome(job, model, views, out_dir, config):
                 category=category,
                 obj_path=os.path.relpath(obj_path, out_dir),
                 pose=pose,
-                normal_map_path=f"{rel}{NORMAL_MAP_SUFFIX}",
-                label_map_path=f"{rel}{LABEL_MAP_SUFFIX}",
+                image_id=rel,
                 symmetry_label=label,
                 view_setting=config.view_setting,
                 split=split,

@@ -12,7 +12,7 @@ import shapes
 from ap_oracle import oracle_ap
 from symnorm.cli import main
 from symnorm.config import CameraIntrinsics, DetectorConfig
-from symnorm.dataset import read_manifest, record_image_id
+from symnorm.dataset import read_manifest
 from symnorm.evaluation import ap_symmetry, normal_metrics
 from symnorm.mesh_io import SurfaceSamples, TriangleMesh, serialize_obj
 from symnorm.orientation import (
@@ -254,9 +254,9 @@ def test_criterion_6_metric_fixtures(tmp_path):
     meta, records = read_manifest(out / "manifest.tsv")
     pred_dir = tmp_path / "pred"
     for record in records:
-        dst = pred_dir / (record_image_id(record) + "_normal.pfm")
+        dst = pred_dir / (record.image_id + "_normal.pfm")
         dst.parent.mkdir(parents=True, exist_ok=True)
-        shutil.copy(out / record.normal_map_path, dst)
+        shutil.copy(out / (record.image_id + "_normal.pfm"), dst)
     rep = tmp_path / "rep"
     assert main(["eval-normals", str(out / "manifest.tsv"), str(pred_dir),
                  "--out-dir", str(rep)]) == 0
@@ -313,12 +313,12 @@ def test_criterion_8_toy_pipeline_determinism(tmp_path):
     meta, records = read_manifest(outs[0] / "manifest.tsv")
     assert len(records) == 32  # 4 models x 8 views
     for record in records:
-        for rel in (record.normal_map_path, record.label_map_path):
+        for rel in (f"{record.image_id}_normal.pfm", f"{record.image_id}_labels.pgm"):
             assert (outs[0] / rel).read_bytes() == (outs[1] / rel).read_bytes()
     # each tree holds the manifest, each model's planes and each row's two
     # named maps, and nothing else
     expected = {"manifest.tsv"} | {f"{r.category}/{r.model_id}/planes.txt" for r in records} \
-        | {rel for r in records for rel in (r.normal_map_path, r.label_map_path)}
+        | {f"{r.image_id}{suffix}" for r in records for suffix in ("_normal.pfm", "_labels.pgm")}
     for out in outs:
         assert {p.relative_to(out).as_posix() for p in out.rglob("*") if p.is_file()} == expected
     assert elapsed < 60.0, f"two runs took {elapsed:.1f}s"

@@ -18,7 +18,7 @@ import symnorm
 from symnorm import cli, render, symmetry
 from symnorm.cli import main, read_predictions, write_predictions
 from symnorm.config import CameraIntrinsics
-from symnorm.dataset import read_manifest, record_image_id, write_manifest
+from symnorm.dataset import read_manifest, write_manifest
 from symnorm.imgfmt import read_pfm, read_pgm16, write_pfm, write_pgm16
 from symnorm.mesh_io import serialize_obj
 from symnorm.orientation import FULL_SPHERE, HEMISPHERE, OrientationCodebook, ViewPose
@@ -268,7 +268,7 @@ def test_eval_sym_perfect_predictions(tmp_path, toy_build):
     codebook = meta["codebook"]
     image_ids, per_image = [], []
     for r in records:
-        image_ids.append(record_image_id(r))
+        image_ids.append(r.image_id)
         dirs = codebook.directions[np.flatnonzero(r.symmetry_label)]
         per_image.append(np.column_stack([dirs, np.full(len(dirs), 0.9)]))
     pred_file = tmp_path / "perfect.tsv"
@@ -347,9 +347,9 @@ def test_eval_normals_perfect_and_skip(tmp_path, toy_build):
     meta, records = read_manifest(out / "manifest.tsv")
     pred_dir = tmp_path / "pred"
     for r in records:
-        dst = pred_dir / (record_image_id(r) + "_normal.pfm")
+        dst = pred_dir / (r.image_id + "_normal.pfm")
         dst.parent.mkdir(parents=True, exist_ok=True)
-        shutil.copy(out / r.normal_map_path, dst)
+        shutil.copy(out / f"{r.image_id}_normal.pfm", dst)
     rep = tmp_path / "rep"
     rc = main(["eval-normals", str(out / "manifest.tsv"), str(pred_dir),
                "--out-dir", str(rep)])
@@ -365,7 +365,7 @@ def test_eval_normals_perfect_and_skip(tmp_path, toy_build):
     assert "mean    0.00" in txt and "GP 100.0/100.0/100.0" in txt
     assert (rep / "airplane_gp_curve.csv").read_text().startswith("threshold_deg,fraction\n")
     # break one prediction's dimensions: that image is skipped, exit code 2
-    victim = pred_dir / (record_image_id(records[0]) + "_normal.pfm")
+    victim = pred_dir / (records[0].image_id + "_normal.pfm")
     from symnorm.imgfmt import write_pfm
     write_pfm(victim, np.zeros((8, 8, 3), dtype=np.float32))
     rc = main(["eval-normals", str(out / "manifest.tsv"), str(pred_dir),
@@ -432,7 +432,7 @@ def test_eval_commands_score_train_and_test_rows(tmp_path, toy_build):
     dirs = [meta["codebook"].directions[np.flatnonzero(r.symmetry_label)]
             for r in by_split["train"]]
     pred_file = tmp_path / "train.tsv"
-    write_predictions(pred_file, [record_image_id(r) for r in by_split["train"]],
+    write_predictions(pred_file, [r.image_id for r in by_split["train"]],
                       [np.column_stack([d, np.full(len(d), 0.9)]) for d in dirs])
     assert main(["eval-sym", manifest, str(pred_file), "--out-dir", str(tmp_path / "sym")]) == 0
     row = [l for l in (tmp_path / "sym" / "report.tsv").read_text().splitlines()
@@ -444,14 +444,14 @@ def test_eval_commands_score_train_and_test_rows(tmp_path, toy_build):
     for split, other in (("train", "test"), ("test", "train")):
         pred_dir = tmp_path / f"maps_{split}"
         for r in by_split[split]:
-            dst = pred_dir / (record_image_id(r) + "_normal.pfm")
+            dst = pred_dir / (r.image_id + "_normal.pfm")
             dst.parent.mkdir(parents=True, exist_ok=True)
-            shutil.copy(out / r.normal_map_path, dst)
+            shutil.copy(out / f"{r.image_id}_normal.pfm", dst)
         rep = tmp_path / f"normals_{split}"
         assert main(["eval-normals", manifest, str(pred_dir), "--out-dir", str(rep)]) == 2
         skipped = [l.split()[1].rstrip(":") for l in (rep / "report.txt").read_text().splitlines()
                    if l.startswith("  skipped ")]
-        assert sorted(skipped) == sorted(record_image_id(r) for r in by_split[other])
+        assert sorted(skipped) == sorted(r.image_id for r in by_split[other])
         assert (rep / "airplane_gp_curve.csv").is_file()
 
 
@@ -469,10 +469,10 @@ def test_eval_normals_skips_invalid_predicted_normals(tmp_path, toy_build, chang
     _, records = read_manifest(out / "manifest.tsv")
     pred_dir = tmp_path / "pred"
     for r in records:
-        dst = pred_dir / (record_image_id(r) + "_normal.pfm")
+        dst = pred_dir / (r.image_id + "_normal.pfm")
         dst.parent.mkdir(parents=True, exist_ok=True)
-        shutil.copy(out / r.normal_map_path, dst)
-    victim = record_image_id(records[0])
+        shutil.copy(out / f"{r.image_id}_normal.pfm", dst)
+    victim = records[0].image_id
     normals = read_pfm(pred_dir / (victim + "_normal.pfm")).copy()
     if isinstance(change, tuple):
         y, x = np.argwhere(np.any(normals != 0.0, axis=2))[0]
@@ -507,10 +507,10 @@ def test_eval_normals_skips_a_prediction_with_a_malformed_header(tmp_path, toy_b
     _, records = read_manifest(out / "manifest.tsv")
     pred_dir = tmp_path / "pred"
     for r in records:
-        dst = pred_dir / (record_image_id(r) + "_normal.pfm")
+        dst = pred_dir / (r.image_id + "_normal.pfm")
         dst.parent.mkdir(parents=True, exist_ok=True)
-        shutil.copy(out / r.normal_map_path, dst)
-    victim = record_image_id(records[0])
+        shutil.copy(out / f"{r.image_id}_normal.pfm", dst)
+    victim = records[0].image_id
     (pred_dir / (victim + "_normal.pfm")).unlink()
     (pred_dir / (victim + suffix)).write_bytes(header + b"\0" * 64)
     rep = tmp_path / "rep"
@@ -663,12 +663,12 @@ def _prediction_cases(tmp_path, out):
         (out / category / case).mkdir(parents=True)
         (pred_dir / category / case).mkdir(parents=True)
         gt_path = out / f"{rel}_normal.pfm"
-        shutil.copy(out / src.normal_map_path, gt_path)
-        shutil.copy(out / src.label_map_path, out / f"{rel}_labels.pgm")
+        shutil.copy(out / f"{src.image_id}_normal.pfm", gt_path)
+        shutil.copy(out / f"{src.image_id}_labels.pgm", out / f"{rel}_labels.pgm")
         rows.append(dataclasses.replace(src, model_id=case, category=category,
-                                        normal_map_path=f"{rel}_normal.pfm",
-                                        label_map_path=f"{rel}_labels.pgm"))
-        _case_files(case, pred_dir / rel, gt_path, read_pgm16(out / src.label_map_path), k, rng)
+                                        image_id=rel))
+        labels = read_pgm16(out / f"{src.image_id}_labels.pgm")
+        _case_files(case, pred_dir / rel, gt_path, labels, k, rng)
         if case == "missing":
             reason += f"{rel} under {pred_dir}"
         if reason is not None:
@@ -714,16 +714,17 @@ def test_eval_normals_label_maps_take_precedence_and_background_scores_180(tmp_p
     k = meta["normal_codebook"].K
     pred_dir = tmp_path / "pred"
     for r in records:
-        prefix = pred_dir / record_image_id(r)
+        prefix = pred_dir / r.image_id
         prefix.parent.mkdir(parents=True, exist_ok=True)
-        write_pgm16(f"{prefix}_labels.pgm", np.full(read_pgm16(out / r.label_map_path).shape, k))
+        shape = read_pgm16(out / f"{r.image_id}_labels.pgm").shape
+        write_pgm16(f"{prefix}_labels.pgm", np.full(shape, k))
     rc, labels_only = _eval_normals(out / "manifest.tsv", pred_dir, tmp_path / "labels")
     assert rc == 0
     macro = [l for l in labels_only["report.tsv"].decode().splitlines()
              if l.startswith("macro\t")][0].split("\t")
     assert [float(v) for v in macro[1:]] == [180.0, 180.0, 0.0, 0.0, 0.0, 0.0]
     for r in records:
-        shutil.copy(out / r.normal_map_path, pred_dir / (record_image_id(r) + "_normal.pfm"))
+        shutil.copy(out / f"{r.image_id}_normal.pfm", pred_dir / (r.image_id + "_normal.pfm"))
     assert _eval_normals(out / "manifest.tsv", pred_dir, tmp_path / "both") == (0, labels_only)
 
 
@@ -747,13 +748,13 @@ def test_eval_normals_scores_one_category_at_a_time(tmp_path, toy_build, monkeyp
     rng = np.random.default_rng(5)
     pred_dir = tmp_path / "pred"
     for r in records:
-        dst = pred_dir / (record_image_id(r) + "_normal.pfm")
+        dst = pred_dir / (r.image_id + "_normal.pfm")
         dst.parent.mkdir(parents=True, exist_ok=True)
-        write_pfm(dst, _unit_noise(read_pfm(out / r.normal_map_path), rng))
+        write_pfm(dst, _unit_noise(read_pfm(out / f"{r.image_id}_normal.pfm"), rng))
     categories = [("chair", "airplane", "bench")[i % 3] for i in range(len(records))]
     # one skipped image per category, whose manifest order is not their scoring order
     for r in records[3:6]:
-        (pred_dir / (record_image_id(r) + "_normal.pfm")).unlink()
+        (pred_dir / (r.image_id + "_normal.pfm")).unlink()
     interleaved = _recategorized(out, records, categories, "interleaved.tsv")
     order = sorted(range(len(records)), key=lambda i: categories[i])
     grouped = _recategorized(out, [records[i] for i in order], [categories[i] for i in order],
@@ -766,7 +767,7 @@ def test_eval_normals_scores_one_category_at_a_time(tmp_path, toy_build, monkeyp
 
     monkeypatch.setattr(cli, "_image_errors", recording)
     rc, files = _eval_normals(interleaved, pred_dir, tmp_path / "interleaved")
-    assert scored == [record_image_id(records[i]) for i in order]
+    assert scored == [records[i].image_id for i in order]
     assert rc == 2
     assert _eval_normals(grouped, pred_dir, tmp_path / "grouped")[0] == 2
     grouped_files = {p.name: p.read_bytes() for p in (tmp_path / "grouped").iterdir()}
@@ -784,11 +785,11 @@ def test_eval_normals_scores_one_category_at_a_time(tmp_path, toy_build, monkeyp
 
     skipped, rest = skips(files["report.txt"])
     assert [l.split()[1].rstrip(":") for l in skipped] == \
-        [record_image_id(r) for r in records[3:6]]
+        [r.image_id for r in records[3:6]]
     grouped_skipped, grouped_rest = skips(grouped_files["report.txt"])
     assert rest == grouped_rest
     assert [l.split()[1].rstrip(":") for l in grouped_skipped] == \
-        [record_image_id(records[i]) for i in order if 3 <= i < 6]
+        [records[i].image_id for i in order if 3 <= i < 6]
 
 
 def _traced_peak(argv):
@@ -808,17 +809,15 @@ def test_eval_normals_peak_memory_is_bounded_by_the_largest_category(tmp_path, t
     = 2 times as much."""
     _, _, out = toy_build
     _, records = read_manifest(out / "manifest.tsv")
-    write_pfm(out / "flat_normal.pfm", np.tile(np.array([0.0, 0.0, 1.0], dtype=np.float32),
-                                               (64, 64, 1)))
+    flat = np.tile(np.array([0.0, 0.0, 1.0], dtype=np.float32), (64, 64, 1))
     pred_dir = tmp_path / "pred"
     pred_dir.mkdir()
     tilted = np.tile(np.array([0.0, 0.6, 0.8], dtype=np.float32), (64, 64, 1))
     n, categories = 16, ("a", "b", "c", "d")
     rows = []
     for i in range(n * len(categories)):
-        rows.append(dataclasses.replace(records[0], model_id=f"m{i}",
-                                        normal_map_path="flat_normal.pfm",
-                                        label_map_path=f"m{i}_labels.pgm"))
+        rows.append(dataclasses.replace(records[0], model_id=f"m{i}", image_id=f"m{i}"))
+        write_pfm(out / f"m{i}_normal.pfm", flat)
         write_pfm(pred_dir / f"m{i}_normal.pfm", tilted)
     one = _recategorized(out, rows[:n], ["a"] * n, "one.tsv")
     four = _recategorized(out, rows, categories * n, "four.tsv")
@@ -839,7 +838,7 @@ def test_eval_sym_huge_coordinate_is_one_error_line(tmp_path, toy_build):
     _, _, out = toy_build
     _, records = read_manifest(out / "manifest.tsv")
     pred_file = tmp_path / "huge.tsv"
-    pred_file.write_text(f"{record_image_id(records[0])}\t1e200\t0\t0\t0.5\n")
+    pred_file.write_text(f"{records[0].image_id}\t1e200\t0\t0\t0.5\n")
     src = str(Path(symnorm.__file__).parents[1])
     done = subprocess.run([sys.executable, "-m", "symnorm.cli", "eval-sym",
                            str(out / "manifest.tsv"), str(pred_file), "--out-dir",
@@ -874,10 +873,10 @@ def test_traced_replay_sees_one_pixel_error_span_per_scored_image(tmp_path, toy_
     records = read_manifest(manifest)[1]
     maps = tmp_path / "maps"
     for r in records[1:]:  # the first image has no prediction and is skipped
-        dst = maps / (record_image_id(r) + "_labels.pgm")
+        dst = maps / (r.image_id + "_labels.pgm")
         dst.parent.mkdir(parents=True, exist_ok=True)
-        shutil.copy(out / r.label_map_path, dst)
-    foreground = sum(int(np.any(read_pfm(out / r.normal_map_path) != 0.0, axis=2).sum())
+        shutil.copy(out / f"{r.image_id}_labels.pgm", dst)
+    foreground = sum(int(np.any(read_pfm(out / f"{r.image_id}_normal.pfm") != 0.0, axis=2).sum())
                      for r in records[1:])
     root = Path(__file__).resolve().parents[1]
     done = subprocess.run(
@@ -910,9 +909,9 @@ def test_eval_commands_do_not_load_scipy(tmp_path, toy_build):
     assert main(["baseline", str(manifest), "--out", str(predictions), "--seed", "1"]) == 0
     maps = tmp_path / "maps"
     for r in read_manifest(manifest)[1]:
-        dst = maps / (record_image_id(r) + "_normal.pfm")
+        dst = maps / (r.image_id + "_normal.pfm")
         dst.parent.mkdir(parents=True, exist_ok=True)
-        shutil.copy(out / r.normal_map_path, dst)
+        shutil.copy(out / f"{r.image_id}_normal.pfm", dst)
     src = str(Path(symnorm.__file__).parents[1])
     done = subprocess.run(
         [sys.executable, "-c", EVAL_WITHOUT_SCIPY, str(manifest), str(predictions), str(maps),
@@ -946,7 +945,7 @@ def test_predictions_file_validation(tmp_path, toy_build):
     # NaN fails every comparison, so it must fail the checks, not pass them
     _, _, out = toy_build
     _, records = read_manifest(out / "manifest.tsv")
-    image_id = record_image_id(records[0])
+    image_id = records[0].image_id
     for row in ("nan\t0\t0\t0.5", "0\t0\t1\tnan"):
         bad.write_text(f"{image_id}\t0\t0\t1\t0.5\n{image_id}\t{row}\n")
         with pytest.raises(InputError, match="line 2"):
@@ -1037,8 +1036,8 @@ def test_unreadable_input_exits_2(tmp_path, cuboid_obj, capsys, case):
                     "--out-dir", str(tmp_path / "rep")]
     baseline = ["baseline", str(manifest), "--out", str(tmp_path / "b.tsv")]
     fields_line = "#fields:\t" + "\t".join(MANIFEST_FIELDS) + "\n"
-    row = ["m0", "airplane", "m0.obj", "0.0,0.0,0.0", "n.pfm", "m0_labels.pgm", "0" * 10, "V_N",
-           "test"]
+    row = ["m0", "airplane", "m0.obj", "0.0,0.0,0.0", "m0_normal.pfm", "m0_labels.pgm", "0" * 10,
+           "V_N", "test"]
     named, header = tmp_path, None
     if case == "config-dir":
         argv = detect + ["--config", str(tmp_path)]
@@ -1139,6 +1138,24 @@ def test_repeated_image_id_exits_2(tmp_path, toy_build, capsys, command):
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert f"{manifest}: line {len(lines) + 1}: " in err and f"repeats line {len(lines)}'s" in err
+    assert not (tmp_path / "result").exists()
+
+
+@pytest.mark.parametrize("command", ["eval-sym", "eval-normals", "baseline"])
+def test_normal_map_path_of_another_image_exits_2(tmp_path, toy_build, capsys, command):
+    """A row whose normal_map_path names its neighbour's map would be scored
+    against that view's ground truth: it is an input error naming the line."""
+    _, _, out = toy_build
+    lines = (out / "manifest.tsv").read_text().splitlines(keepends=True)
+    row = lines[-1].split("\t")
+    row[4] = lines[-2].split("\t")[4]
+    manifest = out / "misplaced.tsv"
+    manifest.write_text("".join(lines[:-1] + ["\t".join(row)]))
+    argv = _manifest_command(command, manifest, tmp_path)
+    capsys.readouterr()
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert f"{manifest}: line {len(lines)}: normal_map_path {row[4]!r} is not " in err
     assert not (tmp_path / "result").exists()
 
 

@@ -2,6 +2,7 @@ import hashlib
 import logging
 import multiprocessing
 import os
+import re
 import tracemalloc
 from concurrent.futures import Future
 from concurrent.futures.process import ProcessPoolExecutor
@@ -18,7 +19,6 @@ from symnorm.dataset import (
     CATEGORIES,
     build_manifest,
     read_manifest,
-    record_image_id,
     write_manifest,
 )
 from symnorm.mesh_io import serialize_obj
@@ -102,13 +102,13 @@ def test_build_manifest_split_and_integrity(tmp_path, caplog):
     normal_codebook = meta["normal_codebook"]
     assert normal_codebook == OrientationCodebook(60, HEMISPHERE)
     for r in records:
-        nm = load_normal_map(manifest_path.parent / r.normal_map_path)
-        lm = load_label_map(manifest_path.parent / r.label_map_path, normal_codebook.K)
+        nm = load_normal_map(manifest_path.parent / f"{r.image_id}_normal.pfm")
+        lm = load_label_map(manifest_path.parent / f"{r.image_id}_labels.pgm", normal_codebook.K)
         assert nm.mask.shape == (64, 64)
         assert np.array_equal(lm.labels == normal_codebook.K, ~nm.mask)
         assert len(r.symmetry_label) == codebook.K
         assert (manifest_path.parent / r.obj_path).resolve().exists()
-        assert record_image_id(r).endswith(r.label_map_path[:-len("_labels.pgm")].split("/")[-1])
+        assert re.fullmatch(rf"{r.category}/{r.model_id}/v\d{{3}}", r.image_id)
 
 
 def test_build_manifest_deterministic(tmp_path):
@@ -119,7 +119,7 @@ def test_build_manifest_deterministic(tmp_path):
     _, man_b = build_manifest(corpus, out_b, toy(per_model_views=2, seed=0))
     assert man_a.read_bytes() == man_b.read_bytes()
     meta, records = read_manifest(man_a)
-    for rel in (records[0].normal_map_path, records[0].label_map_path):
+    for rel in (f"{records[0].image_id}_normal.pfm", f"{records[0].image_id}_labels.pgm"):
         assert (out_a / rel).read_bytes() == (out_b / rel).read_bytes()
 
 
@@ -217,7 +217,7 @@ def test_pooled_build_matches_in_process_build(tmp_path, monkeypatch, caplog):
         "category holds no usable models (1 of 57): bathtub")
 
     def fields(r):
-        return (r.label_map_path, r.split, r.pose.azimuth_deg, r.pose.elevation_deg,
+        return (r.image_id, r.split, r.pose.azimuth_deg, r.pose.elevation_deg,
                 r.pose.rotation.tobytes(), r.symmetry_label.tobytes())
 
     assert [fields(r) for r in pooled_records] == [fields(r) for r in alone_records]
@@ -320,10 +320,31 @@ def test_build_writes_a_models_rows_in_label_map_path_order(tmp_path, monkeypatc
     # two render jobs, each over half of the views in manifest order
     records = built_records(corpus, tmp_path / "out",
                             toy(per_model_views=1001, width=2, height=2, seed=0))
-    paths = [r.label_map_path for r in records]
+    paths = [f"{r.image_id}_labels.pgm" for r in records]
     assert len(paths) == 1001 and paths == sorted(paths)
     assert paths.index("airplane/model0/v1000_labels.pgm") < \
         paths.index("airplane/model0/v101_labels.pgm")
+
+
+@pytest.mark.parametrize("cpus", [2, 1])
+def test_build_skips_a_model_no_manifest_row_can_hold(tmp_path, monkeypatch, caplog, cpus):
+    """A tab in a model id would add fields to its rows, and an id starting
+    with '#' would read back as a header line: both models are skipped, in
+    job order, and every row written reads back."""
+    monkeypatch.setattr(util, "usable_cpu_count", lambda: cpus)
+    stub_detection(monkeypatch)
+    corpus = tmp_path / "corpus"
+    (corpus / "bag").mkdir(parents=True)
+    for name in ("a\tb", "#1", "plain"):
+        (corpus / "bag" / f"{name}.obj").write_text(serialize_obj(shapes.cuboid(1.0, 1.5, 2.0)))
+    out = tmp_path / "out"
+    with caplog.at_level(logging.WARNING):
+        records = built_records(corpus, out, toy(per_model_views=2, width=8, height=8, seed=0))
+    assert [r.model_id for r in records] == ["plain", "plain"]
+    skips = [m for m in caplog.messages if m.startswith("skipping ")]
+    assert [m.split(": ")[0] for m in skips] == [
+        f"skipping {corpus / 'bag' / name}.obj" for name in ("#1", "a\tb")]
+    assert sorted(p.name for p in (out / "bag").iterdir()) == ["plain"]
 
 
 def test_build_parent_memory_stays_flat_as_the_corpus_grows(tmp_path, monkeypatch):
@@ -400,8 +421,8 @@ def test_manifest_rejects_malformed_symmetry_label(tmp_path, bits):
 LATE_CODEBOOK = "#codebook:\tsupport=horizontal_circle\tk=20"
 
 
-def row(pose="0.0,0.0,0.0", category="airplane"):
-    return "\t".join(["m0", category, "m0.obj", pose, "airplane/m0/v000_normal.pfm",
+def row(pose="0.0,0.0,0.0", category="airplane", normal="airplane/m0/v000_normal.pfm"):
+    return "\t".join(["m0", category, "m0.obj", pose, normal,
                       "airplane/m0/v000_labels.pgm", "1010", "V_N", "train"])
 
 
@@ -416,10 +437,12 @@ def row(pose="0.0,0.0,0.0", category="airplane"):
     ([row(pose="0.0,0.0,-inf")], 5, "cyclo"),
     *(([row(), row(category=category)], 6, "is not a plain file name")
       for category in ("", ".", "..", "../../escaped", "a/b", "a\\b", "a\0b")),
+    ([row(normal="airplane/m0/v001_normal.pfm")], 5,
+     "normal_map_path 'airplane/m0/v001_normal.pfm' is not airplane/m0/v000_normal.pfm"),
 ], ids=["late-codebook", "late-normal-codebook", "repeated-codebook", "nan-elevation",
         "inf-elevation", "nan-azimuth", "inf-cyclo", "empty-category", "dot-category",
         "dotdot-category", "escaping-category", "slash-category", "backslash-category",
-        "nul-category"])
+        "nul-category", "mismatched-normal-path"])
 def test_manifest_rejects_misplaced_header_and_non_finite_pose(tmp_path, extra, lineno, reason):
     path = tmp_path / "manifest.tsv"
     write_manifest(path, [], OrientationCodebook(4, HORIZONTAL_CIRCLE),
