@@ -280,7 +280,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cyclo", type=float, default=0.0)
     p.add_argument("--width", type=int, default=None)
     p.add_argument("--height", type=int, default=None)
-    p.add_argument("--fov", type=float, default=None, dest="fov_y_deg")
     p.add_argument("--codebook-k", type=int, default=None, dest="normal_codebook_k",
                    help="hemisphere codebook size for the label map "
                         f"(default {RunConfig.normal_codebook_k})")

@@ -37,42 +37,32 @@ def check_codebook(name: str, K: int, support: str) -> None:
 
 @dataclass(frozen=True)
 class DetectorConfig:
-    """Knobs of the detection pipeline; angle thresholds are in degrees,
-    fractional thresholds are in units of the mesh bbox diagonal."""
+    """Knobs of the detection pipeline; fractional thresholds are in units of
+    the mesh bbox diagonal."""
 
     sample_count: int = 4000
     pair_count: int = 20000
-    cluster_angle_deg: float = 10.0
     cluster_offset_frac: float = 0.05
     max_hypotheses: int = 32
     icp_max_iters: int = 30
-    icp_converge_deg: float = 0.1
     accept_residual: float = 0.02
     seed: int = 0
 
     def __post_init__(self):
-        positive = (
-            self.sample_count, self.pair_count, self.cluster_angle_deg,
-            self.cluster_offset_frac, self.max_hypotheses, self.icp_max_iters,
-            self.icp_converge_deg, self.accept_residual,
-        )
+        positive = (self.sample_count, self.pair_count, self.cluster_offset_frac,
+                    self.max_hypotheses, self.icp_max_iters, self.accept_residual)
         if any(not v > 0 for v in positive):
             raise ValueError("all detector thresholds must be strictly positive")
-        if self.cluster_angle_deg >= 90.0:
-            raise ValueError("the clustering angle must be below 90 degrees")
 
 
 @dataclass(frozen=True)
 class CameraIntrinsics:
     width: int = 224
     height: int = 224
-    fov_y_deg: float = 30.0
 
     def __post_init__(self):
         if self.width < 1 or self.height < 1:
             raise ValueError("image dimensions must be at least 1x1")
-        if not 0.0 < self.fov_y_deg < 180.0:
-            raise ValueError("vertical field of view must lie in (0, 180)")
 
 
 @dataclass(frozen=True)

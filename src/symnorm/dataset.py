@@ -101,7 +101,8 @@ def read_manifest(path):
     """Return (metadata dict, records).  Paths stay relative to the manifest;
     meta["codebook"] and meta["normal_codebook"] are OrientationCodebooks,
     and each must be one a build can write (see config.check_codebook).  A
-    row's image id is its label_map_path less _labels.pgm; a row whose
+    row's image id is its label_map_path less _labels.pgm; a row whose image
+    id is not its own <category>/<model_id>/v{view:03d}, whose
     normal_map_path is not <image id>_normal.pfm, or whose image id repeats
     an earlier row's, is an InputError."""
     meta = {}
@@ -155,6 +156,12 @@ def read_manifest(path):
                 raise InputError(f"{path}: line {lineno}: label_map_path {lm_path!r} does not "
                                  f"end in {LABEL_MAP_SUFFIX}")
             image_id = lm_path[: -len(LABEL_MAP_SUFFIX)]
+            prefix = f"{category}/{model_id}/v"
+            view = image_id[len(prefix):]  # as build writes it: 3 digits, or more with no leading 0
+            if not (image_id.startswith(prefix) and view.isascii() and view.isdecimal()
+                    and view.lstrip("0").zfill(3) == view):
+                raise InputError(f"{path}: line {lineno}: image id {image_id!r} is not "
+                                 f"{prefix}### of its own category and model")
             if nm_path != f"{image_id}{NORMAL_MAP_SUFFIX}":
                 raise InputError(f"{path}: line {lineno}: normal_map_path {nm_path!r} is not "
                                  f"{image_id}{NORMAL_MAP_SUFFIX}, its label map's image id's")

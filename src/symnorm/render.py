@@ -114,6 +114,7 @@ def check_labels(labels, K: int) -> None:
 
 
 AUTO_FRAME_MARGIN = 1.1  # camera distance over the one at which the bounding sphere fills the view
+FOV_Y_DEG = 30.0  # the camera's vertical field of view
 
 
 def frame_camera(mesh: TriangleMesh, pose: ViewPose, cam: CameraIntrinsics) -> CameraFrame:
@@ -123,7 +124,7 @@ def frame_camera(mesh: TriangleMesh, pose: ViewPose, cam: CameraIntrinsics) -> C
     radius = float(np.linalg.norm(rotated - center, axis=1).max())
     if radius <= 0.0:
         raise GeometryError("mesh bounding sphere has zero radius")
-    half_fov = 0.5 * np.radians(cam.fov_y_deg)
+    half_fov = 0.5 * np.radians(FOV_Y_DEG)
     distance = AUTO_FRAME_MARGIN * radius / np.sin(half_fov)
     focal_px = (cam.height / 2.0) / np.tan(half_fov)
     return CameraFrame(util.readonly(center), distance, focal_px,
@@ -330,8 +331,8 @@ def read_normal_pixels(path):
 
 
 def load_normal_map(path) -> NormalMap:
-    """Rebuild a NormalMap from a PFM normal map (see read_normal_pixels)."""
-    arr = read_normal_pixels(path)[0]
+    """Rebuild a NormalMap from a PFM normal map, background as +0.0."""
+    arr = imgfmt.read_pfm(path)
     return NormalMap(np.where(foreground_mask(arr)[..., None], arr, 0.0))
 
 

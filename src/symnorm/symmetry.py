@@ -149,6 +149,7 @@ def _density_order(normals, offsets, config, bbox_diagonal):
 # A decision within CLOSE_CALL of a threshold or of a tie goes to
 # `_reference_choice`.
 CLOSE_CALL = 1e-9
+CLUSTER_ANGLE_DEG = 10.0  # a vote joins only a cluster whose representative is this close
 
 
 def _cluster_votes(normals, offsets, config, bbox_diagonal):
@@ -157,7 +158,7 @@ def _cluster_votes(normals, offsets, config, bbox_diagonal):
     Each vote joins the qualifying cluster whose representative (its unit
     mean normal) is closest in unoriented angle, the lowest index on exact
     ties, or else opens a new cluster.  A cluster qualifies when its
-    representative is within cluster_angle_deg of the vote and its mean
+    representative is within CLUSTER_ANGLE_DEG of the vote and its mean
     offset, once the vote's sign is aligned with the representative, within
     cluster_offset_frac * diagonal of the vote's.  Membership is
     sign-invariant: a vote and its negation name the same plane, so votes
@@ -173,7 +174,7 @@ def _cluster_votes(normals, offsets, config, bbox_diagonal):
     to it; the representatives kept here are rounded differently and only
     steer, and a decision they cannot settle goes to the reference rule.
     """
-    cos_thresh = float(np.cos(np.radians(config.cluster_angle_deg)))
+    cos_thresh = float(np.cos(np.radians(CLUSTER_ANGLE_DEG)))
     b_tol = config.cluster_offset_frac * bbox_diagonal
     cos_lo, cos_hi = cos_thresh - CLOSE_CALL, cos_thresh + CLOSE_CALL
     b_lo, b_hi = b_tol - CLOSE_CALL * bbox_diagonal, b_tol + CLOSE_CALL * bbox_diagonal
@@ -333,6 +334,7 @@ def _icp_subset(tree, seed):
 
 
 ICP_REJECT_FRAC = 0.05  # ICP drops matches farther apart than this much of the bbox diagonal
+ICP_CONVERGE_DEG = 0.1  # a refit that moves the normal less than this has converged
 
 
 def refine_plane_icp(samples: SurfaceSamples, plane: SymmetryPlane, config: DetectorConfig,
@@ -432,7 +434,7 @@ def refine_plane_icp(samples: SurfaceSamples, plane: SymmetryPlane, config: Dete
         _, vecs = np.linalg.eigh(ds.T @ ds)
         normal = vecs[:, -1]
         offset = float(normal @ (0.5 * (p + q)).mean(axis=0))
-        converged = sym_angle_deg(normal, current.normal) < config.icp_converge_deg
+        converged = sym_angle_deg(normal, current.normal) < ICP_CONVERGE_DEG
         current = SymmetryPlane(normal, offset)
         if phase != "subset" and (converged or iteration == last):
             final_residual = score_plane(samples, current, tree=tree)

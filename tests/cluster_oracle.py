@@ -3,14 +3,16 @@
 Takes the votes in order; each joins the qualifying cluster whose
 representative is closest in unoriented angle (the lowest index on exact
 ties), else opens a new one.  A cluster qualifies when its representative is
-within cluster_angle_deg of the vote and its mean offset, after aligning the
-vote's sign with the representative, is within cluster_offset_frac * diagonal
-of the vote's.  `symmetry._cluster_votes` must return planes with the same
-normal and offset bytes, in the same order.
+within symmetry.CLUSTER_ANGLE_DEG (read at each call, as `_cluster_votes`
+reads it) of the vote and its mean offset, after aligning the vote's sign
+with the representative, is within cluster_offset_frac * diagonal of the
+vote's.  `symmetry._cluster_votes` must return planes with the same normal
+and offset bytes, in the same order.
 """
 
 import numpy as np
 
+from symnorm import symmetry
 from symnorm.orientation import canonical_sign
 from symnorm.symmetry import SymmetryPlane
 
@@ -20,7 +22,7 @@ def cluster_votes(normals, offsets, config, bbox_diagonal):
     # plane, so votes near the canonicalization boundary must not split
     # into antipodal half-clusters.  Accumulation aligns each vote's sign
     # (and therefore its offset's) with the cluster representative.
-    cos_thresh = np.cos(np.radians(config.cluster_angle_deg))
+    cos_thresh = np.cos(np.radians(symmetry.CLUSTER_ANGLE_DEG))
     b_tol = config.cluster_offset_frac * bbox_diagonal
     cap = len(normals)
     reps = np.empty((cap, 3))

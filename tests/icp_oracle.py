@@ -13,6 +13,7 @@ dedupe would drop.
 
 import numpy as np
 
+from symnorm import symmetry
 from symnorm.errors import DegenerateCorrespondencesError, RefinementDivergedError
 from symnorm.orientation import sym_angle_deg
 from symnorm.symmetry import (
@@ -69,7 +70,7 @@ def refine_plane_icp(samples, plane, config, return_history=False, tree=None):
         _, vecs = np.linalg.eigh(ds.T @ ds)
         normal = vecs[:, -1]
         offset = float(normal @ (0.5 * (p + q)).mean(axis=0))
-        converged = sym_angle_deg(normal, current.normal) < config.icp_converge_deg
+        converged = sym_angle_deg(normal, current.normal) < symmetry.ICP_CONVERGE_DEG
         current = SymmetryPlane(normal, offset)
         if full and (converged or iteration == last):
             final_residual = score_plane(samples, current, tree=tree)

@@ -186,6 +186,15 @@ def test_render_out_of_range_pose_exits_2(tmp_path, cuboid_obj, capsys, flag, va
     assert [p.name for p in tmp_path.iterdir()] == ["cuboid.obj"]
 
 
+def test_render_fov_flag_is_gone(tmp_path, cuboid_obj, capsys):
+    """The field of view is the constant render.FOV_Y_DEG: --fov is an unknown flag."""
+    with pytest.raises(SystemExit) as exit_:
+        main(["render", str(cuboid_obj), "--out", str(tmp_path / "view"), "--fov", "40"])
+    assert exit_.value.code == 2
+    assert "unrecognized arguments: --fov 40" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["cuboid.obj"]
+
+
 def test_build_missing_corpus_root_exits_2_and_makes_no_out_dir(tmp_path, capsys):
     corpus = tmp_path / "no-such-corpus"
     out = tmp_path / "out"
@@ -300,8 +309,9 @@ def test_eval_sym_logs_one_line_for_categories_without_planes(tmp_path, toy_buil
     _, _, out = toy_build
     manifest = out / "manifest.tsv"
     k = read_manifest(manifest)[0]["codebook"].K
-    rows = ["\t".join([f"{c}0", c, "m.obj", "0.0,0.0,0.0", f"{c}/v_normal.pfm",
-                       f"{c}/v_labels.pgm", "0" * k, "V_N", "test"]) for c in ("bench", "chair")]
+    rows = ["\t".join([f"{c}0", c, "m.obj", "0.0,0.0,0.0", f"{c}/{c}0/v000_normal.pfm",
+                       f"{c}/{c}0/v000_labels.pgm", "0" * k, "V_N", "test"])
+            for c in ("bench", "chair")]
     manifest.write_text(manifest.read_text() + "\n".join(rows) + "\n")
     pred_file = tmp_path / "empty.tsv"
     pred_file.write_text("")
@@ -728,11 +738,24 @@ def test_eval_normals_label_maps_take_precedence_and_background_scores_180(tmp_p
     assert _eval_normals(out / "manifest.tsv", pred_dir, tmp_path / "both") == (0, labels_only)
 
 
-def _recategorized(out, records, categories, name):
-    """A manifest at `out/name` holding `records` with the given categories, in
-    that order; image ids and maps stay those of the records."""
+def _recategorized(out, records, categories):
+    """`records` moved to the given categories: each keeps its model and view
+    under its new category's image id, where its maps are copied."""
+    moved = []
+    for r, category in zip(records, categories):
+        image_id = f"{category}/{r.image_id.split('/', 1)[1]}"
+        if image_id != r.image_id:
+            (out / image_id).parent.mkdir(parents=True, exist_ok=True)
+            for suffix in ("_normal.pfm", "_labels.pgm"):
+                shutil.copy(out / f"{r.image_id}{suffix}", out / f"{image_id}{suffix}")
+        moved.append(dataclasses.replace(r, category=category, image_id=image_id))
+    return moved
+
+
+def _manifest_of(out, rows, name):
+    """A manifest at `out/name` holding `rows`, in that order, under the toy
+    build's headers."""
     meta, _ = read_manifest(out / "manifest.tsv")
-    rows = [dataclasses.replace(r, category=c) for r, c in zip(records, categories)]
     write_manifest(out / name, rows, meta["codebook"], meta["normal_codebook"],
                    meta["view_setting"])
     return out / name
@@ -745,20 +768,20 @@ def test_eval_normals_scores_one_category_at_a_time(tmp_path, toy_build, monkeyp
     manifest order."""
     _, _, out = toy_build
     _, records = read_manifest(out / "manifest.tsv")
+    records = _recategorized(out, records,
+                             [("chair", "airplane", "bench")[i % 3] for i in range(len(records))])
     rng = np.random.default_rng(5)
     pred_dir = tmp_path / "pred"
     for r in records:
         dst = pred_dir / (r.image_id + "_normal.pfm")
         dst.parent.mkdir(parents=True, exist_ok=True)
         write_pfm(dst, _unit_noise(read_pfm(out / f"{r.image_id}_normal.pfm"), rng))
-    categories = [("chair", "airplane", "bench")[i % 3] for i in range(len(records))]
     # one skipped image per category, whose manifest order is not their scoring order
     for r in records[3:6]:
         (pred_dir / (r.image_id + "_normal.pfm")).unlink()
-    interleaved = _recategorized(out, records, categories, "interleaved.tsv")
-    order = sorted(range(len(records)), key=lambda i: categories[i])
-    grouped = _recategorized(out, [records[i] for i in order], [categories[i] for i in order],
-                             "grouped.tsv")
+    interleaved = _manifest_of(out, records, "interleaved.tsv")
+    order = sorted(range(len(records)), key=lambda i: records[i].category)
+    grouped = _manifest_of(out, [records[i] for i in order], "grouped.tsv")
     scored, image_errors = [], cli._image_errors
 
     def recording(gt_path, pred_dir, image_id, codebook):
@@ -814,13 +837,20 @@ def test_eval_normals_peak_memory_is_bounded_by_the_largest_category(tmp_path, t
     pred_dir.mkdir()
     tilted = np.tile(np.array([0.0, 0.6, 0.8], dtype=np.float32), (64, 64, 1))
     n, categories = 16, ("a", "b", "c", "d")
-    rows = []
-    for i in range(n * len(categories)):
-        rows.append(dataclasses.replace(records[0], model_id=f"m{i}", image_id=f"m{i}"))
-        write_pfm(out / f"m{i}_normal.pfm", flat)
-        write_pfm(pred_dir / f"m{i}_normal.pfm", tilted)
-    one = _recategorized(out, rows[:n], ["a"] * n, "one.tsv")
-    four = _recategorized(out, rows, categories * n, "four.tsv")
+
+    def rows_in(categories):
+        rows = []
+        for i, category in enumerate(categories):
+            image_id = f"{category}/m{i}/v000"
+            for root, normals in ((out, flat), (pred_dir, tilted)):
+                (root / image_id).parent.mkdir(parents=True, exist_ok=True)
+                write_pfm(root / f"{image_id}_normal.pfm", normals)
+            rows.append(dataclasses.replace(records[0], model_id=f"m{i}", category=category,
+                                            image_id=image_id))
+        return rows
+
+    one = _manifest_of(out, rows_in(["a"] * n), "one.tsv")
+    four = _manifest_of(out, rows_in(categories * n), "four.tsv")
 
     def argv(manifest, name):
         return ["eval-normals", str(manifest), str(pred_dir), "--out-dir", str(tmp_path / name)]
@@ -965,10 +995,11 @@ def test_config_unknown_key_rejected(tmp_path, cuboid_obj):
 
 # former config keys, now constants named like them: a config file restating
 # one at its value is an unknown key
+CONSTANTS = (("detect", symmetry, "DEDUPE_ANGLE_DEG"), ("detect", symmetry, "ICP_REJECT_FRAC"),
+             ("detect", symmetry, "CLUSTER_ANGLE_DEG"), ("detect", symmetry, "ICP_CONVERGE_DEG"),
+             ("render", render, "AUTO_FRAME_MARGIN"), ("render", render, "FOV_Y_DEG"))
 REMOVED_KEYS = [(command, f"{name.lower()} = {getattr(module, name)}\n", [])
-                for command, module, name in (("detect", symmetry, "DEDUPE_ANGLE_DEG"),
-                                              ("detect", symmetry, "ICP_REJECT_FRAC"),
-                                              ("render", render, "AUTO_FRAME_MARGIN"))]
+                for command, module, name in CONSTANTS]
 
 
 @pytest.mark.parametrize("command, config, flags", [
@@ -985,7 +1016,8 @@ REMOVED_KEYS = [(command, f"{name.lower()} = {getattr(module, name)}\n", [])
 ], ids=["unknown-key", "zero-samples", "repeated-key", "zero-width", "zero-width-flag",
         "unknown-view-setting", "hemisphere-support", "codebook-k-above-65535",
         "eval-normals-unknown-key",
-        "removed-dedupe-angle", "removed-icp-reject-frac", "removed-auto-frame-margin"])
+        "removed-dedupe-angle", "removed-icp-reject-frac", "removed-cluster-angle",
+        "removed-icp-converge", "removed-auto-frame-margin", "removed-fov"])
 def test_config_rejected_before_any_output(tmp_path, cuboid_obj, capsys, request, command, config, flags):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(config)
@@ -1006,7 +1038,7 @@ def test_config_rejected_before_any_output(tmp_path, cuboid_obj, capsys, request
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     if request.node.callspec.id.startswith("removed-"):
-        assert "unknown key" in err
+        assert f"unknown key {config.split(' =')[0]!r}" in err
     assert not out.exists()
 
 
@@ -1036,8 +1068,8 @@ def test_unreadable_input_exits_2(tmp_path, cuboid_obj, capsys, case):
                     "--out-dir", str(tmp_path / "rep")]
     baseline = ["baseline", str(manifest), "--out", str(tmp_path / "b.tsv")]
     fields_line = "#fields:\t" + "\t".join(MANIFEST_FIELDS) + "\n"
-    row = ["m0", "airplane", "m0.obj", "0.0,0.0,0.0", "m0_normal.pfm", "m0_labels.pgm", "0" * 10,
-           "V_N", "test"]
+    row = ["m0", "airplane", "m0.obj", "0.0,0.0,0.0", "airplane/m0/v000_normal.pfm",
+           "airplane/m0/v000_labels.pgm", "0" * 10, "V_N", "test"]
     named, header = tmp_path, None
     if case == "config-dir":
         argv = detect + ["--config", str(tmp_path)]
@@ -1159,6 +1191,25 @@ def test_normal_map_path_of_another_image_exits_2(tmp_path, toy_build, capsys, c
     assert not (tmp_path / "result").exists()
 
 
+@pytest.mark.parametrize("command", ["eval-sym", "eval-normals", "baseline"])
+def test_image_id_of_another_model_exits_2(tmp_path, toy_build, capsys, command):
+    """A row relabelled as another category's model, its paths kept, would
+    score one model's view under another: it is an input error naming the line."""
+    _, _, out = toy_build
+    lines = (out / "manifest.tsv").read_text().splitlines(keepends=True)
+    row = lines[-1].split("\t")
+    row[0], row[1] = "other", "chair"
+    manifest = out / "relabelled.tsv"
+    manifest.write_text("".join(lines[:-1] + ["\t".join(row)]))
+    argv = _manifest_command(command, manifest, tmp_path)
+    capsys.readouterr()
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    image_id = row[5].removesuffix("_labels.pgm")
+    assert f"{manifest}: line {len(lines)}: image id {image_id!r} is not chair/other/v###" in err
+    assert not (tmp_path / "result").exists()
+
+
 def test_write_failure_names_target_path(tmp_path, cuboid_obj, capsys):
     cfg = tmp_path / "quick.cfg"
     cfg.write_text(QUICK_DETECT_KEYS)
@@ -1195,6 +1246,19 @@ def test_readme_defaults_table_matches_run_config():
             for key in filter(None, (k.strip(" `") for k in keys.split(","))):
                 documented[key] = types[key](default)
     assert documented == {f.name: f.default for f in fields(RunConfig)}
+
+
+def test_readme_constants_table_matches_the_modules():
+    """The README's table of fixed constants lists each former key's constant
+    at its module's value."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    table = readme.split("| constant | value | module |", 1)[1].split("\n\n")[0]
+    documented = {}
+    for row in table.splitlines()[2:]:
+        name, value, module = (c.strip(" `") for c in row.strip("|").split("|")[:3])
+        documented[name] = (module, float(value))
+    assert documented == {name: (module.__name__, getattr(module, name))
+                          for _, module, name in CONSTANTS}
 
 
 def test_readme_library_example_runs(tmp_path, monkeypatch):

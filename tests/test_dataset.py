@@ -421,9 +421,9 @@ def test_manifest_rejects_malformed_symmetry_label(tmp_path, bits):
 LATE_CODEBOOK = "#codebook:\tsupport=horizontal_circle\tk=20"
 
 
-def row(pose="0.0,0.0,0.0", category="airplane", normal="airplane/m0/v000_normal.pfm"):
-    return "\t".join(["m0", category, "m0.obj", pose, normal,
-                      "airplane/m0/v000_labels.pgm", "1010", "V_N", "train"])
+def row(pose="0.0,0.0,0.0", category="airplane", normal=None, model="m0", image="airplane/m0/v000"):
+    return "\t".join([model, category, "m0.obj", pose, normal or f"{image}_normal.pfm",
+                      f"{image}_labels.pgm", "1010", "V_N", "train"])
 
 
 @pytest.mark.parametrize("extra, lineno, reason", [
@@ -439,10 +439,17 @@ def row(pose="0.0,0.0,0.0", category="airplane", normal="airplane/m0/v000_normal
       for category in ("", ".", "..", "../../escaped", "a/b", "a\\b", "a\0b")),
     ([row(normal="airplane/m0/v001_normal.pfm")], 5,
      "normal_map_path 'airplane/m0/v001_normal.pfm' is not airplane/m0/v000_normal.pfm"),
+    ([row(), row(model="m1")], 6, "image id 'airplane/m0/v000' is not airplane/m1/v###"),
+    ([row(category="chair")], 5, "image id 'airplane/m0/v000' is not chair/m0/v###"),
+    *(([row(image=f"airplane/m0/{view}")], 5,
+       f"image id 'airplane/m0/{view}' is not airplane/m0/v###")
+      for view in ("v00", "v0001", "v", "v12a", "v-01", "v\u0661\u0662\u0663", "x000", "v000/v000")),
 ], ids=["late-codebook", "late-normal-codebook", "repeated-codebook", "nan-elevation",
         "inf-elevation", "nan-azimuth", "inf-cyclo", "empty-category", "dot-category",
         "dotdot-category", "escaping-category", "slash-category", "backslash-category",
-        "nul-category", "mismatched-normal-path"])
+        "nul-category", "mismatched-normal-path", "another-model", "another-category",
+        "two-digit-view", "padded-view", "no-view", "letter-in-view", "signed-view",
+        "non-ascii-digits", "no-v", "nested-view"])
 def test_manifest_rejects_misplaced_header_and_non_finite_pose(tmp_path, extra, lineno, reason):
     path = tmp_path / "manifest.tsv"
     write_manifest(path, [], OrientationCodebook(4, HORIZONTAL_CIRCLE),
@@ -452,6 +459,17 @@ def test_manifest_rejects_misplaced_header_and_non_finite_pose(tmp_path, extra, 
     from symnorm.errors import InputError
     with pytest.raises(InputError, match=f"line {lineno}: .*{reason}"):
         read_manifest(path)
+
+
+def test_manifest_reads_view_indices_as_build_writes_them(tmp_path):
+    path = tmp_path / "manifest.tsv"
+    write_manifest(path, [], OrientationCodebook(4, HORIZONTAL_CIRCLE),
+                   OrientationCodebook(60, HEMISPHERE), "V_N")
+    views = ("v000", "v007", "v999", "v1000", "v12345")
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.write("".join(row(image=f"airplane/m0/{v}") + "\n" for v in views))
+    _, records = read_manifest(path)
+    assert [r.image_id for r in records] == [f"airplane/m0/{v}" for v in views]
 
 
 def test_write_manifest_header_shape(tmp_path):

@@ -86,8 +86,6 @@ def test_plane_validation():
 def test_detector_config_validation():
     with pytest.raises(ValueError):
         DetectorConfig(sample_count=0)
-    with pytest.raises(ValueError):
-        DetectorConfig(cluster_angle_deg=95.0)
 
 
 def test_two_point_hypothesis():
@@ -120,12 +118,11 @@ def test_cuboid_vote_peaks_cover_axis_planes():
     offsets = np.array([h.offset for h in hyps])
     for axis in np.eye(3):
         angles = sym_angle_matrix(normals, axis[None, :]).ravel()
-        near = np.flatnonzero(angles <= shapes.SUITE_CONFIG.cluster_angle_deg)
+        near = np.flatnonzero(angles <= symmetry.CLUSTER_ANGLE_DEG)
         assert near.size, f"no cluster near axis {axis}"
         assert np.abs(offsets[near]).min() <= 0.05 * samples.bbox_diagonal
     # and the single most-voted cluster is one of the true planes
-    assert sym_angle_matrix(np.eye(3), normals[:1]).min() <= \
-        shapes.SUITE_CONFIG.cluster_angle_deg
+    assert sym_angle_matrix(np.eye(3), normals[:1]).min() <= symmetry.CLUSTER_ANGLE_DEG
 
 
 def fixture_votes(monkeypatch, mesh, config):
@@ -186,7 +183,7 @@ def adversarial_votes(rng, n, config):
     normals = rng.normal(size=(n, 3))
     normals /= np.linalg.norm(normals, axis=1, keepdims=True)
     offsets = rng.choice([-0.3, 0.0, 0.2, 0.5], size=n) + rng.normal(scale=0.01, size=n)
-    theta = np.radians(config.cluster_angle_deg)
+    theta = np.radians(symmetry.CLUSTER_ANGLE_DEG)
     for i, kind in enumerate(rng.integers(0, 4, size=n)):
         if i == 0 or kind == 0:
             continue
@@ -211,8 +208,8 @@ def test_cluster_sweep_matches_oracle_on_adversarial_votes(monkeypatch):
     rng = np.random.default_rng(2024)
     for case in range(40):
         angle = rng.choice([0.05, 0.5, 5.0, 10.0, 30.0, 89.5, 89.9])
-        config = DetectorConfig(cluster_angle_deg=float(angle),
-                                cluster_offset_frac=float(rng.choice([0.05, 0.2])))
+        monkeypatch.setattr(symmetry, "CLUSTER_ANGLE_DEG", float(angle))
+        config = DetectorConfig(cluster_offset_frac=float(rng.choice([0.05, 0.2])))
         n = int(rng.integers(1, 400))
         normals, offsets = adversarial_votes(rng, n, config)
         assert_clusters_match_oracle(normals, offsets, config, 1.0)
@@ -224,7 +221,7 @@ def test_cluster_sweep_finds_a_representative_across_a_cell_boundary():
     # almost one chord of the angle window to its -x side: the two fall in
     # adjacent cells only if the cell edge is at least that chord
     config = DetectorConfig()
-    theta = np.radians(config.cluster_angle_deg - 0.01)
+    theta = np.radians(symmetry.CLUSTER_ANGLE_DEG - 0.01)
     normals = np.array([[0.0, 0.0, 1.0], [-np.sin(theta), 0.0, np.cos(theta)]])
     planes = assert_clusters_match_oracle(normals, np.zeros(2), config, 1.0)
     assert len(planes) == 1
@@ -252,7 +249,7 @@ def test_cluster_sweep_exact_tie_takes_reference_rule(monkeypatch):
 def test_cluster_sweep_angle_close_call_takes_reference_rule(monkeypatch, delta, clusters):
     calls = count_reference_choices(monkeypatch)
     config = DetectorConfig()
-    z = float(np.cos(np.radians(config.cluster_angle_deg))) + delta
+    z = float(np.cos(np.radians(symmetry.CLUSTER_ANGLE_DEG))) + delta
     normals = np.array([[0.0, 0.0, 1.0], [np.sqrt(1.0 - z * z), 0.0, z]])
     planes = assert_clusters_match_oracle(normals, np.zeros(2), config, 1.0)
     assert len(calls) == 1 and len(planes) == clusters
@@ -302,7 +299,7 @@ def test_icp_fixed_point_converges_immediately():
                                         DetectorConfig(), return_history=True)
     # one accepted matching pass plus the final score
     assert len(history) <= 2
-    assert sym_angle_matrix(refined.normal, n_true).item() <= DetectorConfig().icp_converge_deg
+    assert sym_angle_matrix(refined.normal, n_true).item() <= symmetry.ICP_CONVERGE_DEG
 
 
 def test_icp_history_never_increases():
@@ -410,7 +407,8 @@ def test_icp_history_counts_iterations_on_every_exit(monkeypatch):
     pts, n_true, b_true = shapes.mirrored_cloud(rng)
     pts = pts + rng.normal(scale=1e-3, size=pts.shape)
     start = SymmetryPlane(perturbed(n_true, 8.0, rng), b_true)
-    capped = replace(DetectorConfig(), icp_converge_deg=1e-12)
+    monkeypatch.setattr(symmetry, "ICP_CONVERGE_DEG", 1e-12)  # no refit converges
+    capped = DetectorConfig()
     _, history, iterations, rescores = counted_refinement(monkeypatch, cloud_samples(pts), start, capped)
     assert len(history) - 1 == iterations == capped.icp_max_iters and rescores == 1
     assert all(b <= a for a, b in zip(history, history[1:]))
