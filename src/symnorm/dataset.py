@@ -97,14 +97,21 @@ def write_manifest(path, records, codebook: OrientationCodebook,
                            + "".join(map(manifest_row, records)))
 
 
+def plain_name(name: str) -> bool:
+    """Whether `name` names a file in its directory, not the directory
+    itself, its parent or a path below it."""
+    return name not in ("", ".", "..") and not any(c in name for c in "/\\\0")
+
+
 def read_manifest(path):
     """Return (metadata dict, records).  Paths stay relative to the manifest;
     meta["codebook"] and meta["normal_codebook"] are OrientationCodebooks,
     and each must be one a build can write (see config.check_codebook).  A
     row's image id is its label_map_path less _labels.pgm; a row whose image
     id is not its own <category>/<model_id>/v{view:03d}, whose
-    normal_map_path is not <image id>_normal.pfm, or whose image id repeats
-    an earlier row's, is an InputError."""
+    normal_map_path is not <image id>_normal.pfm, whose image id repeats
+    an earlier row's, or whose category or model id is not a plain file
+    name, is an InputError."""
     meta = {}
     records = []
     saw_fields = False
@@ -143,10 +150,12 @@ def read_manifest(path):
                 raise InputError(f"{path}: line {lineno}: expected "
                                  f"{len(MANIFEST_FIELDS)} fields, found {len(parts)}")
             model_id, category, obj_path, pose_s, nm_path, lm_path, bits, view_setting, split = parts
-            # the evals name report files after it
-            if category in ("", ".", "..") or any(c in category for c in "/\\\0"):
-                raise InputError(f"{path}: line {lineno}: category {category!r} is not a "
-                                 "plain file name")
+            # the evals name report files after the category, and the maps of a
+            # model lie in <category>/<model_id>/
+            for what, name in (("category", category), ("model id", model_id)):
+                if not plain_name(name):
+                    raise InputError(f"{path}: line {lineno}: {what} {name!r} is not a "
+                                     "plain file name")
             try:
                 az, el, cy = (float(v) for v in pose_s.split(","))
                 pose = ViewPose(az, el, cy)
@@ -325,18 +334,21 @@ def _detect_outcome(job, out_dir, config):
     the (n, 3) plane normals, or the message of the SymnormError, or of the
     OSError of an OBJ file that cannot be read, that skips the model: a
     plain string, so a worker never has to pickle the error itself.  First,
-    a model whose id starts with '#', or whose relative OBJ path holds a tab,
-    CR or LF, is skipped: its rows would not read back."""
+    a model whose id starts with '#' or is not a plain file name ('.' and
+    '..' are ids of '..obj' and '...obj'), or whose relative OBJ path holds
+    a tab, CR or LF, is skipped: its rows would not read back."""
     category, obj_path, _ = job
-    if obj_path.stem.startswith("#") or any(c in os.path.relpath(obj_path, out_dir)
-                                            for c in "\t\r\n"):
-        return "a manifest row cannot hold an id starting with '#', or a tab, CR or LF"
+    model_id = obj_path.stem
+    if model_id.startswith("#") or not plain_name(model_id) \
+            or any(c in os.path.relpath(obj_path, out_dir) for c in "\t\r\n"):
+        return ("a manifest row cannot hold an id that starts with '#' or is not a plain "
+                "file name, or a tab, CR or LF")
     try:
         mesh = parse_obj_file(obj_path)
         planes = detect_symmetries(mesh, config)
     except (SymnormError, OSError) as exc:
         return str(exc)
-    model_dir = out_dir / category / obj_path.stem
+    model_dir = out_dir / category / model_id
     model_dir.mkdir(parents=True, exist_ok=True)
     write_planes(model_dir / "planes.txt", planes,
                  comments=[f"accept_residual {config.accept_residual}"])

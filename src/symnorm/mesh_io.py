@@ -6,7 +6,7 @@ from their first vertex.  ``vn``, ``vt``, ``mtllib``, ``usemtl``, ``o``,
 ``g``, ``s`` and comments are skipped, as is any other keyword.  Face entries
 may be ``i``, ``i/j``, ``i//k`` or ``i/j/k``; negative indices resolve
 against the running vertex count, and indices must reference vertices that
-were already declared.
+were already declared.  Vertices that no face references are dropped.
 """
 
 from __future__ import annotations
@@ -22,7 +22,9 @@ from .errors import EmptyMeshError, GeometryError, MeshParseError, NoSamplableAr
 
 @dataclass(frozen=True)
 class TriangleMesh:
-    """Indexed triangle soup with a cached bounding-box diagonal."""
+    """Indexed triangle soup with a cached bounding-box diagonal.  Only the
+    vertices that faces reference are kept, in their order, and the faces
+    are re-indexed to them."""
 
     vertices: np.ndarray  # (n, 3) float64
     faces: np.ndarray     # (m, 3) int64, 0-based
@@ -41,6 +43,13 @@ class TriangleMesh:
             raise ValueError("face index out of range")
         if not np.isfinite(verts).all():
             raise GeometryError("mesh vertices must be finite")
+        # a vertex no face uses would still move the bbox, and with it the
+        # camera framing and every detector threshold
+        used = np.zeros(len(verts), dtype=bool)
+        used[faces] = True
+        if not used.all():
+            verts = verts[used]
+            faces = np.cumsum(used)[faces] - 1
         # finite coordinates can still overflow float64 in the extent or an area
         with np.errstate(over="ignore", invalid="ignore"):
             diagonal = float(np.linalg.norm(verts.max(axis=0) - verts.min(axis=0)))

@@ -146,41 +146,36 @@ def _density_order(normals, offsets, config, bbox_diagonal):
     return np.argsort(-counts, kind="stable")
 
 
-# A decision within CLOSE_CALL of a threshold or of a tie goes to
-# `_reference_choice`.
-CLOSE_CALL = 1e-9
 CLUSTER_ANGLE_DEG = 10.0  # a vote joins only a cluster whose representative is this close
 
 
 def _cluster_votes(normals, offsets, config, bbox_diagonal):
     """Greedy clustering of the votes in the order given.
 
-    Each vote joins the qualifying cluster whose representative (its unit
-    mean normal) is closest in unoriented angle, the lowest index on exact
-    ties, or else opens a new cluster.  A cluster qualifies when its
-    representative is within CLUSTER_ANGLE_DEG of the vote and its mean
-    offset, once the vote's sign is aligned with the representative, within
-    cluster_offset_frac * diagonal of the vote's.  Membership is
-    sign-invariant: a vote and its negation name the same plane, so votes
-    near the canonicalization boundary must not split into antipodal
-    half-clusters.
+    Each vote joins the qualifying cluster whose representative is closest
+    in unoriented angle, the lowest index on exact ties, or else opens a new
+    cluster.  Membership is sign-invariant: a vote and its negation name the
+    same plane, so votes near the canonicalization boundary must not split
+    into antipodal half-clusters.  Each candidate is decided once, in these
+    IEEE operations, which `tests/cluster_oracle.py` repeats: the
+    representative is the vote itself for a one-vote cluster, else the sum
+    over sqrt(x*x + y*y + z*z); the dot product is rx*vx + ry*vy + rz*vz,
+    added left to right; a cluster qualifies when |dot| >=
+    cos(CLUSTER_ANGLE_DEG) and |mean offset - sign(dot) * b| <=
+    cluster_offset_frac * diagonal.  Sums, offset sums and counts are
+    accumulated vote by vote.
 
     Candidates come from a uniform grid whose cell edge is the chord of the
     angle window: a representative within the window lies within one chord
     of v or -v in every coordinate, so each cluster is filed in the 27 cells
     around its representative's and a vote tests the clusters filed at the
-    cells of v and -v.  Sums, offset sums and counts take the reference's
-    IEEE adds in its order, so they and the mean offsets are bit-identical
-    to it; the representatives kept here are rounded differently and only
-    steer, and a decision they cannot settle goes to the reference rule.
+    cells of v and -v.
     """
     cos_thresh = float(np.cos(np.radians(CLUSTER_ANGLE_DEG)))
     b_tol = config.cluster_offset_frac * bbox_diagonal
-    cos_lo, cos_hi = cos_thresh - CLOSE_CALL, cos_thresh + CLOSE_CALL
-    b_lo, b_hi = b_tol - CLOSE_CALL * bbox_diagonal, b_tol + CLOSE_CALL * bbox_diagonal
     # widened so that rounding in the dot products and the cell divisions
     # cannot put a representative in the window two cells from v or -v
-    edge = math.sqrt(2.0 - 2.0 * cos_lo) * (1.0 + 1e-6)
+    edge = math.sqrt(2.0 - 2.0 * cos_thresh) * (1.0 + 1e-6)
     # cell (i, j, k) has the key (i * size + j) * size + k, which is unique
     # while the indices of every cell and its neighbours stay below size / 2
     size = 2 * math.floor(1.0 / edge) + 5
@@ -197,29 +192,17 @@ def _cluster_votes(normals, offsets, config, bbox_diagonal):
         minus = (np.floor(-chunk / edge).astype(np.int64) @ [size * size, size, 1]).tolist()
         for i, (vx, vy, vz) in enumerate(votes):
             b = vote_b[i]
-            best, best_s, best_a, second_a = -1, 1.0, 0.0, 0.0
-            close = False
+            best, best_s, best_a = -1, 1.0, 0.0
             near, far = grid.get(plus[i], []), grid.get(minus[i])
+            # candidates come in filing order, not index order
             for j in near + far if far else near:
                 rx, ry, rz = reps[j]
                 d = rx * vx + ry * vy + rz * vz
                 s = -1.0 if d < 0.0 else 1.0
                 a = abs(d)
-                if a < cos_lo:
-                    continue
-                gap = abs(b_mean[j] - s * b)  # exact: the reference's expression
-                if a >= cos_hi and gap > b_hi:
-                    continue
-                if a < cos_hi or gap >= b_lo:
-                    close = True
-                    break
-                if a > best_a:
-                    best, best_s, best_a, second_a = j, s, a, best_a
-                elif a > second_a and j != best:
-                    second_a = a
-            if close or (second_a > 0.0 and best_a - second_a <= CLOSE_CALL):
-                best, best_s = _reference_choice(normals[start + i], offsets[start + i], sums,
-                                                 counts, b_mean, cos_thresh, b_tol)
+                if a >= cos_thresh and abs(b_mean[j] - s * b) <= b_tol \
+                        and (a > best_a or (a == best_a and j < best)):
+                    best, best_s, best_a = j, s, a
             if best < 0:
                 best = len(reps)
                 reps.append(votes[i])
@@ -250,21 +233,6 @@ def _cluster_votes(normals, offsets, config, bbox_diagonal):
     order = np.argsort(-np.array(counts), kind="stable")[: config.max_hypotheses]
     means = unit_rows(np.array(sums)[order])
     return [SymmetryPlane(mean, float(b_mean[j])) for mean, j in zip(means, order)]
-
-
-def _reference_choice(v, b, sums, counts, b_mean, cos_thresh, b_tol):
-    """(cluster, sign) for vote (v, b) by the per-vote reference, (-1, 1.0)
-    to open a cluster.  Its representatives are v for a one-vote cluster and
-    the normalized sum otherwise, each computed as the reference does."""
-    totals = np.array(sums)
-    reps = np.where(np.array(counts)[:, None] == 1, totals, unit_rows(totals))
-    dots = reps @ v
-    signs = np.where(dots < 0.0, -1.0, 1.0)
-    ok = (np.abs(dots) >= cos_thresh) & (np.abs(np.array(b_mean) - signs * b) <= b_tol)
-    if not ok.any():
-        return -1, 1.0
-    j = int(np.argmax(np.where(ok, np.abs(dots), -2.0)))
-    return j, float(signs[j])
 
 
 def score_plane(samples: SurfaceSamples, plane: SymmetryPlane, tree: cKDTree | None = None) -> float:

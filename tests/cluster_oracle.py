@@ -8,6 +8,12 @@ reads it) of the vote and its mean offset, after aligning the vote's sign
 with the representative, is within cluster_offset_frac * diagonal of the
 vote's.  `symmetry._cluster_votes` must return planes with the same normal
 and offset bytes, in the same order.
+
+The rule is tested against every cluster, in the sweep's IEEE operations:
+a dot product is r[:, 0] * v[0] + r[:, 1] * v[1] + r[:, 2] * v[2], added
+left to right, and a representative is the vote itself for a one-vote
+cluster, else sum / sqrt(x*x + y*y + z*z).  So a grid that missed a
+candidate or broke a tie differently would show in the bytes.
 """
 
 import numpy as np
@@ -33,7 +39,8 @@ def cluster_votes(normals, offsets, config, bbox_diagonal):
     m = 0
     for v, b in zip(normals, offsets):
         if m:
-            dots = reps[:m] @ v
+            r = reps[:m]
+            dots = r[:, 0] * v[0] + r[:, 1] * v[1] + r[:, 2] * v[2]
             signs = np.where(dots < 0.0, -1.0, 1.0)
             ok = (np.abs(dots) >= cos_thresh) & (np.abs(b_mean[:m] - signs * b) <= b_tol)
             if ok.any():
@@ -42,7 +49,8 @@ def cluster_votes(normals, offsets, config, bbox_diagonal):
                 sums[j] += signs[j] * v
                 b_sum[j] += signs[j] * b
                 counts[j] += 1
-                reps[j] = sums[j] / np.linalg.norm(sums[j])
+                x, y, z = sums[j]
+                reps[j] = sums[j] / np.sqrt(x * x + y * y + z * z)
                 b_mean[j] = b_sum[j] / counts[j]
                 continue
         reps[m] = v

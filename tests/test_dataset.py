@@ -347,6 +347,33 @@ def test_build_skips_a_model_no_manifest_row_can_hold(tmp_path, monkeypatch, cap
     assert sorted(p.name for p in (out / "bag").iterdir()) == ["plain"]
 
 
+@pytest.mark.parametrize("cpus", [2, 1])
+def test_build_skips_a_model_whose_id_is_a_dot_name(tmp_path, monkeypatch, caplog, cpus):
+    """'..obj' and '...obj' have the ids '.' and '..': their files would land
+    in the category directory and in the output directory, where every
+    category's would overwrite each other's.  Both are skipped, in job
+    order, and nothing is written outside a model directory."""
+    monkeypatch.setattr(util, "usable_cpu_count", lambda: cpus)
+    stub_detection(monkeypatch)
+    corpus = tmp_path / "corpus"
+    for category in ("bag", "bed"):
+        (corpus / category).mkdir(parents=True)
+        for name in (".", "..", "plain"):
+            (corpus / category / f"{name}.obj").write_text(
+                serialize_obj(shapes.cuboid(1.0, 1.5, 2.0)))
+    out = tmp_path / "out"
+    with caplog.at_level(logging.WARNING):
+        records = built_records(corpus, out, toy(per_model_views=1, width=8, height=8, seed=0))
+    assert [r.image_id for r in records] == ["bag/plain/v000", "bed/plain/v000"]
+    skips = [m for m in caplog.messages if m.startswith("skipping ")]
+    assert [m.split(": ")[0] for m in skips] == [
+        f"skipping {corpus / category}/{name}.obj" for category in ("bag", "bed")
+        for name in (".", "..")]
+    assert sorted(p.relative_to(out).as_posix() for p in out.rglob("*") if p.is_file()) == [
+        f"{category}/plain/{name}" for category in ("bag", "bed")
+        for name in ("planes.txt", "v000_labels.pgm", "v000_normal.pfm")] + ["manifest.tsv"]
+
+
 def test_build_parent_memory_stays_flat_as_the_corpus_grows(tmp_path, monkeypatch):
     monkeypatch.setattr(util, "usable_cpu_count", lambda: 2)
     stub_detection(monkeypatch)
@@ -444,12 +471,15 @@ def row(pose="0.0,0.0,0.0", category="airplane", normal=None, model="m0", image=
     *(([row(image=f"airplane/m0/{view}")], 5,
        f"image id 'airplane/m0/{view}' is not airplane/m0/v###")
       for view in ("v00", "v0001", "v", "v12a", "v-01", "v\u0661\u0662\u0663", "x000", "v000/v000")),
+    *(([row(model=model, image=f"airplane/{model}/v000")], 5, "is not a plain file name")
+      for model in ("", ".", "..", "a/b", "a\\b", "a\0b")),
 ], ids=["late-codebook", "late-normal-codebook", "repeated-codebook", "nan-elevation",
         "inf-elevation", "nan-azimuth", "inf-cyclo", "empty-category", "dot-category",
         "dotdot-category", "escaping-category", "slash-category", "backslash-category",
         "nul-category", "mismatched-normal-path", "another-model", "another-category",
         "two-digit-view", "padded-view", "no-view", "letter-in-view", "signed-view",
-        "non-ascii-digits", "no-v", "nested-view"])
+        "non-ascii-digits", "no-v", "nested-view", "empty-model", "dot-model", "dotdot-model",
+        "slash-model", "backslash-model", "nul-model"])
 def test_manifest_rejects_misplaced_header_and_non_finite_pose(tmp_path, extra, lineno, reason):
     path = tmp_path / "manifest.tsv"
     write_manifest(path, [], OrientationCodebook(4, HORIZONTAL_CIRCLE),

@@ -4,6 +4,7 @@ from scipy.spatial import cKDTree
 from scipy.stats import chisquare
 
 import shapes
+from symnorm.config import CameraIntrinsics, DetectorConfig
 from symnorm.errors import EmptyMeshError, GeometryError, MeshParseError, NoSamplableAreaError
 from symnorm.mesh_io import (
     TriangleMesh,
@@ -12,6 +13,9 @@ from symnorm.mesh_io import (
     sample_surface,
     serialize_obj,
 )
+from symnorm.orientation import ViewPose
+from symnorm.render import rasterize
+from symnorm.symmetry import detect_symmetries
 
 MINIMAL = "v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 3\n"
 
@@ -187,3 +191,38 @@ def test_sample_spread_covers_surface():
     tree = cKDTree(s.points)
     d, _ = tree.query(mesh.vertices)
     assert d.max() < 0.5
+
+
+def test_unreferenced_vertices_change_nothing():
+    """A vertex no face uses neither widens the bbox, which frames the camera
+    and scales the detector's thresholds, nor shows in any output."""
+    cuboid = shapes.cuboid()
+    padded = TriangleMesh(np.vstack([cuboid.vertices, [[30.0, 0.0, 0.0]]]), cuboid.faces)
+    parsed = parse_obj(serialize_obj(cuboid) + "v 30 0 0\n")
+    config = DetectorConfig(max_hypotheses=8)
+    pose, cam = ViewPose(30.0, 10.0, 0.0), CameraIntrinsics(width=64, height=64)
+
+    def outputs(mesh):
+        nm = rasterize(mesh, pose, cam)
+        planes = [(p.normal.tobytes(), p.offset, p.residual)
+                  for p in detect_symmetries(mesh, config)]
+        return nm.normals.tobytes(), nm.face_ids.tobytes(), planes
+
+    want = outputs(cuboid)
+    assert want[2]
+    for mesh in (padded, parsed):
+        assert outputs(mesh) == want
+        assert mesh.vertices.tobytes() == cuboid.vertices.tobytes()
+        assert mesh.faces.tolist() == cuboid.faces.tolist()
+
+
+def test_unreferenced_vertices_are_dropped_and_faces_reindexed():
+    verts = np.array([[9.0, 9.0, 9.0], [0.0, 0.0, 0.0], [7.0, 7.0, 7.0],
+                      [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+    mesh = TriangleMesh(verts, np.array([[3, 1, 4], [1, 3, 5]]))
+    assert mesh.vertices.tolist() == verts[[1, 3, 4, 5]].tolist()
+    assert mesh.faces.tolist() == [[1, 0, 2], [0, 1, 3]]
+    assert mesh.bbox_diagonal == pytest.approx(np.sqrt(3.0))
+    # the checks of the whole input still come first
+    with pytest.raises(GeometryError, match="finite"):
+        TriangleMesh(np.vstack([verts, [[np.nan, 0.0, 0.0]]]), np.array([[3, 1, 4]]))

@@ -149,19 +149,6 @@ def assert_clusters_match_oracle(normals, offsets, config, diag):
     return got
 
 
-def count_reference_choices(monkeypatch):
-    """Record every decision the sweep hands to the per-vote rule."""
-    calls = []
-    reference = symmetry._reference_choice
-
-    def counted(*args):
-        calls.append(args)
-        return reference(*args)
-
-    monkeypatch.setattr(symmetry, "_reference_choice", counted)
-    return calls
-
-
 @pytest.mark.parametrize("mesh, config, seed", [
     (shapes.cuboid, shapes.SUITE_CONFIG, 1),
     (shapes.square_plate, DetectorConfig(), 2),
@@ -179,11 +166,13 @@ def test_cluster_sweep_matches_oracle_on_fixtures(monkeypatch, mesh, config, see
 def adversarial_votes(rng, n, config):
     """Unit votes in canonical sign with offsets: random planes, exact
     duplicates, planes tilted by exactly the cluster angle from an earlier
-    vote, and horizontal planes on the sign-canonicalization boundary."""
+    vote, and horizontal planes on the sign-canonicalization boundary.
+    Also returns the (tilted, original) index pairs."""
     normals = rng.normal(size=(n, 3))
     normals /= np.linalg.norm(normals, axis=1, keepdims=True)
     offsets = rng.choice([-0.3, 0.0, 0.2, 0.5], size=n) + rng.normal(scale=0.01, size=n)
     theta = np.radians(symmetry.CLUSTER_ANGLE_DEG)
+    tilted = []
     for i, kind in enumerate(rng.integers(0, 4, size=n)):
         if i == 0 or kind == 0:
             continue
@@ -195,25 +184,29 @@ def adversarial_votes(rng, n, config):
             side /= np.linalg.norm(side)
             normals[i] = np.cos(theta) * normals[j] + np.sin(theta) * side
             offsets[i] = offsets[j] + rng.choice([0.0, config.cluster_offset_frac])
+            tilted.append((i, j))
         else:
             a = rng.choice([0.0, np.pi]) + rng.choice([0.0, 1e-17, -1e-17, 1e-9])
             normals[i] = [np.cos(a), np.sin(a), 0.0]
     canon = canonical_sign(normals)
     flipped = np.einsum("ij,ij->i", canon, normals) < 0.0
-    return canon, np.where(flipped, -offsets, offsets)
+    return canon, np.where(flipped, -offsets, offsets), tilted
 
 
 def test_cluster_sweep_matches_oracle_on_adversarial_votes(monkeypatch):
-    calls = count_reference_choices(monkeypatch)
     rng = np.random.default_rng(2024)
+    on_threshold = 0
     for case in range(40):
         angle = rng.choice([0.05, 0.5, 5.0, 10.0, 30.0, 89.5, 89.9])
         monkeypatch.setattr(symmetry, "CLUSTER_ANGLE_DEG", float(angle))
         config = DetectorConfig(cluster_offset_frac=float(rng.choice([0.05, 0.2])))
         n = int(rng.integers(1, 400))
-        normals, offsets = adversarial_votes(rng, n, config)
+        normals, offsets, tilted = adversarial_votes(rng, n, config)
         assert_clusters_match_oracle(normals, offsets, config, 1.0)
-    assert calls  # the tilted votes put some decisions on the threshold
+        cos_thresh = np.cos(np.radians(angle))
+        on_threshold += sum(abs(abs(normals[i] @ normals[j]) - cos_thresh) <= 1e-12
+                            for i, j in tilted)
+    assert on_threshold  # the tilted votes put some decisions on the threshold
 
 
 def test_cluster_sweep_finds_a_representative_across_a_cell_boundary():
@@ -235,35 +228,42 @@ def test_cluster_sweep_single_and_identical_votes():
     assert len(same) == 1
 
 
-def test_cluster_sweep_exact_tie_takes_reference_rule(monkeypatch):
-    calls = count_reference_choices(monkeypatch)
+def test_cluster_sweep_exact_tie_goes_to_the_lowest_index():
     s, c = np.sin(np.radians(6.0)), np.cos(np.radians(6.0))
     # two clusters 12 degrees apart, then a vote 6 degrees from each
     normals = np.array([[s, 0.0, c], [-s, 0.0, c], [0.0, 0.0, 1.0]])
     planes = assert_clusters_match_oracle(normals, np.zeros(3), DetectorConfig(), 1.0)
-    assert len(calls) == 1
     assert planes[0].normal[0] > 0.0  # the lowest index won the tie
 
 
+def test_cluster_sweep_cross_cell_tie_goes_to_the_lowest_index():
+    # cluster 0 lies 6 degrees from -x, in the cell of -v only, and cluster 1
+    # 6 degrees from +x, in the cell of v: the sweep meets cluster 1 first,
+    # and the vote v = +x ties the two exactly (|-c| == |c|)
+    s, c = np.sin(np.radians(6.0)), np.cos(np.radians(6.0))
+    normals = np.array([[-c, 0.0, s], [c, 0.0, s], [1.0, 0.0, 0.0]])
+    planes = assert_clusters_match_oracle(normals, np.zeros(3), DetectorConfig(), 1.0)
+    assert len(planes) == 2
+    assert planes[0].normal[0] < 0.0  # the vote joined cluster 0
+
+
 @pytest.mark.parametrize("delta, clusters", [(1e-12, 1), (-1e-12, 2)])
-def test_cluster_sweep_angle_close_call_takes_reference_rule(monkeypatch, delta, clusters):
-    calls = count_reference_choices(monkeypatch)
+def test_cluster_sweep_angle_threshold_is_inclusive(delta, clusters):
     config = DetectorConfig()
     z = float(np.cos(np.radians(symmetry.CLUSTER_ANGLE_DEG))) + delta
     normals = np.array([[0.0, 0.0, 1.0], [np.sqrt(1.0 - z * z), 0.0, z]])
     planes = assert_clusters_match_oracle(normals, np.zeros(2), config, 1.0)
-    assert len(calls) == 1 and len(planes) == clusters
+    assert len(planes) == clusters
 
 
 @pytest.mark.parametrize("delta, clusters", [(-1e-12, 1), (1e-12, 2)])
-def test_cluster_sweep_offset_close_call_takes_reference_rule(monkeypatch, delta, clusters):
-    calls = count_reference_choices(monkeypatch)
+def test_cluster_sweep_offset_threshold_is_inclusive(delta, clusters):
     config = DetectorConfig()
     diag = 2.0
     normals = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 1.0]])
     offsets = np.array([0.0, config.cluster_offset_frac * diag + delta])
     planes = assert_clusters_match_oracle(normals, offsets, config, diag)
-    assert len(calls) == 1 and len(planes) == clusters
+    assert len(planes) == clusters
 
 
 def test_leaf_order_queries_match_plain_queries():
