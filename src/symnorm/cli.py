@@ -81,20 +81,16 @@ def read_predictions(path):
     """Tab-separated `image_id nx ny nz confidence` lines as a dict from image id
     to its (n, 4) array of those rows, in file order, orientations normalized."""
     rows_of, values, linenos = defaultdict(list), [], []
-    with util.open_text(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split("\t")
-            if len(parts) != 5:
-                raise InputError(f"{path}: line {lineno}: expected 5 tab-separated fields")
-            try:
-                values.extend(map(float, parts[1:]))
-            except ValueError:
-                raise InputError(f"{path}: line {lineno}: bad numeric field") from None
-            rows_of[parts[0]].append(len(linenos))
-            linenos.append(lineno)
+    for lineno, line in util.data_lines(path):
+        parts = line.split("\t")
+        if len(parts) != 5:
+            raise InputError(f"{path}: line {lineno}: expected 5 tab-separated fields")
+        try:
+            values.extend(map(float, parts[1:]))
+        except ValueError:
+            raise InputError(f"{path}: line {lineno}: bad numeric field") from None
+        rows_of[parts[0]].append(len(linenos))
+        linenos.append(lineno)
     table = np.array(values, dtype=np.float64).reshape(-1, 4)
     bad = evaluation.bad_prediction_row(table)
     if bad is not None:

@@ -96,24 +96,20 @@ class RunConfig(DetectorConfig, CameraIntrinsics):
         types = {f.name: f.type for f in fields(cls)}
         casts = {"int": int, "float": float, "str": str}
         values = {}
-        with util.open_text(path) as fh:
-            for lineno, raw in enumerate(fh, start=1):
-                line = raw.strip()
-                if not line or line.startswith("#"):
-                    continue
-                key, sep, value = line.partition("=")
-                if not sep:
-                    raise InputError(f"{path}: line {lineno}: expected key=value")
-                key = key.strip()
-                value = value.strip()
-                if key not in types:
-                    raise InputError(f"{path}: line {lineno}: unknown key {key!r}")
-                if key in values:
-                    raise InputError(f"{path}: line {lineno}: repeated key {key!r}")
-                try:
-                    values[key] = casts[types[key]](value)
-                except ValueError:
-                    raise InputError(f"{path}: line {lineno}: bad value for {key}") from None
+        for lineno, line in util.data_lines(path):
+            key, sep, value = line.partition("=")
+            if not sep:
+                raise InputError(f"{path}: line {lineno}: expected key=value")
+            key = key.strip()
+            value = value.strip()
+            if key not in types:
+                raise InputError(f"{path}: line {lineno}: unknown key {key!r}")
+            if key in values:
+                raise InputError(f"{path}: line {lineno}: repeated key {key!r}")
+            try:
+                values[key] = casts[types[key]](value)
+            except ValueError:
+                raise InputError(f"{path}: line {lineno}: bad value for {key}") from None
         try:
             return cls(**values)
         except ValueError as exc:

@@ -110,8 +110,8 @@ def read_manifest(path):
     row's image id is its label_map_path less _labels.pgm; a row whose image
     id is not its own <category>/<model_id>/v{view:03d}, whose
     normal_map_path is not <image id>_normal.pfm, whose image id repeats
-    an earlier row's, or whose category or model id is not a plain file
-    name, is an InputError."""
+    an earlier row's, whose category or model id is not a plain file name,
+    or whose category is not in CATEGORIES, is an InputError."""
     meta = {}
     records = []
     saw_fields = False
@@ -156,6 +156,9 @@ def read_manifest(path):
                 if not plain_name(name):
                     raise InputError(f"{path}: line {lineno}: {what} {name!r} is not a "
                                      "plain file name")
+            if category not in CATEGORIES:
+                raise InputError(f"{path}: line {lineno}: category {category!r} is not one "
+                                 f"of the {len(CATEGORIES)} categories")
             try:
                 az, el, cy = (float(v) for v in pose_s.split(","))
                 pose = ViewPose(az, el, cy)
@@ -247,9 +250,9 @@ def build_manifest(corpus_root, out_dir, config: RunConfig = RunConfig()):
             missing.append(category)
             continue
         usable[category] = 0
-        model_ids = [p.stem for p in cat_dir.glob("*.obj")]
-        split_of = _split_models(model_ids, config.seed, category, config.max_models_per_category)
-        jobs += [(category, cat_dir / f"{mid}.obj", split_of[mid]) for mid in sorted(split_of)]
+        path_of = {p.name[:-len(".obj")]: p for p in cat_dir.glob("*.obj")}
+        split_of = _split_models(path_of, config.seed, category, config.max_models_per_category)
+        jobs += [(category, mid, path_of[mid], split_of[mid]) for mid in sorted(split_of)]
     detect = functools.partial(_detect_outcome, out_dir=out_dir, config=config)
     render = functools.partial(_render_outcome, out_dir=out_dir, config=config)
     workers = max(1, min(len(jobs), util.usable_cpu_count()))
@@ -275,7 +278,7 @@ def build_manifest(corpus_root, out_dir, config: RunConfig = RunConfig()):
             pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
         stack.callback(pool.shutdown, cancel_futures=True)
         outcomes = _pooled_outcomes(pool, jobs, detect, render, slices, window=2 * workers)
-        for (category, obj_path, _), outcome in zip(jobs, outcomes):
+        for (category, _, obj_path, _), outcome in zip(jobs, outcomes):
             if isinstance(outcome, str):
                 logger.warning("skipping %s: %s", obj_path, outcome)
             else:
@@ -329,16 +332,16 @@ def _pooled_outcomes(pool, jobs, detect, render, slices, window):
 
 
 def _detect_outcome(job, out_dir, config):
-    """Parse one (category, obj_path, split) job's model, detect its planes
-    and write its planes.txt; return the mesh's vertex and face arrays and
-    the (n, 3) plane normals, or the message of the SymnormError, or of the
-    OSError of an OBJ file that cannot be read, that skips the model: a
-    plain string, so a worker never has to pickle the error itself.  First,
-    a model whose id starts with '#' or is not a plain file name ('.' and
-    '..' are ids of '..obj' and '...obj'), or whose relative OBJ path holds
-    a tab, CR or LF, is skipped: its rows would not read back."""
-    category, obj_path, _ = job
-    model_id = obj_path.stem
+    """Parse one (category, model_id, obj_path, split) job's model, detect
+    its planes and write its planes.txt; return the mesh's vertex and face
+    arrays and the (n, 3) plane normals, or the message of the SymnormError,
+    or of the OSError of an OBJ file that cannot be read, that skips the
+    model: a plain string, so a worker never has to pickle the error itself.
+    First, a model whose id starts with '#' or is not a plain file name
+    ('', '.' and '..' are ids of '.obj', '..obj' and '...obj'), or whose
+    relative OBJ path holds a tab, CR or LF, is skipped: its rows would not
+    read back."""
+    category, model_id, obj_path, _ = job
     if model_id.startswith("#") or not plain_name(model_id) \
             or any(c in os.path.relpath(obj_path, out_dir) for c in "\t\r\n"):
         return ("a manifest row cannot hold an id that starts with '#' or is not a plain "
@@ -361,11 +364,10 @@ def _render_outcome(job, model, views, out_dir, config):
     their manifest rows as a list, or the message of the SymnormError that
     skips the model.  The mesh is rebuilt from its arrays here, since a
     mesh sent between processes would come back writeable."""
-    category, obj_path, split = job
+    category, model_id, obj_path, split = job
     vertices, faces, plane_normals = model
     codebook = config.symmetry_codebook()
     normal_codebook = config.normal_codebook()
-    model_id = obj_path.stem
     dist = view_distribution(config.view_setting)
     rows = []
     try:

@@ -129,7 +129,7 @@ def parse_obj(data) -> TriangleMesh:
     """Parse the OBJ subset from bytes or text."""
     if isinstance(data, bytes):
         try:
-            text = data.decode("utf-8")
+            text = data.decode("utf-8-sig")
         except UnicodeDecodeError as exc:
             raise MeshParseError(f"not valid UTF-8: {exc}") from None
     else:

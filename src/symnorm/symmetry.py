@@ -316,35 +316,35 @@ def refine_plane_icp(samples: SurfaceSamples, plane: SymmetryPlane, config: Dete
     new offset places the plane through the mean midpoint.  The matching
     pass scores the plane it reflects by its mean match distance.
 
-    A refinement runs in up to three phases.  "first" is iteration 0, on all
-    samples, as a refinement that converges there always has.  Otherwise it
-    goes on in the "subset" phase, on the ICP subset (`_icp_subset`, each
-    refinement that gets here draws the same one, matched against all
-    samples), until a refit converges, and then in the "finish" phase, on all
-    samples again from the subset's last plane, until a refit converges.  A
-    subset score only estimates a full-sample one, so only full-sample
-    scores pick the returned plane: the result is the best plane scored on
-    all samples, with that score.  icp_max_iters bounds the iterations of all
-    phases together; the subset phase ends by iteration icp_max_iters - 2,
-    so that at least one full-sample iteration follows it.  A refinement that
-    converges on all samples or reaches icp_max_iters scores its last refit
-    plane once more.
+    A refinement runs in up to three phases, each told by the points it
+    queries.  Iteration 0 is on all samples, as a refinement that converges
+    there always has.  Otherwise it goes on in the subset phase, on the ICP
+    subset (`_icp_subset`, each refinement that gets here draws the same
+    one, matched against all samples), until a refit converges, and then in
+    the finishing phase, on all samples again from the subset's last plane,
+    until a refit converges.  A subset score only estimates a full-sample
+    one, so only full-sample scores pick the returned plane: the result is
+    the best plane scored on all samples, with that score.  icp_max_iters
+    bounds the iterations of all phases together; the subset phase ends by
+    iteration icp_max_iters - 2, so that at least one full-sample iteration
+    follows it.  A refinement that converges on all samples or reaches
+    icp_max_iters scores its last refit plane once more.
 
     While its best full-sample score is above accept_residual, it also stops,
     with no refit and no rescoring, when the residual trend shows the
-    refinement cannot be accepted.  After iteration i with best score s_i
-    and previous best s_(i-1), at most icp_max_iters - i more planes can be
-    scored (the remaining iterations and the final rescoring), so if even
-    gaining drop = s_(i-1) - s_i on each of them leaves s_i -
+    refinement cannot be accepted.  The trend is the running phase's best
+    scores, one per iteration: the subset's in the subset phase, else the
+    full-sample ones, the finishing phase's from the best one before
+    it.  After iteration i with trend s_i and previous s_(i-1), at most
+    icp_max_iters - i more planes can be scored (the remaining iterations and
+    the final rescoring), so if even gaining drop = s_(i-1) - s_i on each
+    (ICP_SUBSET_DROP_ALLOWANCE times that on the subset) leaves s_i -
     (icp_max_iters - i) * drop above accept_residual, it returns the best
-    full-scored plane so far.  The finish phase reads the best full-sample
-    scores after each of its iterations, the subset phase its own best
-    scores after each of its iterations from the second, allowing each score
-    left ICP_SUBSET_DROP_ALLOWANCE times their last drop.  Any other exit
-    after iteration 0 (no match within the rejection radius, fewer than
-    three displaced matches) also returns the best full-scored plane.  The
-    history holds the best full-sample score after each iteration run (a
-    subset iteration repeats it), plus a last entry for the result.
+    full-scored plane so far.  Any other exit after iteration 0 (no match
+    within the rejection radius, fewer than three displaced matches) also
+    returns the best full-scored plane.  The history holds the best
+    full-sample score after each iteration run (a subset iteration repeats
+    it), plus a last entry for the result.
     `tree`, if given, is a cKDTree over samples.points.
     """
     pts = samples.points
@@ -360,27 +360,23 @@ def refine_plane_icp(samples: SurfaceSamples, plane: SymmetryPlane, config: Dete
     best = None
     best_residual = np.inf
     history = []
-    phase, points = "first", pts
-    subset_scores = []  # the subset phase's best subset score after each of its iterations
+    points = pts  # the points of the running phase
+    trend, allowance = [], 1.0  # the running phase's best scores, and their drop's weight
     for iteration in range(config.icp_max_iters):
-        if phase == "subset":
-            dists, idx = tree.query(reflect_points(points, current))
-            score = float(dists.mean() / diag)
-            subset_scores.append(min(score, subset_scores[-1]) if subset_scores else score)
-        else:
+        full = points is pts
+        if full:
             dists, idx = _query_reflected(tree, pts, current)
             residual = float(dists.mean() / diag)
             if residual < best_residual:
                 best, best_residual = current, residual
+            trend.append(best_residual)
+        else:
+            dists, idx = tree.query(reflect_points(points, current))
+            score = float(dists.mean() / diag)
+            trend.append(min(score, trend[-1]) if trend else score)
         # one entry per iteration: the best full-sample score, nonincreasing
         history.append(best_residual)
-        if phase == "finish":
-            trend, allowance = history, 1.0
-        elif phase == "subset" and len(subset_scores) > 1:
-            trend, allowance = subset_scores, ICP_SUBSET_DROP_ALLOWANCE
-        else:
-            trend = None
-        if trend is not None and best_residual > config.accept_residual:
+        if len(trend) > 1 and best_residual > config.accept_residual:
             # hopeless: gaining the allowed drop on each score left stays rejected
             drop = allowance * (trend[-2] - trend[-1])
             if trend[-1] - (config.icp_max_iters - iteration) * drop > config.accept_residual:
@@ -404,15 +400,15 @@ def refine_plane_icp(samples: SurfaceSamples, plane: SymmetryPlane, config: Dete
         offset = float(normal @ (0.5 * (p + q)).mean(axis=0))
         converged = sym_angle_deg(normal, current.normal) < ICP_CONVERGE_DEG
         current = SymmetryPlane(normal, offset)
-        if phase != "subset" and (converged or iteration == last):
+        if full and (converged or iteration == last):
             final_residual = score_plane(samples, current, tree=tree)
             if final_residual < best_residual:
                 best, best_residual = current, final_residual
             break
-        if phase == "first" and last >= 2:
-            phase, points = "subset", pts[_icp_subset(tree, config.seed)]
-        elif phase == "first" or (phase == "subset" and (converged or iteration == last - 1)):
-            phase, points = "finish", pts
+        if iteration == 0 and last >= 2:
+            points, trend, allowance = pts[_icp_subset(tree, config.seed)], [], ICP_SUBSET_DROP_ALLOWANCE
+        elif not full and (converged or iteration == last - 1):
+            points, trend, allowance = pts, [best_residual], 1.0
     history.append(best_residual)
     refined = SymmetryPlane(best.normal, best.offset, best_residual)
     return (refined, history) if return_history else refined
@@ -481,14 +477,10 @@ def read_planes(path) -> list[SymmetryPlane]:
     """The planes of a file write_planes wrote; a line that is not five
     numbers making a valid plane is an InputError naming the file and line."""
     planes = []
-    with util.open_text(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            try:
-                nx, ny, nz, b, residual = (float(tok) for tok in line.split())
-                planes.append(SymmetryPlane(np.array([nx, ny, nz]), b, residual))
-            except ValueError as exc:
-                raise InputError(f"{path}: line {lineno}: {exc}") from None
+    for lineno, line in util.data_lines(path):
+        try:
+            nx, ny, nz, b, residual = (float(tok) for tok in line.split())
+            planes.append(SymmetryPlane(np.array([nx, ny, nz]), b, residual))
+        except ValueError as exc:
+            raise InputError(f"{path}: line {lineno}: {exc}") from None
     return planes

@@ -37,13 +37,23 @@ def derive_seed(seed, *tags):
 
 @contextlib.contextmanager
 def open_text(path):
-    """Open a UTF-8 text file for reading; text that does not decode raises
-    InputError naming the file."""
-    with open(path, "r", encoding="utf-8") as fh:
+    """Open a UTF-8 text file for reading, less a leading byte-order mark;
+    text that does not decode raises InputError naming the file."""
+    with open(path, "r", encoding="utf-8-sig") as fh:
         try:
             yield fh
         except UnicodeDecodeError as exc:
             raise InputError(f"{path}: {exc}") from None
+
+
+def data_lines(path):
+    """(line number, stripped line) of each line of a text file that is
+    neither blank nor a '#' comment."""
+    with open_text(path) as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.strip()
+            if line and not line.startswith("#"):
+                yield lineno, line
 
 
 @contextlib.contextmanager

@@ -836,7 +836,7 @@ def test_eval_normals_peak_memory_is_bounded_by_the_largest_category(tmp_path, t
     pred_dir = tmp_path / "pred"
     pred_dir.mkdir()
     tilted = np.tile(np.array([0.0, 0.6, 0.8], dtype=np.float32), (64, 64, 1))
-    n, categories = 16, ("a", "b", "c", "d")
+    n, categories = 16, ("bag", "bed", "bowl", "mug")
 
     def rows_in(categories):
         rows = []
@@ -849,7 +849,7 @@ def test_eval_normals_peak_memory_is_bounded_by_the_largest_category(tmp_path, t
                                             image_id=image_id))
         return rows
 
-    one = _manifest_of(out, rows_in(["a"] * n), "one.tsv")
+    one = _manifest_of(out, rows_in(["bag"] * n), "one.tsv")
     four = _manifest_of(out, rows_in(categories * n), "four.tsv")
 
     def argv(manifest, name):
@@ -859,6 +859,34 @@ def test_eval_normals_peak_memory_is_bounded_by_the_largest_category(tmp_path, t
     one_peak = _traced_peak(argv(one, "one"))
     four_peak = _traced_peak(argv(four, "four"))
     assert four_peak < 1.4 * one_peak, (one_peak, four_peak)
+
+
+@pytest.mark.parametrize("command", ["eval-sym", "eval-normals", "baseline"])
+def test_manifest_category_outside_the_registry_is_an_input_error(tmp_path, toy_build, capsys,
+                                                                  command):
+    """Rows relabelled to a category outside the 57 would be scored and
+    reported under it, with no curve file for it: each eval rejects the
+    manifest, naming the first such row's line, and writes nothing."""
+    _, _, out = toy_build
+    _, records = read_manifest(out / "manifest.tsv")
+    rows = []
+    for r in records:
+        if r.model_id == records[0].model_id:
+            image_id = r.image_id.replace("airplane/", "macro/", 1)
+            (out / image_id).parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy(out / f"{r.image_id}_normal.pfm", out / f"{image_id}_normal.pfm")
+            r = dataclasses.replace(r, category="macro", image_id=image_id)
+        rows.append(r)
+    manifest = _manifest_of(out, rows, "macro.tsv")
+    (tmp_path / "preds.tsv").write_text("")
+    result = tmp_path / "result"
+    argv = {"eval-sym": ["eval-sym", str(manifest), str(tmp_path / "preds.tsv"), "--out-dir"],
+            "eval-normals": ["eval-normals", str(manifest), str(out), "--out-dir"],
+            "baseline": ["baseline", str(manifest), "--out"]}[command] + [str(result)]
+    assert main(argv) == 2
+    assert f"{manifest}: line 5: category 'macro' is not one of the 57 categories" \
+        in capsys.readouterr().err
+    assert not result.exists()
 
 
 def test_eval_sym_huge_coordinate_is_one_error_line(tmp_path, toy_build):
@@ -991,6 +1019,13 @@ def test_config_unknown_key_rejected(tmp_path, cuboid_obj):
     rc = main(["detect", str(cuboid_obj), "--out", str(tmp_path / "o.txt"),
                "--config", str(cfg)])
     assert rc == 2
+
+
+def test_config_with_a_byte_order_mark_reads_its_first_key(tmp_path):
+    cfg = tmp_path / "bom.cfg"
+    cfg.write_bytes("\ufeffseed = 3\n".encode("utf-8"))
+    from symnorm.config import RunConfig
+    assert RunConfig.from_file(cfg).seed == 3
 
 
 # former config keys, now constants named like them: a config file restating

@@ -349,16 +349,17 @@ def test_build_skips_a_model_no_manifest_row_can_hold(tmp_path, monkeypatch, cap
 
 @pytest.mark.parametrize("cpus", [2, 1])
 def test_build_skips_a_model_whose_id_is_a_dot_name(tmp_path, monkeypatch, caplog, cpus):
-    """'..obj' and '...obj' have the ids '.' and '..': their files would land
-    in the category directory and in the output directory, where every
-    category's would overwrite each other's.  Both are skipped, in job
-    order, and nothing is written outside a model directory."""
+    """'.obj', '..obj' and '...obj' have the ids '', '.' and '..': their
+    files would land in the category directory and in the output directory,
+    where every category's would overwrite each other's.  All three are
+    skipped, in job order, with a warning naming the file itself, and
+    nothing is written outside a model directory."""
     monkeypatch.setattr(util, "usable_cpu_count", lambda: cpus)
     stub_detection(monkeypatch)
     corpus = tmp_path / "corpus"
     for category in ("bag", "bed"):
         (corpus / category).mkdir(parents=True)
-        for name in (".", "..", "plain"):
+        for name in ("", ".", "..", "plain"):
             (corpus / category / f"{name}.obj").write_text(
                 serialize_obj(shapes.cuboid(1.0, 1.5, 2.0)))
     out = tmp_path / "out"
@@ -368,7 +369,7 @@ def test_build_skips_a_model_whose_id_is_a_dot_name(tmp_path, monkeypatch, caplo
     skips = [m for m in caplog.messages if m.startswith("skipping ")]
     assert [m.split(": ")[0] for m in skips] == [
         f"skipping {corpus / category}/{name}.obj" for category in ("bag", "bed")
-        for name in (".", "..")]
+        for name in ("", ".", "..")]
     assert sorted(p.relative_to(out).as_posix() for p in out.rglob("*") if p.is_file()) == [
         f"{category}/plain/{name}" for category in ("bag", "bed")
         for name in ("planes.txt", "v000_labels.pgm", "v000_normal.pfm")] + ["manifest.tsv"]
@@ -468,6 +469,8 @@ def row(pose="0.0,0.0,0.0", category="airplane", normal=None, model="m0", image=
      "normal_map_path 'airplane/m0/v001_normal.pfm' is not airplane/m0/v000_normal.pfm"),
     ([row(), row(model="m1")], 6, "image id 'airplane/m0/v000' is not airplane/m1/v###"),
     ([row(category="chair")], 5, "image id 'airplane/m0/v000' is not chair/m0/v###"),
+    ([row(category="macro", image="macro/m0/v000")], 5,
+     "category 'macro' is not one of the 57 categories"),
     *(([row(image=f"airplane/m0/{view}")], 5,
        f"image id 'airplane/m0/{view}' is not airplane/m0/v###")
       for view in ("v00", "v0001", "v", "v12a", "v-01", "v\u0661\u0662\u0663", "x000", "v000/v000")),
@@ -477,6 +480,7 @@ def row(pose="0.0,0.0,0.0", category="airplane", normal=None, model="m0", image=
         "inf-elevation", "nan-azimuth", "inf-cyclo", "empty-category", "dot-category",
         "dotdot-category", "escaping-category", "slash-category", "backslash-category",
         "nul-category", "mismatched-normal-path", "another-model", "another-category",
+        "unregistered-category",
         "two-digit-view", "padded-view", "no-view", "letter-in-view", "signed-view",
         "non-ascii-digits", "no-v", "nested-view", "empty-model", "dot-model", "dotdot-model",
         "slash-model", "backslash-model", "nul-model"])

@@ -107,6 +107,16 @@ def test_serialize_roundtrip_is_bitwise():
     assert np.array_equal(again.faces, jittered.faces)
 
 
+@pytest.mark.parametrize("tail", ["", "v 10 10 10\n"], ids=["plain", "unused-vertex"])
+def test_leading_byte_order_mark_is_ignored(tail):
+    """A UTF-8 byte-order mark is not part of the first line: the first vertex
+    is kept, so the faces index the vertices they name."""
+    cuboid = shapes.cuboid()
+    mesh = parse_obj(("\ufeff" + serialize_obj(cuboid) + tail).encode("utf-8"))
+    assert mesh.vertices.tobytes() == cuboid.vertices.tobytes()
+    assert mesh.faces.tobytes() == cuboid.faces.tobytes()
+
+
 def test_single_triangle_samples_lie_on_it():
     mesh = shapes.single_triangle()
     s = sample_surface(mesh, 100, seed=3)

@@ -11,7 +11,12 @@ import cluster_oracle
 import icp_oracle
 import shapes
 from symnorm import symmetry
-from symnorm.errors import InputError, InsufficientGeometryError
+from symnorm.errors import (
+    DegenerateCorrespondencesError,
+    InputError,
+    InsufficientGeometryError,
+    RefinementDivergedError,
+)
 from symnorm.mesh_io import SurfaceSamples, TriangleMesh, sample_surface
 from symnorm.orientation import canonical_sign, euler_to_rotation
 from symnorm.config import DetectorConfig
@@ -383,6 +388,31 @@ def test_icp_stops_only_refinements_that_end_rejected():
         assert history[i] - (cfg.icp_max_iters - i) * (history[i - 1] - history[i]) > cfg.accept_residual
         assert refined.residual == history[-1] > cfg.accept_residual
     assert stopped >= len(hypotheses) // 2
+
+
+def refinement_outcome(refine, samples, hypothesis, config, tree):
+    try:
+        refined, history = refine(samples, hypothesis, config, return_history=True, tree=tree)
+    except (RefinementDivergedError, DegenerateCorrespondencesError) as exc:
+        return type(exc)
+    return plane_bytes(refined), history
+
+
+@pytest.mark.parametrize("mesh", [shapes.cuboid, shapes.asymmetric_tetrahedron])
+def test_icp_matches_the_oracle_at_the_smallest_budgets(mesh):
+    """With one or two iterations there is no subset phase, with three the
+    subset runs once, with four twice: with the trend stop off, each budget
+    gives the oracle's exceptions, planes and histories.  The ten most-voted
+    hypotheses keep it to a few seconds; on both meshes the tenth converges
+    at its first iteration."""
+    samples = sample_surface(mesh(), shapes.SUITE_CONFIG.sample_count, shapes.SUITE_CONFIG.seed)
+    hypotheses = generate_hypotheses(samples, shapes.SUITE_CONFIG)[:10]
+    tree = cKDTree(samples.points)
+    for iters in (1, 2, 3, 4):
+        cfg = replace(shapes.SUITE_CONFIG, icp_max_iters=iters, accept_residual=1e3)
+        for hypothesis in hypotheses:
+            assert refinement_outcome(refine_plane_icp, samples, hypothesis, cfg, tree) == \
+                refinement_outcome(icp_oracle.refine_plane_icp, samples, hypothesis, cfg, tree)
 
 
 def test_icp_history_counts_iterations_on_every_exit(monkeypatch):
