@@ -11,7 +11,7 @@ import os
 # environment is kept.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-from .config import CameraIntrinsics, DetectorConfig
+from .config import RunConfig
 from .evaluation import (
     NormalMetrics,
     PRCurve,

@@ -1,8 +1,8 @@
 """Every run setting: the detector's, the camera's and the run's keys, their
 defaults and the rules their values must keep.
 
-A RunConfig is itself the DetectorConfig and the CameraIntrinsics of a run,
-so the config file and the CLI flags share one key space.
+One RunConfig holds them all, so the config file and the CLI flags share one
+key space and one check.
 """
 
 from __future__ import annotations
@@ -36,10 +36,11 @@ def check_codebook(name: str, K: int, support: str) -> None:
 
 
 @dataclass(frozen=True)
-class DetectorConfig:
-    """Knobs of the detection pipeline; fractional thresholds are in units of
-    the mesh bbox diagonal."""
+class RunConfig:
+    """Every setting of a run; fractional detector thresholds are in units
+    of the mesh bbox diagonal."""
 
+    # detector
     sample_count: int = 4000
     pair_count: int = 20000
     cluster_offset_frac: float = 0.05
@@ -47,26 +48,9 @@ class DetectorConfig:
     icp_max_iters: int = 30
     accept_residual: float = 0.02
     seed: int = 0
-
-    def __post_init__(self):
-        positive = (self.sample_count, self.pair_count, self.cluster_offset_frac,
-                    self.max_hypotheses, self.icp_max_iters, self.accept_residual)
-        if any(not v > 0 for v in positive):
-            raise ValueError("all detector thresholds must be strictly positive")
-
-
-@dataclass(frozen=True)
-class CameraIntrinsics:
+    # camera
     width: int = 224
     height: int = 224
-
-    def __post_init__(self):
-        if self.width < 1 or self.height < 1:
-            raise ValueError("image dimensions must be at least 1x1")
-
-
-@dataclass(frozen=True)
-class RunConfig(DetectorConfig, CameraIntrinsics):
     # codebooks and views
     codebook_k: int = 10
     codebook_support: str = HORIZONTAL_CIRCLE
@@ -78,8 +62,12 @@ class RunConfig(DetectorConfig, CameraIntrinsics):
     theta_deg: float = 10.0
 
     def __post_init__(self):
-        DetectorConfig.__post_init__(self)
-        CameraIntrinsics.__post_init__(self)
+        positive = (self.sample_count, self.pair_count, self.cluster_offset_frac,
+                    self.max_hypotheses, self.icp_max_iters, self.accept_residual)
+        if any(not v > 0 for v in positive):
+            raise ValueError("all detector thresholds must be strictly positive")
+        if self.width < 1 or self.height < 1:
+            raise ValueError("image dimensions must be at least 1x1")
         if self.seed < 0:
             raise ValueError("seed must be nonnegative")
         check_codebook("codebook", self.codebook_k, self.codebook_support)

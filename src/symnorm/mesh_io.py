@@ -100,17 +100,6 @@ def face_areas(mesh: TriangleMesh) -> np.ndarray:
     return 0.5 * np.linalg.norm(np.cross(b - a, c - a), axis=1)
 
 
-def face_normals(mesh: TriangleMesh) -> np.ndarray:
-    """Unit face normals oriented by vertex winding; zero for degenerate faces."""
-    a, b, c = face_corners(mesh)
-    n = np.cross(b - a, c - a)
-    length = np.linalg.norm(n, axis=1)
-    ok = length > 0.0
-    n[ok] /= length[ok, None]
-    n[~ok] = 0.0
-    return n
-
-
 def _resolve_index(token: str, declared: int, line: int) -> int:
     base = token.split("/")[0]
     try:
@@ -186,7 +175,10 @@ def sample_surface(mesh: TriangleMesh, count: int, seed: int) -> SurfaceSamples:
     """
     if count < 0:
         raise ValueError("count must be nonnegative")
-    areas = face_areas(mesh)
+    a, b, c = face_corners(mesh)
+    cross = np.cross(b - a, c - a)
+    length = np.linalg.norm(cross, axis=1)
+    areas = 0.5 * length
     usable = np.flatnonzero(areas > 0.0)
     if usable.size == 0:
         raise NoSamplableAreaError("all faces are degenerate")
@@ -201,7 +193,6 @@ def sample_surface(mesh: TriangleMesh, count: int, seed: int) -> SurfaceSamples:
     over = u + v > 1.0
     u[over] = 1.0 - u[over]
     v[over] = 1.0 - v[over]
-    a, b, c = face_corners(mesh)
     pts = a[chosen] + u[:, None] * (b[chosen] - a[chosen]) + v[:, None] * (c[chosen] - a[chosen])
-    normals = face_normals(mesh)[chosen]
+    normals = cross[chosen] / length[chosen, None]  # unit, oriented by winding
     return SurfaceSamples(pts, normals, chosen, mesh.bbox_diagonal)

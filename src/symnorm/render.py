@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import imgfmt, util
-from .config import CameraIntrinsics
+from .config import RunConfig
 from .errors import GeometryError
 from .mesh_io import TriangleMesh
 from .orientation import HEMISPHERE, OrientationCodebook, ViewPose, bin_orientations, row_norms, unit_mask
@@ -117,7 +117,7 @@ AUTO_FRAME_MARGIN = 1.1  # camera distance over the one at which the bounding sp
 FOV_Y_DEG = 30.0  # the camera's vertical field of view
 
 
-def frame_camera(mesh: TriangleMesh, pose: ViewPose, cam: CameraIntrinsics) -> CameraFrame:
+def frame_camera(mesh: TriangleMesh, pose: ViewPose, cam: RunConfig) -> CameraFrame:
     """Auto-framing camera placement for the rotated mesh."""
     rotated = mesh.vertices @ pose.rotation.T
     center = 0.5 * (rotated.min(axis=0) + rotated.max(axis=0))
@@ -208,7 +208,7 @@ def _blocks(lo, hi):
                            min(rows, height - top), min(cols, width - left))
 
 
-def rasterize(mesh: TriangleMesh, pose: ViewPose, cam: CameraIntrinsics | None = None) -> NormalMap:
+def rasterize(mesh: TriangleMesh, pose: ViewPose, cam: RunConfig | None = None) -> NormalMap:
     """Z-buffered flat-shaded render of camera-frame normals.
 
     The z-buffer holds each pixel's depth, the distance along the view
@@ -223,7 +223,7 @@ def rasterize(mesh: TriangleMesh, pose: ViewPose, cam: CameraIntrinsics | None =
     difference of a per-row and a per-column term, the same two products
     as per pixel, and depth is found only for covered candidates.
     """
-    cam = cam if cam is not None else CameraIntrinsics()
+    cam = cam if cam is not None else RunConfig()
     frame = frame_camera(mesh, pose, cam)
     verts = mesh.vertices @ pose.rotation.T - frame.center
     verts[:, 2] -= frame.distance

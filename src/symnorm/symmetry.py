@@ -17,7 +17,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from . import util
-from .config import DetectorConfig
+from .config import RunConfig
 from .errors import (
     DegenerateCorrespondencesError,
     InputError,
@@ -48,6 +48,8 @@ class SymmetryPlane:
         n = unit_rows(n)[0]
         canon = canonical_sign(n)
         b = float(self.offset)
+        if not math.isfinite(b):
+            raise ValueError("plane offset must be finite")
         if float(canon @ n) < 0.0:
             b = -b  # flipping the normal names the same plane with negated offset
         if not self.residual >= 0.0:
@@ -71,7 +73,7 @@ def reflect_points(points, plane: SymmetryPlane) -> np.ndarray:
 PAIR_NORMAL_TOL_DEG = 15.0
 
 
-def generate_hypotheses(samples: SurfaceSamples, config: DetectorConfig) -> list[SymmetryPlane]:
+def generate_hypotheses(samples: SurfaceSamples, config: RunConfig) -> list[SymmetryPlane]:
     """Vote planes from random point pairs and cluster the votes greedily.
 
     Each ordered pair (p, q) with reflection-compatible surface normals
@@ -305,7 +307,7 @@ ICP_REJECT_FRAC = 0.05  # ICP drops matches farther apart than this much of the 
 ICP_CONVERGE_DEG = 0.1  # a refit that moves the normal less than this has converged
 
 
-def refine_plane_icp(samples: SurfaceSamples, plane: SymmetryPlane, config: DetectorConfig,
+def refine_plane_icp(samples: SurfaceSamples, plane: SymmetryPlane, config: RunConfig,
                      return_history: bool = False, tree: cKDTree | None = None):
     """ICP between original and reflected samples with a closed-form refit.
 
@@ -428,7 +430,7 @@ def dedupe_planes(planes, angle_deg: float) -> list[SymmetryPlane]:
 DEDUPE_ANGLE_DEG = 10.0  # of accepted planes this close, detection keeps the best-scored
 
 
-def detect_symmetries(mesh: TriangleMesh, config: DetectorConfig | None = None) -> list[SymmetryPlane]:
+def detect_symmetries(mesh: TriangleMesh, config: RunConfig | None = None) -> list[SymmetryPlane]:
     """Full pipeline; returns deduped planes with residual <= accept_residual.
 
     An empty list (no error) means no plane passed acceptance.  Each
@@ -446,7 +448,7 @@ def detect_symmetries(mesh: TriangleMesh, config: DetectorConfig | None = None) 
     the same tree, and they are collected in hypothesis order, so output is
     identical to the sequential pipeline.
     """
-    cfg = config if config is not None else DetectorConfig()
+    cfg = config if config is not None else RunConfig()
     samples = sample_surface(mesh, cfg.sample_count, cfg.seed)
     hypotheses = generate_hypotheses(samples, cfg)
     tree = _kd_tree(samples.points)

@@ -9,7 +9,7 @@ index wins ties; each pixel records the index of the face drawn there.
 
 import numpy as np
 
-from symnorm.config import CameraIntrinsics
+from symnorm.config import RunConfig
 from symnorm.render import NormalMap, frame_camera
 
 
@@ -22,7 +22,7 @@ def _edge_includes_boundary(a, b):
 
 
 def rasterize(mesh, pose, cam=None):
-    cam = cam if cam is not None else CameraIntrinsics()
+    cam = cam if cam is not None else RunConfig()
     frame = frame_camera(mesh, pose, cam)
     verts = mesh.vertices @ pose.rotation.T - frame.center
     verts[:, 2] -= frame.distance

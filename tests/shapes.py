@@ -14,10 +14,10 @@ while true mirror peaks stay intact).
 import numpy as np
 
 from symnorm.mesh_io import TriangleMesh
-from symnorm.config import DetectorConfig
+from symnorm.config import RunConfig
 
-SUITE_CONFIG = DetectorConfig(sample_count=8000, accept_residual=0.0088,
-                              cluster_offset_frac=0.015)
+SUITE_CONFIG = RunConfig(sample_count=8000, accept_residual=0.0088,
+                         cluster_offset_frac=0.015)
 
 
 def cuboid(sx=2.0, sy=3.0, sz=5.0, center=(0.0, 0.0, 0.0)):
@@ -77,6 +77,29 @@ def hexagonal_prism(circumradius=1.0, height=1.5):
         faces.append((i, 6 + i, 6 + j))
         faces.append((i, 6 + j, j))
     return TriangleMesh(verts, np.array(faces))
+
+
+def open_cuboid():
+    """The cuboid with its top (z = +hz) quad removed: an open shell whose
+    mirror planes are x = 0 and y = 0."""
+    mesh = cuboid()
+    return TriangleMesh(mesh.vertices, np.delete(mesh.faces, [2, 3], axis=0))
+
+
+def open_prism():
+    """The hexagonal prism with its bottom cap removed: an open shell whose
+    mirror planes are the six vertical ones."""
+    mesh = hexagonal_prism()
+    return TriangleMesh(mesh.vertices, np.delete(mesh.faces, [4, 5, 6, 7], axis=0))
+
+
+def flip_winding(mesh, seed):
+    """The mesh with a seeded subset of about half its faces wound the other
+    way round, as in shells whose faces disagree on their outside."""
+    flip = np.random.default_rng(seed).random(len(mesh.faces)) < 0.5
+    faces = mesh.faces.copy()
+    faces[flip] = faces[flip][:, ::-1]
+    return TriangleMesh(mesh.vertices, faces)
 
 
 def asymmetric_tetrahedron():
@@ -161,6 +184,14 @@ def hexagonal_prism_plane_normals():
     az = np.radians(np.arange(6) * 30.0)
     vertical = np.column_stack([np.cos(az), np.sin(az), np.zeros(6)])
     return np.vstack([vertical, [0.0, 0.0, 1.0]])
+
+
+def open_cuboid_plane_normals():
+    return np.eye(3)[:2]
+
+
+def open_prism_plane_normals():
+    return hexagonal_prism_plane_normals()[:6]
 
 
 def mirrored_cloud(rng, n=600, spread=1.0):

@@ -11,7 +11,7 @@ from scipy.stats import chisquare, qmc
 import shapes
 from ap_oracle import oracle_ap
 from symnorm.cli import main
-from symnorm.config import CameraIntrinsics, DetectorConfig
+from symnorm.config import RunConfig
 from symnorm.dataset import read_manifest
 from symnorm.evaluation import ap_symmetry, normal_metrics
 from symnorm.mesh_io import SurfaceSamples, TriangleMesh, serialize_obj
@@ -76,7 +76,7 @@ def test_criterion_1_synthetic_symmetry_suite():
 
 
 def test_criterion_2_icp_convergence():
-    cfg = DetectorConfig()
+    cfg = RunConfig()
     hits = 0
     worst = 0.0
     for case in range(100):
@@ -131,7 +131,7 @@ def test_criterion_4_rasterizer_oracles():
     # icosphere against the analytic ray-sphere normal oracle at 224^2
     mesh = shapes.icosphere(3, radius=1.0)
     pose = ViewPose(25.0, 10.0, 5.0)
-    cam = CameraIntrinsics()
+    cam = RunConfig()
     nm = rasterize(mesh, pose, cam)
     frame = frame_camera(mesh, pose, cam)
     ys, xs = np.nonzero(nm.mask)
@@ -158,7 +158,7 @@ def test_criterion_4_rasterizer_oracles():
         [-0.75, -0.6, -0.12], [0.8, -0.72, 0.55], [-0.1, 0.9, 0.2],
     ])
     duo = TriangleMesh(verts, np.array([(0, 1, 2), (3, 4, 5)]))
-    cam16 = CameraIntrinsics(width=16, height=16)
+    cam16 = RunConfig(width=16, height=16)
     pose0 = ViewPose(0.0, 0.0, 0.0)
     zmap = rasterize(duo, pose0, cam16)
     frame = frame_camera(duo, pose0, cam16)
@@ -219,7 +219,7 @@ def test_criterion_5_quantization_bound():
 
     # per-pixel round trip respects the same bound on a real render
     nm = rasterize(shapes.icosphere(2), ViewPose(40.0, 25.0, 10.0),
-                   CameraIntrinsics(width=96, height=96))
+                   RunConfig(width=96, height=96))
     back = labels_to_normals(discretize_normal_map(nm, codebook), codebook)
     dots = np.einsum("ij,ij->i", nm.normals[nm.mask], back.normals[nm.mask])
     per_pixel = np.degrees(np.arccos(np.clip(dots, -1.0, 1.0))).max()

@@ -17,7 +17,7 @@ import shapes
 import symnorm
 from symnorm import cli, render, symmetry
 from symnorm.cli import main, read_predictions, write_predictions
-from symnorm.config import CameraIntrinsics
+from symnorm.config import RunConfig
 from symnorm.dataset import read_manifest, write_manifest
 from symnorm.imgfmt import read_pfm, read_pgm16, write_pfm, write_pgm16
 from symnorm.mesh_io import serialize_obj
@@ -168,7 +168,7 @@ def test_render_at_the_largest_codebook_stays_small_and_matches_the_oracle(tmp_p
         tracemalloc.stop()
     assert peak < 16 * 2 ** 20
     labels = read_pgm16(f"{prefix}_labels.pgm")
-    nm = rasterize(symnorm.parse_obj_file(cuboid_obj), ViewPose(30.0, 20.0, 5.0), CameraIntrinsics())
+    nm = rasterize(symnorm.parse_obj_file(cuboid_obj), ViewPose(30.0, 20.0, 5.0), RunConfig())
     codebook = OrientationCodebook(65535, HEMISPHERE)
     assert nm.mask.sum() > 10000 and len(np.unique(labels)) > 2
     assert np.array_equal(labels, label_oracle.discretize_normal_map(nm, codebook).labels)
@@ -206,7 +206,6 @@ def test_build_missing_corpus_root_exits_2_and_makes_no_out_dir(tmp_path, capsys
 
 @pytest.mark.parametrize("command", ["render", "build"])
 def test_normal_codebook_above_16_bits_exits_2_before_any_file(tmp_path, cuboid_obj, capsys, command):
-    from symnorm.config import RunConfig
     if command == "render":
         argv = [command, str(cuboid_obj), "--out", str(tmp_path / "view"), "--codebook-k", "70000"]
     else:
@@ -1024,7 +1023,6 @@ def test_config_unknown_key_rejected(tmp_path, cuboid_obj):
 def test_config_with_a_byte_order_mark_reads_its_first_key(tmp_path):
     cfg = tmp_path / "bom.cfg"
     cfg.write_bytes("\ufeffseed = 3\n".encode("utf-8"))
-    from symnorm.config import RunConfig
     assert RunConfig.from_file(cfg).seed == 3
 
 
@@ -1041,6 +1039,8 @@ REMOVED_KEYS = [(command, f"{name.lower()} = {getattr(module, name)}\n", [])
     ("detect", "sample_count = 100\nwat = 7\n", []),
     ("detect", "sample_count = 0\n", []),
     ("detect", "seed = 1\nseed = 2\n", []),
+    ("detect", "seed = -1\n", []),
+    ("detect", "", ["--seed", "-1"]),
     ("render", "width = 0\n", []),
     ("render", "", ["--width", "0"]),
     ("build", "view_setting = V_X\n", []),
@@ -1048,7 +1048,8 @@ REMOVED_KEYS = [(command, f"{name.lower()} = {getattr(module, name)}\n", [])
     ("build", "codebook_k = 65536\n", []),
     ("eval-normals", "wat = 7\n", []),
     *REMOVED_KEYS,
-], ids=["unknown-key", "zero-samples", "repeated-key", "zero-width", "zero-width-flag",
+], ids=["unknown-key", "zero-samples", "repeated-key", "negative-seed", "negative-seed-flag",
+        "zero-width", "zero-width-flag",
         "unknown-view-setting", "hemisphere-support", "codebook-k-above-65535",
         "eval-normals-unknown-key",
         "removed-dedupe-angle", "removed-icp-reject-frac", "removed-cluster-angle",
@@ -1074,6 +1075,8 @@ def test_config_rejected_before_any_output(tmp_path, cuboid_obj, capsys, request
     assert err.startswith("error: ")
     if request.node.callspec.id.startswith("removed-"):
         assert f"unknown key {config.split(' =')[0]!r}" in err
+    if request.node.callspec.id.startswith("negative-seed"):
+        assert "seed must be nonnegative" in err
     assert not out.exists()
 
 
@@ -1257,7 +1260,6 @@ def test_write_failure_names_target_path(tmp_path, cuboid_obj, capsys):
 
 
 def test_flags_override_config(tmp_path):
-    from symnorm.config import RunConfig
     cfg = tmp_path / "c.cfg"
     cfg.write_text("seed = 3\nwidth = 100\n# comment\n")
     base = RunConfig.from_file(cfg)
@@ -1269,7 +1271,6 @@ def test_flags_override_config(tmp_path):
 def test_readme_defaults_table_matches_run_config():
     from dataclasses import fields
 
-    from symnorm.config import RunConfig
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     table = readme.split("## Configuration keys and defaults", 1)[1].split("\n\n")[1]
     casts = {"int": int, "float": float, "str": str}

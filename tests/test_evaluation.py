@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 import shapes
 from ap_oracle import oracle_ap
-from symnorm.config import CameraIntrinsics
+from symnorm.config import RunConfig
 from symnorm.errors import NoForegroundError, UndefinedAPError
 from symnorm.evaluation import (
     aggregate_by_category,
@@ -249,7 +249,7 @@ def test_metrics_dimension_mismatch_and_empty():
 
 def test_view_axis_rotation_against_per_pixel_oracle():
     mesh = shapes.icosphere(2)
-    nm = rasterize(mesh, ViewPose(15.0, 20.0, 0.0), CameraIntrinsics(width=96, height=96))
+    nm = rasterize(mesh, ViewPose(15.0, 20.0, 0.0), RunConfig(width=96, height=96))
     alpha = np.radians(12.0)
     rot = np.array([[np.cos(alpha), -np.sin(alpha), 0.0],
                     [np.sin(alpha), np.cos(alpha), 0.0],

@@ -5,8 +5,10 @@ icosphere, under both view settings; scores each build with eval-sym on
 the baseline's predictions and with eval-normals on the build's own label
 maps; and compares the sha256 of every file the run leaves (corpus, build,
 predictions, reports) with the checked-in golden file.  The golden file
-records the Python, numpy and scipy versions it was made with, so a
-mismatch names both environments.
+records the Python, numpy and scipy versions it was made with.  The digests
+also depend on the OpenBLAS kernel and numpy's SIMD level (see the README),
+which CI prints next to the versions, so a mismatch can be read against
+both environments.
 
 A change that alters output bytes on purpose regenerates the golden file
 with `PYTHONPATH=src python tests/test_golden.py` and names the files that

@@ -4,7 +4,7 @@ from scipy.spatial import cKDTree
 from scipy.stats import chisquare
 
 import shapes
-from symnorm.config import CameraIntrinsics, DetectorConfig
+from symnorm.config import RunConfig
 from symnorm.errors import EmptyMeshError, GeometryError, MeshParseError, NoSamplableAreaError
 from symnorm.mesh_io import (
     TriangleMesh,
@@ -209,8 +209,8 @@ def test_unreferenced_vertices_change_nothing():
     cuboid = shapes.cuboid()
     padded = TriangleMesh(np.vstack([cuboid.vertices, [[30.0, 0.0, 0.0]]]), cuboid.faces)
     parsed = parse_obj(serialize_obj(cuboid) + "v 30 0 0\n")
-    config = DetectorConfig(max_hypotheses=8)
-    pose, cam = ViewPose(30.0, 10.0, 0.0), CameraIntrinsics(width=64, height=64)
+    config = RunConfig(max_hypotheses=8)
+    pose, cam = ViewPose(30.0, 10.0, 0.0), RunConfig(width=64, height=64)
 
     def outputs(mesh):
         nm = rasterize(mesh, pose, cam)

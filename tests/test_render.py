@@ -6,7 +6,7 @@ import pytest
 import label_oracle
 import raster_oracle
 import shapes
-from symnorm.config import CameraIntrinsics
+from symnorm.config import RunConfig
 from symnorm.errors import GeometryError
 from symnorm.mesh_io import TriangleMesh, parse_obj
 from symnorm.orientation import HEMISPHERE, OrientationCodebook, ViewPose
@@ -43,7 +43,7 @@ def pixel_rays(frame, mask):
 
 
 def test_frontal_square_constant_normal():
-    nm = rasterize(frontal_square(), FRONTAL, CameraIntrinsics(width=64, height=64))
+    nm = rasterize(frontal_square(), FRONTAL, RunConfig(width=64, height=64))
     assert nm.mask.any() and not nm.mask.all()
     fg = nm.normals[nm.mask]
     assert np.all(fg == np.array([0.0, 0.0, 1.0]))
@@ -54,8 +54,8 @@ def test_frontal_square_constant_normal():
 def test_rasterize_deterministic():
     mesh = shapes.icosphere(2)
     pose = ViewPose(33.0, 12.0, -7.0)
-    a = rasterize(mesh, pose, CameraIntrinsics(width=96, height=96))
-    b = rasterize(mesh, pose, CameraIntrinsics(width=96, height=96))
+    a = rasterize(mesh, pose, RunConfig(width=96, height=96))
+    b = rasterize(mesh, pose, RunConfig(width=96, height=96))
     assert np.array_equal(a.normals, b.normals)
     assert np.array_equal(a.face_ids, b.face_ids)
     assert np.array_equal(a.mask, b.mask)
@@ -72,7 +72,7 @@ def test_degenerate_bounds_rejected_at_construction():
 
 def test_front_facing_and_consistency_many_poses():
     rng = np.random.default_rng(0)
-    cam = CameraIntrinsics(width=48, height=48)
+    cam = RunConfig(width=48, height=48)
     meshes = [shapes.cuboid(), shapes.icosphere(1), shapes.asymmetric_tetrahedron()]
     codebook = OrientationCodebook(60, HEMISPHERE)
     for i in range(1000):
@@ -94,7 +94,7 @@ def test_zbuffer_matches_ray_casting():
         [-0.75, -0.6, -0.12], [0.8, -0.72, 0.55], [-0.1, 0.9, 0.2],
     ])
     mesh = TriangleMesh(verts, np.array([(0, 1, 2), (3, 4, 5)]))
-    cam = CameraIntrinsics(width=16, height=16)
+    cam = RunConfig(width=16, height=16)
     nm = rasterize(mesh, FRONTAL, cam)
     frame = frame_camera(mesh, FRONTAL, cam)
     cam_verts = mesh.vertices @ FRONTAL.rotation.T - frame.center
@@ -137,7 +137,7 @@ def test_no_double_coverage_on_shared_edge():
     # two triangles sharing an edge: the fill rule must assign every pixel
     # to exactly one of them, with no seam gaps inside the quad
     mesh = frontal_square(1.0)
-    nm = rasterize(mesh, FRONTAL, CameraIntrinsics(width=64, height=64))
+    nm = rasterize(mesh, FRONTAL, RunConfig(width=64, height=64))
     ys, xs = np.nonzero(nm.mask)
     x0, x1 = xs.min(), xs.max()
     y0, y1 = ys.min(), ys.max()
@@ -149,20 +149,20 @@ def test_coverage_resolution_independence():
     pose = ViewPose(30.0, 20.0, 0.0)
     frac = []
     for size in (224, 448):
-        nm = rasterize(mesh, pose, CameraIntrinsics(width=size, height=size))
+        nm = rasterize(mesh, pose, RunConfig(width=size, height=size))
         frac.append(nm.mask.mean())
     assert abs(frac[0] - frac[1]) < 0.02
 
 
 def test_discretize_requires_hemisphere():
-    nm = rasterize(frontal_square(), FRONTAL, CameraIntrinsics(width=16, height=16))
+    nm = rasterize(frontal_square(), FRONTAL, RunConfig(width=16, height=16))
     with pytest.raises(ValueError):
         discretize_normal_map(nm, OrientationCodebook(10, "horizontal_circle"))
 
 
 def test_discretize_frontal_square_hits_top_bin():
     codebook = OrientationCodebook(60, HEMISPHERE)
-    nm = rasterize(frontal_square(), FRONTAL, CameraIntrinsics(width=32, height=32))
+    nm = rasterize(frontal_square(), FRONTAL, RunConfig(width=32, height=32))
     lm = discretize_normal_map(nm, codebook)
     # bin 0 holds the largest z of the hemisphere lattice, nearest to +z
     assert np.all(lm.labels[nm.mask] == 0)
@@ -207,7 +207,7 @@ def test_label_map_validation():
 def test_roundtrip_quantization_bound():
     codebook = OrientationCodebook(60, HEMISPHERE)
     nm = rasterize(shapes.icosphere(2), ViewPose(40.0, 25.0, 10.0),
-                   CameraIntrinsics(width=96, height=96))
+                   RunConfig(width=96, height=96))
     back = labels_to_normals(discretize_normal_map(nm, codebook), codebook)
     dots = np.einsum("ij,ij->i", nm.normals[nm.mask], back.normals[nm.mask])
     worst = np.degrees(np.arccos(np.clip(dots, -1.0, 1.0))).max()
@@ -218,7 +218,7 @@ def test_roundtrip_quantization_bound():
 def test_face_labels_match_the_per_pixel_oracle(K):
     codebook = OrientationCodebook(K, HEMISPHERE)
     rng = np.random.default_rng(K)
-    cams = [CameraIntrinsics(width=64, height=64), CameraIntrinsics(width=37, height=23)]
+    cams = [RunConfig(width=64, height=64), RunConfig(width=37, height=23)]
     meshes = [shapes.cuboid(), shapes.square_plate(), shapes.asymmetric_tetrahedron(),
               shapes.icosphere(2), shapes.icosphere(3), degenerate_soup(), doubled_icosphere()]
     for mesh in meshes:
@@ -228,7 +228,7 @@ def test_face_labels_match_the_per_pixel_oracle(K):
                 got = discretize_normal_map(nm, codebook)
                 assert got.labels.tobytes() == label_oracle.discretize_normal_map(
                     nm, codebook).labels.tobytes()
-    nm = rasterize(shapes.icosphere(3), ViewPose(12.0, 30.0, -20.0), CameraIntrinsics())
+    nm = rasterize(shapes.icosphere(3), ViewPose(12.0, 30.0, -20.0), RunConfig())
     assert discretize_normal_map(nm, codebook).labels.tobytes() == \
         label_oracle.discretize_normal_map(nm, codebook).labels.tobytes()
 
@@ -238,14 +238,14 @@ def test_face_labels_match_the_oracle_at_the_largest_codebook():
     rng = np.random.default_rng(65535)
     for mesh in (shapes.cuboid(), shapes.icosphere(2)):
         for _ in range(3):
-            nm = rasterize(mesh, random_pose(rng), CameraIntrinsics(width=24, height=24))
+            nm = rasterize(mesh, random_pose(rng), RunConfig(width=24, height=24))
             assert discretize_normal_map(nm, codebook).labels.tobytes() == \
                 label_oracle.discretize_normal_map(nm, codebook).labels.tobytes()
 
 
 def test_rendered_face_indices_name_the_face_each_pixel_shows():
     mesh = shapes.icosphere(2)
-    nm = rasterize(mesh, ViewPose(33.0, 12.0, -7.0), CameraIntrinsics(width=96, height=96))
+    nm = rasterize(mesh, ViewPose(33.0, 12.0, -7.0), RunConfig(width=96, height=96))
     assert np.array_equal(nm.face_ids >= 0, nm.mask) and not nm.face_ids.flags.writeable
     va, vb, vc = (mesh.vertices @ ViewPose(33.0, 12.0, -7.0).rotation.T)[mesh.faces].transpose(1, 0, 2)
     n = np.cross(vb - va, vc - va)
@@ -273,7 +273,7 @@ def test_normal_map_validation():
 def test_save_load_roundtrip(tmp_path):
     mesh = shapes.icosphere(1)
     pose = ViewPose(10.0, 5.0, 0.0)
-    nm = rasterize(mesh, pose, CameraIntrinsics(width=48, height=48))
+    nm = rasterize(mesh, pose, RunConfig(width=48, height=48))
     codebook = OrientationCodebook(60, HEMISPHERE)
     lm = discretize_normal_map(nm, codebook)
     normal_path = save_normal_map(tmp_path / "v000", nm)
@@ -308,10 +308,10 @@ def test_rasterize_matches_per_face_oracle():
         [-0.75, -0.6, -0.12], [0.8, -0.72, 0.55], [-0.1, 0.9, 0.2],
     ]), np.array([(0, 1, 2), (3, 4, 5)]))
     fixtures = [
-        (frontal_square(), FRONTAL, CameraIntrinsics(width=64, height=64)),
-        (two_planes, FRONTAL, CameraIntrinsics(width=16, height=16)),
-        (shapes.icosphere(2), ViewPose(33.0, 12.0, -7.0), CameraIntrinsics(width=96, height=96)),
-        (shapes.cuboid(), ViewPose(30.0, 20.0, 0.0), CameraIntrinsics()),
+        (frontal_square(), FRONTAL, RunConfig(width=64, height=64)),
+        (two_planes, FRONTAL, RunConfig(width=16, height=16)),
+        (shapes.icosphere(2), ViewPose(33.0, 12.0, -7.0), RunConfig(width=96, height=96)),
+        (shapes.cuboid(), ViewPose(30.0, 20.0, 0.0), RunConfig()),
     ]
     # four faces meeting at the center along the image axes: at FRONTAL with
     # odd image sizes, pixel centers lie exactly on those edges, so the fill
@@ -319,16 +319,17 @@ def test_rasterize_matches_per_face_oracle():
     diamond = np.array([[0.0, 0.0, 0.3], [0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, -1.0, 0.0],
                         [-1.0, 0.0, 0.0]])
     quarters = np.array([(0, 1, 2), (0, 2, 3), (0, 3, 4), (0, 4, 1)])
-    for cam in (CameraIntrinsics(width=33, height=33), CameraIntrinsics(width=97, height=61)):
+    for cam in (RunConfig(width=33, height=33), RunConfig(width=97, height=61)):
         fixtures.append((TriangleMesh(diamond, quarters), FRONTAL, cam))
         fixtures.extend((TriangleMesh(diamond, quarters[[i]]), FRONTAL, cam) for i in range(4))
     for mesh, pose, cam in fixtures:
         assert assert_matches_oracle(mesh, pose, cam).mask.any()
     rng = np.random.default_rng(11)
     meshes = [shapes.cuboid(), shapes.square_plate(), shapes.asymmetric_tetrahedron(),
-              shapes.icosphere(1), shapes.icosphere(2), shapes.icosphere(3)]
-    cams = [CameraIntrinsics(width=48, height=48), CameraIntrinsics(width=97, height=61),
-            CameraIntrinsics(width=1, height=1)]
+              shapes.icosphere(1), shapes.icosphere(2), shapes.icosphere(3),
+              shapes.open_cuboid(), shapes.open_prism(), shapes.flip_winding(shapes.hexagonal_prism(), 0)]
+    cams = [RunConfig(width=48, height=48), RunConfig(width=97, height=61),
+            RunConfig(width=1, height=1)]
     for cam in cams:
         for mesh in meshes:
             for _ in range(2 if len(mesh.faces) > 100 else 6):
@@ -370,7 +371,7 @@ def test_rasterize_matches_oracle_on_degenerate_faces():
     faces = np.array([(0, 1, 2), (3, 3, 4), (3, 4, 5), (6, 7, 8), (9, 10, 11), (0, 0, 0), (9, 11, 10)])
     mesh = TriangleMesh(verts, faces)
     rng = np.random.default_rng(12)
-    for cam in (CameraIntrinsics(width=32, height=32), CameraIntrinsics(width=97, height=61)):
+    for cam in (RunConfig(width=32, height=32), RunConfig(width=97, height=61)):
         assert assert_matches_oracle(mesh, FRONTAL, cam).mask.any()
         for _ in range(8):
             assert_matches_oracle(mesh, random_pose(rng), cam)
@@ -385,14 +386,14 @@ def test_rasterize_matches_oracle_on_duplicated_faces():
                             np.column_stack([a, c, b])])
     mesh = TriangleMesh(base.vertices, faces)
     rng = np.random.default_rng(13)
-    for cam in (CameraIntrinsics(width=64, height=64), CameraIntrinsics(width=61, height=97)):
+    for cam in (RunConfig(width=64, height=64), RunConfig(width=61, height=97)):
         for _ in range(6):
             assert_matches_oracle(mesh, random_pose(rng), cam)
 
 
 def test_rasterize_matches_oracle_when_no_face_is_drawable():
     # only the collinear, repeated-vertex and edge-on faces of the soup
-    for cam in (CameraIntrinsics(width=32, height=32), CameraIntrinsics(width=97, height=61)):
+    for cam in (RunConfig(width=32, height=32), RunConfig(width=97, height=61)):
         nm = assert_matches_oracle(degenerate_soup([1, 2, 3, 5]), FRONTAL, cam)
         assert not nm.mask.any() and np.all(nm.face_ids == -1)
 
@@ -404,7 +405,7 @@ def test_rasterize_matches_oracle_when_a_bbox_covers_the_image():
     mesh = TriangleMesh(np.column_stack([np.cos(angles), np.sin(angles), np.zeros(3)]),
                         np.array([(0, 1, 2)]))
     for width, height in ((1, 1), (1, 2), (2, 2)):
-        cam = CameraIntrinsics(width=width, height=height)
+        cam = RunConfig(width=width, height=height)
         frame = frame_camera(mesh, FRONTAL, cam)
         cam_verts = mesh.vertices - frame.center
         cam_verts[:, 2] -= frame.distance
@@ -425,7 +426,7 @@ def test_rasterize_memory_stays_bounded():
     mesh = TriangleMesh(verts, np.arange(3 * count).reshape(count, 3))
     tracemalloc.start()
     try:
-        nm = rasterize(mesh, FRONTAL, CameraIntrinsics(width=224, height=224))
+        nm = rasterize(mesh, FRONTAL, RunConfig(width=224, height=224))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -19,7 +19,7 @@ from symnorm.errors import (
 )
 from symnorm.mesh_io import SurfaceSamples, TriangleMesh, sample_surface
 from symnorm.orientation import canonical_sign, euler_to_rotation
-from symnorm.config import DetectorConfig
+from symnorm.config import RunConfig
 from symnorm.symmetry import (
     SymmetryPlane,
     dedupe_planes,
@@ -86,11 +86,16 @@ def test_plane_validation():
         SymmetryPlane(np.array([0.0, 0.0, 1.0]), 0.0, residual=-0.1)
     with pytest.raises(ValueError):
         SymmetryPlane(np.array([0.0, 0.0, 1.0]), 0.0, residual=float("nan"))
+    for offset in ("nan", "inf", "-inf"):
+        with pytest.raises(ValueError, match="plane offset must be finite"):
+            SymmetryPlane(np.array([0.0, 0.0, 1.0]), float(offset))
 
 
 def test_detector_config_validation():
     with pytest.raises(ValueError):
-        DetectorConfig(sample_count=0)
+        RunConfig(sample_count=0)
+    with pytest.raises(ValueError, match="seed must be nonnegative"):
+        RunConfig(seed=-1)
 
 
 def test_two_point_hypothesis():
@@ -98,7 +103,7 @@ def test_two_point_hypothesis():
     samples = SurfaceSamples(np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]]),
                              np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 1.0]]),
                              np.zeros(2, dtype=np.int64), 1.0)
-    planes = generate_hypotheses(samples, DetectorConfig(pair_count=64))
+    planes = generate_hypotheses(samples, RunConfig(pair_count=64))
     assert len(planes) == 1
     assert np.allclose(planes[0].normal, [1.0, 0.0, 0.0])
     assert planes[0].offset == pytest.approx(0.5)
@@ -107,10 +112,10 @@ def test_two_point_hypothesis():
 def test_insufficient_geometry():
     one = cloud_samples(np.zeros((1, 3)), diag=1.0)
     with pytest.raises(InsufficientGeometryError):
-        generate_hypotheses(one, DetectorConfig())
+        generate_hypotheses(one, RunConfig())
     dup = cloud_samples(np.zeros((5, 3)), diag=1.0)
     with pytest.raises(InsufficientGeometryError):
-        generate_hypotheses(dup, DetectorConfig())
+        generate_hypotheses(dup, RunConfig())
 
 
 def test_cuboid_vote_peaks_cover_axis_planes():
@@ -156,11 +161,11 @@ def assert_clusters_match_oracle(normals, offsets, config, diag):
 
 @pytest.mark.parametrize("mesh, config, seed", [
     (shapes.cuboid, shapes.SUITE_CONFIG, 1),
-    (shapes.square_plate, DetectorConfig(), 2),
+    (shapes.square_plate, RunConfig(), 2),
     (shapes.hexagonal_prism, shapes.SUITE_CONFIG, 3),
-    (shapes.asymmetric_tetrahedron, DetectorConfig(), 4),
+    (shapes.asymmetric_tetrahedron, RunConfig(), 4),
     (lambda: shapes.icosphere(1), shapes.SUITE_CONFIG, 5),
-    (lambda: shapes.icosphere(2), DetectorConfig(), 6),
+    (lambda: shapes.icosphere(2), RunConfig(), 6),
     (lambda: shapes.icosphere(3), shapes.SUITE_CONFIG, 7),
 ], ids=["cuboid", "plate", "hex_prism", "tetrahedron", "icosphere1", "icosphere2", "icosphere3"])
 def test_cluster_sweep_matches_oracle_on_fixtures(monkeypatch, mesh, config, seed):
@@ -204,7 +209,7 @@ def test_cluster_sweep_matches_oracle_on_adversarial_votes(monkeypatch):
     for case in range(40):
         angle = rng.choice([0.05, 0.5, 5.0, 10.0, 30.0, 89.5, 89.9])
         monkeypatch.setattr(symmetry, "CLUSTER_ANGLE_DEG", float(angle))
-        config = DetectorConfig(cluster_offset_frac=float(rng.choice([0.05, 0.2])))
+        config = RunConfig(cluster_offset_frac=float(rng.choice([0.05, 0.2])))
         n = int(rng.integers(1, 400))
         normals, offsets, tilted = adversarial_votes(rng, n, config)
         assert_clusters_match_oracle(normals, offsets, config, 1.0)
@@ -218,7 +223,7 @@ def test_cluster_sweep_finds_a_representative_across_a_cell_boundary():
     # the representative sits on the grid plane x = 0 and the vote lies
     # almost one chord of the angle window to its -x side: the two fall in
     # adjacent cells only if the cell edge is at least that chord
-    config = DetectorConfig()
+    config = RunConfig()
     theta = np.radians(symmetry.CLUSTER_ANGLE_DEG - 0.01)
     normals = np.array([[0.0, 0.0, 1.0], [-np.sin(theta), 0.0, np.cos(theta)]])
     planes = assert_clusters_match_oracle(normals, np.zeros(2), config, 1.0)
@@ -226,7 +231,7 @@ def test_cluster_sweep_finds_a_representative_across_a_cell_boundary():
 
 
 def test_cluster_sweep_single_and_identical_votes():
-    config = DetectorConfig()
+    config = RunConfig()
     v = canonical_sign(np.array([[0.3, -0.4, 0.5]]) / np.linalg.norm([0.3, -0.4, 0.5]))
     assert len(assert_clusters_match_oracle(v, np.array([0.25]), config, 1.0)) == 1
     same = assert_clusters_match_oracle(np.repeat(v, 300, axis=0), np.full(300, 0.25), config, 1.0)
@@ -237,7 +242,7 @@ def test_cluster_sweep_exact_tie_goes_to_the_lowest_index():
     s, c = np.sin(np.radians(6.0)), np.cos(np.radians(6.0))
     # two clusters 12 degrees apart, then a vote 6 degrees from each
     normals = np.array([[s, 0.0, c], [-s, 0.0, c], [0.0, 0.0, 1.0]])
-    planes = assert_clusters_match_oracle(normals, np.zeros(3), DetectorConfig(), 1.0)
+    planes = assert_clusters_match_oracle(normals, np.zeros(3), RunConfig(), 1.0)
     assert planes[0].normal[0] > 0.0  # the lowest index won the tie
 
 
@@ -247,14 +252,14 @@ def test_cluster_sweep_cross_cell_tie_goes_to_the_lowest_index():
     # and the vote v = +x ties the two exactly (|-c| == |c|)
     s, c = np.sin(np.radians(6.0)), np.cos(np.radians(6.0))
     normals = np.array([[-c, 0.0, s], [c, 0.0, s], [1.0, 0.0, 0.0]])
-    planes = assert_clusters_match_oracle(normals, np.zeros(3), DetectorConfig(), 1.0)
+    planes = assert_clusters_match_oracle(normals, np.zeros(3), RunConfig(), 1.0)
     assert len(planes) == 2
     assert planes[0].normal[0] < 0.0  # the vote joined cluster 0
 
 
 @pytest.mark.parametrize("delta, clusters", [(1e-12, 1), (-1e-12, 2)])
 def test_cluster_sweep_angle_threshold_is_inclusive(delta, clusters):
-    config = DetectorConfig()
+    config = RunConfig()
     z = float(np.cos(np.radians(symmetry.CLUSTER_ANGLE_DEG))) + delta
     normals = np.array([[0.0, 0.0, 1.0], [np.sqrt(1.0 - z * z), 0.0, z]])
     planes = assert_clusters_match_oracle(normals, np.zeros(2), config, 1.0)
@@ -263,7 +268,7 @@ def test_cluster_sweep_angle_threshold_is_inclusive(delta, clusters):
 
 @pytest.mark.parametrize("delta, clusters", [(-1e-12, 1), (1e-12, 2)])
 def test_cluster_sweep_offset_threshold_is_inclusive(delta, clusters):
-    config = DetectorConfig()
+    config = RunConfig()
     diag = 2.0
     normals = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 1.0]])
     offsets = np.array([0.0, config.cluster_offset_frac * diag + delta])
@@ -292,7 +297,7 @@ def test_icp_recovers_perturbed_plane():
     pts, n_true, b_true = shapes.mirrored_cloud(rng)
     samples = cloud_samples(pts)
     start = SymmetryPlane(perturbed(n_true, 5.0, rng), b_true)
-    refined = refine_plane_icp(samples, start, DetectorConfig())
+    refined = refine_plane_icp(samples, start, RunConfig())
     assert sym_angle_matrix(refined.normal, n_true).item() <= 0.5
 
 
@@ -301,7 +306,7 @@ def test_icp_fixed_point_converges_immediately():
     pts, n_true, b_true = shapes.mirrored_cloud(rng)
     samples = cloud_samples(pts)
     refined, history = refine_plane_icp(samples, SymmetryPlane(n_true, b_true),
-                                        DetectorConfig(), return_history=True)
+                                        RunConfig(), return_history=True)
     # one accepted matching pass plus the final score
     assert len(history) <= 2
     assert sym_angle_matrix(refined.normal, n_true).item() <= symmetry.ICP_CONVERGE_DEG
@@ -313,7 +318,7 @@ def test_icp_history_never_increases():
     samples = cloud_samples(pts)
     for angle in (2.0, 5.0, 8.0):
         start = SymmetryPlane(perturbed(n_true, angle, rng), b_true)
-        _, history = refine_plane_icp(samples, start, DetectorConfig(), return_history=True)
+        _, history = refine_plane_icp(samples, start, RunConfig(), return_history=True)
         assert all(b <= a + 1e-9 for a, b in zip(history, history[1:]))
 
 
@@ -321,7 +326,7 @@ def test_icp_monotone_on_fixture_hypotheses():
     # every surviving refinement must end at or below the residual of the
     # hypothesis it started from
     samples = sample_surface(shapes.cuboid(), 4000, seed=0)
-    cfg = DetectorConfig(sample_count=4000, cluster_offset_frac=0.015)
+    cfg = RunConfig(sample_count=4000, cluster_offset_frac=0.015)
     tree = cKDTree(samples.points)
     for hypothesis in generate_hypotheses(samples, cfg)[:8]:
         start_residual = score_plane(samples, hypothesis, tree=tree)
@@ -360,7 +365,7 @@ def plane_bytes(plane):
     return plane.normal.tobytes(), plane.offset, plane.residual
 
 
-CUBOID_SMALL = DetectorConfig(sample_count=1000, pair_count=5000)
+CUBOID_SMALL = RunConfig(sample_count=1000, pair_count=5000)
 
 
 def cuboid_hypotheses():
@@ -438,7 +443,7 @@ def test_icp_history_counts_iterations_on_every_exit(monkeypatch):
     pts = pts + rng.normal(scale=1e-3, size=pts.shape)
     start = SymmetryPlane(perturbed(n_true, 8.0, rng), b_true)
     monkeypatch.setattr(symmetry, "ICP_CONVERGE_DEG", 1e-12)  # no refit converges
-    capped = DetectorConfig()
+    capped = RunConfig()
     _, history, iterations, rescores = counted_refinement(monkeypatch, cloud_samples(pts), start, capped)
     assert len(history) - 1 == iterations == capped.icp_max_iters and rescores == 1
     assert all(b <= a for a, b in zip(history, history[1:]))
@@ -486,7 +491,7 @@ def broken_refinement(exit_kind, fail):
     pts, n_true, b_true = shapes.mirrored_cloud(rng)
     samples = cloud_samples(pts)
     start = SymmetryPlane(perturbed(n_true, 8.0, rng), b_true)
-    cfg = replace(DetectorConfig(), accept_residual=1e3)
+    cfg = replace(RunConfig(), accept_residual=1e3)
     tree = ObservedTree(pts, fail, exit_kind)
     refined, history = refine_plane_icp(samples, start, cfg, return_history=True, tree=tree)
     broken = fail(tree.sizes)
@@ -600,7 +605,7 @@ def test_icp_subset_trend_never_stops_a_hypothesis_already_accepted():
     samples = cloud_samples(pts)
     start = SymmetryPlane(perturbed(n_true, 8.0, rng), b_true)
     first = score_plane(samples, start)
-    cfg = replace(DetectorConfig(), accept_residual=first)
+    cfg = replace(RunConfig(), accept_residual=first)
     tree = InflatedSubsetTree(pts, samples.bbox_diagonal)
     refined, history = refine_plane_icp(samples, start, cfg, return_history=True, tree=tree)
     subset = len(symmetry._icp_subset(tree, cfg.seed))
@@ -629,7 +634,7 @@ def test_detect_with_the_icp_subset_is_the_same_at_one_and_two_cpus(monkeypatch,
     found = {}
     for cpus in (1, 2):
         monkeypatch.setattr(symmetry.util, "usable_cpu_count", lambda: cpus)
-        found[cpus] = [plane_bytes(p) for p in detect_symmetries(mesh(), DetectorConfig())]
+        found[cpus] = [plane_bytes(p) for p in detect_symmetries(mesh(), RunConfig())]
     assert draws and found[1] == found[2]
 
 
@@ -649,7 +654,7 @@ def assert_detect_keeps_the_planes_of_full_length_icp(monkeypatch, mesh, config)
         [plane_bytes(p) for p in detect_symmetries(mesh(), config)]
 
 
-FULL_LENGTH_CONFIGS = pytest.mark.parametrize("config", [DetectorConfig(), shapes.SUITE_CONFIG],
+FULL_LENGTH_CONFIGS = pytest.mark.parametrize("config", [RunConfig(), shapes.SUITE_CONFIG],
                                               ids=["default", "suite"])
 FULL_LENGTH_MESHES = pytest.mark.parametrize(
     "mesh", [shapes.cuboid, shapes.square_plate, shapes.asymmetric_tetrahedron,
@@ -677,7 +682,7 @@ def test_icp_on_asymmetric_cloud_rejected():
     rng = np.random.default_rng(12)
     pts = rng.uniform(-1.0, 1.0, size=(500, 3)) * np.array([1.0, 0.7, 0.4])
     samples = cloud_samples(pts)
-    cfg = DetectorConfig()
+    cfg = RunConfig()
     n = rng.normal(size=3)
     n /= np.linalg.norm(n)
     try:
@@ -743,6 +748,19 @@ def test_detect_cuboid_exact_planes():
         assert p.residual <= shapes.SUITE_CONFIG.accept_residual
 
 
+@pytest.mark.parametrize("mesh, truth, matched", [
+    (shapes.open_cuboid, shapes.open_cuboid_plane_normals, 2),
+    (shapes.open_prism, shapes.open_prism_plane_normals, 6),
+], ids=["open_cuboid", "open_prism"])
+def test_detect_open_shell_planes(mesh, truth, matched):
+    """A record at seed 0, not a target: on an open shell every kept plane
+    is an analytic one, and as many analytic planes are found as measured."""
+    planes = detect_symmetries(mesh(), shapes.SUITE_CONFIG)
+    cost = sym_angle_matrix(truth(), [p.normal for p in planes])
+    assert (cost.min(axis=0) <= symmetry.DEDUPE_ANGLE_DEG).all()
+    assert (cost.min(axis=1) <= symmetry.DEDUPE_ANGLE_DEG).sum() >= matched
+
+
 def test_detect_asymmetric_tetrahedron_empty():
     # voting always yields candidates; none survive residual acceptance
     samples = sample_surface(shapes.asymmetric_tetrahedron(),
@@ -785,7 +803,7 @@ def test_detect_refines_every_hypothesis_on_one_pool(monkeypatch):
 
     # every suite-config refinement on the sphere converges at its first iteration
     sphere = (shapes.icosphere(), shapes.SUITE_CONFIG)
-    cuboid = (shapes.cuboid(), DetectorConfig(sample_count=2000, pair_count=5000))
+    cuboid = (shapes.cuboid(), RunConfig(sample_count=2000, pair_count=5000))
     for mesh, config in (sphere, cuboid):
         two = planes(mesh, config, 2)
         assert two
@@ -838,7 +856,9 @@ def test_planes_file_roundtrip(tmp_path):
     (b"# columns\n1 0 0\n", "planes.txt: line 2: not enough values"),
     (b"# columns\n2 0 0 0 0\n", "planes.txt: line 2: plane normal must be unit length"),
     (b"# columns\n1 0 0 0 x\n", "planes.txt: line 2: could not convert"),
-], ids=["not-utf8", "three-fields", "non-unit-normal", "word-residual"])
+    (b"# columns\n1 0 0 0 0.01\n1 0 0 nan 0.01\n", "planes.txt: line 3: plane offset must be finite"),
+    (b"# columns\n0 1 0 inf 0.02\n", "planes.txt: line 2: plane offset must be finite"),
+], ids=["not-utf8", "three-fields", "non-unit-normal", "word-residual", "nan-offset", "inf-offset"])
 def test_read_planes_names_file_that_is_not_utf8(tmp_path, text, reason):
     """A planes file that does not decode, or a line that is not five
     numbers making a valid plane, is an InputError naming the file and the
